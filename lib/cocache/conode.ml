@@ -14,7 +14,6 @@ type t = {
   id : int; (* system-generated tuple identifier *)
   comp : string; (* component (node table) name *)
   mutable values : Tuple.t;
-  mutable original : Tuple.t; (* values as shipped (for write-back) *)
   mutable out_conns : conn list; (* connections where this node is parent *)
   mutable in_conns : conn list; (* connections where this node is a child *)
   mutable dirty : dirty;
@@ -34,7 +33,6 @@ let make ~id ~comp ~values =
     id;
     comp;
     values;
-    original = Array.copy values;
     out_conns = [];
     in_conns = [];
     dirty = Clean;

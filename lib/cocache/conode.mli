@@ -9,7 +9,6 @@ type t = {
   id : int; (* system-generated tuple identifier *)
   comp : string; (* component (node table) name *)
   mutable values : Tuple.t;
-  mutable original : Tuple.t; (* values as shipped *)
   mutable out_conns : conn list; (* connections where this node is parent *)
   mutable in_conns : conn list; (* connections where this node is a child *)
   mutable dirty : dirty;

@@ -61,68 +61,86 @@ let of_stream (stream : H.t) : t =
       Hashtbl.replace ws.stores info.H.comp_name
         { info; nodes = []; count = 0 })
     stream.H.header.H.components;
-  let comp_name no = stream.H.header.H.components.(no).H.comp_name in
+  (* per component number: its store and, for a relationship, the
+     stores of its parent and child partner components *)
+  let stores =
+    Array.map
+      (fun (info : H.comp_info) -> find_store ws info.H.comp_name)
+      stream.H.header.H.components
+  in
+  let rels =
+    Array.map
+      (fun (info : H.comp_info) ->
+        match info.H.comp_kind with
+        | `Rel m ->
+          Some
+            ( m.H.rm_role,
+              find_store ws m.H.rm_parent,
+              Array.of_list (List.map (find_store ws) m.H.rm_children) )
+        | `Node -> None)
+      stream.H.header.H.components
+  in
+  let add_node store node =
+    store.nodes <- node :: store.nodes;
+    store.count <- store.count + 1;
+    Hashtbl.replace ws.by_id node.Conode.id node
+  in
   List.iter
     (fun item ->
       match item with
       | H.Row { comp; id; values } ->
-        let store = Hashtbl.find ws.stores (comp_name comp) in
-        let node = Conode.make ~id ~comp:(comp_name comp) ~values in
-        store.nodes <- node :: store.nodes;
-        store.count <- store.count + 1;
-        Hashtbl.replace ws.by_id id node
+        let store = stores.(comp) in
+        add_node store
+          (Conode.make ~id ~comp:store.info.H.comp_name ~values)
       | H.Conn { rel; id; parent; children; attrs } ->
-        let rel_name = comp_name rel in
-        let meta =
-          match stream.H.header.H.components.(rel).H.comp_kind with
-          | `Rel m -> m
-          | `Node -> Errors.execution_error "connection from node component"
+        let role, parent_store, child_stores =
+          match rels.(rel) with
+          | Some r -> r
+          | None -> Errors.execution_error "connection from node component"
         in
         (* A partner row may legitimately be absent (its component not in
            TAKE): materialize a value-less stub so the topology stays
            navigable — the paper's piggy-backed connections carry ids,
            not values. *)
-        let resolve comp tid =
+        let resolve store tid =
           match Hashtbl.find_opt ws.by_id tid with
           | Some n -> n
           | None ->
-            let stub = Conode.make ~id:tid ~comp ~values:[||] in
-            let store = Hashtbl.find ws.stores comp in
-            store.nodes <- stub :: store.nodes;
-            store.count <- store.count + 1;
-            Hashtbl.replace ws.by_id tid stub;
+            let stub =
+              Conode.make ~id:tid ~comp:store.info.H.comp_name ~values:[||]
+            in
+            add_node store stub;
             stub
         in
-        let p = resolve meta.H.rm_parent parent in
-        let cs =
-          Array.mapi
-            (fun i tid ->
-              let comp =
-                match List.nth_opt meta.H.rm_children i with
-                | Some c -> c
-                | None -> Errors.execution_error "connection arity mismatch"
-              in
-              resolve comp tid)
-            children
-        in
+        let p = resolve parent_store parent in
+        if Array.length children > Array.length child_stores then
+          Errors.execution_error "connection arity mismatch";
+        let cs = Array.mapi (fun i tid -> resolve child_stores.(i) tid) children in
         let conn =
           {
             Conode.conn_id = id;
-            rel = rel_name;
-            role = meta.H.rm_role;
+            rel = stores.(rel).info.H.comp_name;
+            role;
             parent = p;
             children = cs;
             attrs;
           }
         in
-        p.Conode.out_conns <- p.Conode.out_conns @ [ conn ];
-        Array.iter
-          (fun c -> c.Conode.in_conns <- c.Conode.in_conns @ [ conn ])
-          cs;
+        (* consed here, reversed once below: arrival order, linear time *)
+        p.Conode.out_conns <- conn :: p.Conode.out_conns;
+        Array.iter (fun c -> c.Conode.in_conns <- conn :: c.Conode.in_conns) cs;
         ws.conn_count <- ws.conn_count + 1)
     stream.H.items;
   (* restore arrival order *)
-  Hashtbl.iter (fun _ s -> s.nodes <- List.rev s.nodes) ws.stores;
+  Hashtbl.iter
+    (fun _ s ->
+      s.nodes <- List.rev s.nodes;
+      List.iter
+        (fun (n : Conode.t) ->
+          n.Conode.out_conns <- List.rev n.Conode.out_conns;
+          n.Conode.in_conns <- List.rev n.Conode.in_conns)
+        s.nodes)
+    ws.stores;
   ws
 
 (** Live nodes of a component (arrival order, deletions hidden). *)

@@ -40,18 +40,21 @@ let send t (req : Wire.request) =
   t.bytes_out <- t.bytes_out + String.length f;
   t.frames_out <- t.frames_out + 1
 
-let recv t : Wire.response =
+let recv_payload t : string =
   let payload = Wire.recv_payload t.fd in
   t.bytes_in <- t.bytes_in + String.length payload + 4;
   t.frames_in <- t.frames_in + 1;
-  Wire.decode_response payload
+  payload
+
+let recv t : Wire.response = Wire.decode_response (recv_payload t)
+
+let raise_on_error : Wire.response -> Wire.response = function
+  | Wire.Error { kind; msg } -> raise (Server_error { kind; msg })
+  | r -> r
 
 (** Receive, raising {!Server_error} if the server answered with an
     error frame. *)
-let recv_ok t : Wire.response =
-  match recv t with
-  | Wire.Error { kind; msg } -> raise (Server_error { kind; msg })
-  | r -> r
+let recv_ok t : Wire.response = raise_on_error (recv t)
 
 let protocol_error what got =
   raise
@@ -150,19 +153,22 @@ let extract ?(chunk = 0) t (text : string) : H.t =
     | Wire.Stream_header h -> h
     | r -> protocol_error "stream_header" (tag_of r)
   in
-  let rec go acc =
-    match recv_ok t with
-    | Wire.Stream_chunk items -> go (List.rev_append items acc)
-    | Wire.Stream_end { items } ->
-      let all = List.rev acc in
-      if List.length all <> items then
-        protocol_error
-          (Printf.sprintf "%d items" items)
-          (Printf.sprintf "%d items" (List.length all));
-      all
-    | r -> protocol_error "stream_chunk/stream_end" (tag_of r)
+  (* chunk items decode straight onto one reversed accumulator *)
+  let rec go acc n =
+    let payload = recv_payload t in
+    match Wire.decode_chunk_rev payload acc with
+    | Some (acc, k) -> go acc (n + k)
+    | None -> (
+      match raise_on_error (Wire.decode_response payload) with
+      | Wire.Stream_end { items } ->
+        if n <> items then
+          protocol_error
+            (Printf.sprintf "%d items" items)
+            (Printf.sprintf "%d items" n);
+        List.rev acc
+      | r -> protocol_error "stream_chunk/stream_end" (tag_of r))
   in
-  { H.header; items = go [] }
+  { H.header; items = go [] 0 }
 
 (** Instrumented extraction over the wire: the server runs the XNF
     query (or view) under an instrumented context and ships back the

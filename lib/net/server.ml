@@ -5,7 +5,7 @@
     reads and parses frames, and flushes response bytes.  Request
     {e execution} happens on pool workers — the loop hands a decoded
     frame to {!Relcore.Pool.launch} and moves on.  Workers never touch a
-    socket: they push fully-encoded response frames into the session's
+    socket: they push encoded response frames into the session's
     bounded {!Relcore.Chan} outbox, so a slow client stalls (only) the
     worker serving it once the outbox fills — that stall {e is} the
     backpressure — while the loop keeps serving everyone else.
@@ -13,8 +13,11 @@
     Sessions share the catalog (tables, columnar tiers, result cache,
     IVM state) but each gets its own {!Engine.Database.session}: open
     transaction and prepared plans are per-connection.  Writes take a
-    process-wide writer lock (statement granularity — MVCC snapshots are
-    a ROADMAP item); queries and extractions share a reader lock.
+    process-wide writer lock at statement granularity; queries and
+    extractions share a reader lock, or run lock-free off a pinned MVCC
+    snapshot epoch when a writer is busy.  Either covers only computing
+    the result: frames are encoded, and pushed one by one, after the
+    lock or pin is released.
 
     A malformed frame earns an error frame and closes that session; the
     daemon survives.  {!stop} (wired to SIGINT by the CLI) drains
@@ -30,7 +33,9 @@ module H = Xnf.Hetstream
 
 (* Writer-preferring: arriving readers queue behind a waiting writer, so
    a steady query load cannot starve DML forever.  Handlers hold it only
-   while computing a response (never while shipping bytes). *)
+   while computing a result: encoding frames and shipping bytes happen
+   after release.  [hold_us] / [wait_us] total the time readers held it
+   and writers queued for it (STATS). *)
 module Rwlock = struct
   type t = {
     m : Mutex.t;
@@ -38,6 +43,8 @@ module Rwlock = struct
     mutable readers : int;
     mutable writer : bool;
     mutable waiting_w : int;
+    hold_us : int Atomic.t;
+    wait_us : int Atomic.t;
   }
 
   let create () =
@@ -47,7 +54,24 @@ module Rwlock = struct
       readers = 0;
       writer = false;
       waiting_w = 0;
+      hold_us = Atomic.make 0;
+      wait_us = Atomic.make 0;
     }
+
+  let add_since total t0 =
+    ignore
+      (Atomic.fetch_and_add total
+         (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
+
+  (* run [f] as an admitted reader *)
+  let as_reader t f =
+    let t0 = Unix.gettimeofday () in
+    Fun.protect f ~finally:(fun () ->
+        add_since t.hold_us t0;
+        Mutex.lock t.m;
+        t.readers <- t.readers - 1;
+        if t.readers = 0 then Condition.broadcast t.c;
+        Mutex.unlock t.m)
 
   let read t f =
     Mutex.lock t.m;
@@ -56,11 +80,7 @@ module Rwlock = struct
     done;
     t.readers <- t.readers + 1;
     Mutex.unlock t.m;
-    Fun.protect f ~finally:(fun () ->
-        Mutex.lock t.m;
-        t.readers <- t.readers - 1;
-        if t.readers = 0 then Condition.broadcast t.c;
-        Mutex.unlock t.m)
+    as_reader t f
 
   (* Non-blocking read acquisition: [Some (f ())] when no writer is
      active or waiting, [None] otherwise (the caller takes the
@@ -74,15 +94,11 @@ module Rwlock = struct
     else begin
       t.readers <- t.readers + 1;
       Mutex.unlock t.m;
-      Some
-        (Fun.protect f ~finally:(fun () ->
-             Mutex.lock t.m;
-             t.readers <- t.readers - 1;
-             if t.readers = 0 then Condition.broadcast t.c;
-             Mutex.unlock t.m))
+      Some (as_reader t f)
     end
 
   let write t f =
+    let t0 = Unix.gettimeofday () in
     Mutex.lock t.m;
     t.waiting_w <- t.waiting_w + 1;
     while t.writer || t.readers > 0 do
@@ -91,6 +107,7 @@ module Rwlock = struct
     t.waiting_w <- t.waiting_w - 1;
     t.writer <- true;
     Mutex.unlock t.m;
+    add_since t.wait_us t0;
     Fun.protect f ~finally:(fun () ->
         Mutex.lock t.m;
         t.writer <- false;
@@ -206,19 +223,39 @@ type t = {
   (* encoded-frame memo for extractions: the same view shipped twice
      costs one encoding.  Keyed by (text, chunk); cleared on any
      statement (DML, DDL, txn control) and on session teardown (the
-     implicit rollback mutates shared tables).  Reads happen under the
-     reader lock, clears under the writer lock or at teardown, so a
-     memoized entry can never outlive the state it encoded. *)
-  memo_mu : Mutex.t;
+     implicit rollback mutates shared tables) — always under the writer
+     lock, before the mutation.  Frames are encoded after the reader
+     lock is released, so validity is by generation: every clear bumps
+     [memo_gen]; a miss reads it while still holding the reader lock,
+     and the finished frames are stored only if it has not moved since,
+     so an entry can never outlive the state it encoded. *)
+  memo_mu : Mutex.t;  (* guards [frame_memo] and [memo_gen] *)
   frame_memo : (string * int, string list) Hashtbl.t;
+  mutable memo_gen : int;
 }
 
 let memo_cap = 64
 
 let clear_memo t =
-  Mutex.lock t.memo_mu;
-  Hashtbl.reset t.frame_memo;
-  Mutex.unlock t.memo_mu
+  Mutex.protect t.memo_mu (fun () ->
+      Hashtbl.reset t.frame_memo;
+      t.memo_gen <- t.memo_gen + 1)
+
+(* Under the reader lock: the memoized frames, or the generation a
+   fresh encoding must still match when it is stored. *)
+let memo_find t key =
+  Mutex.protect t.memo_mu (fun () ->
+      match Hashtbl.find_opt t.frame_memo key with
+      | Some frames -> `Hit frames
+      | None -> `Miss t.memo_gen)
+
+let memo_store t key gen frames =
+  Mutex.protect t.memo_mu (fun () ->
+      if t.memo_gen = gen then begin
+        if Hashtbl.length t.frame_memo >= memo_cap then
+          Hashtbl.reset t.frame_memo;
+        Hashtbl.replace t.frame_memo key frames
+      end)
 
 type counters = {
   active_sessions : int;
@@ -238,6 +275,8 @@ type counters = {
   gc_batches : int;
   gc_commits : int;
   gc_max_batch : int;
+  read_hold_us : int;
+  write_wait_us : int;
 }
 
 let sockaddr t = t.bound
@@ -312,6 +351,7 @@ let create ?config (db : Db.t) : t =
     snap_blocked = false;
     memo_mu = Mutex.create ();
     frame_memo = Hashtbl.create 16;
+    memo_gen = 0;
   }
 
 (** Wake the event loop out of [select] (worker → loop, signal-safe). *)
@@ -345,6 +385,8 @@ let counters t : counters =
     gc_batches;
     gc_commits;
     gc_max_batch;
+    read_hold_us = Atomic.get t.lock.Rwlock.hold_us;
+    write_wait_us = Atomic.get t.lock.Rwlock.wait_us;
   }
 
 (** EXPLAIN-style text block: process-wide totals, then one line per
@@ -382,6 +424,10 @@ let stats_text t : string =
        "  group commit: %s, %d batches / %d commits, max batch %d\n"
        (if Engine.Group_commit.enabled () then "on" else "off")
        c.gc_batches c.gc_commits c.gc_max_batch);
+  Buffer.add_string buf
+    (Printf.sprintf "  lock: readers held %.1f ms, writers waited %.1f ms\n"
+       (float_of_int c.read_hold_us /. 1e3)
+       (float_of_int c.write_wait_us /. 1e3));
   Buffer.add_string buf
     (Printf.sprintf "  outbox depth %d frames, stream chunk %d items\n"
        t.config.outbox_depth t.config.stream_chunk);
@@ -449,7 +495,8 @@ let catalog_clean t =
     stay valid); a busy lock — or uncommitted writer state that the old
     path would have read dirty — serves committed pre-images lock-free;
     a stale undo window or pending DDL falls back to the blocking
-    lock. *)
+    lock.  Either way the computed result is returned unencoded: the
+    caller encodes it after the lock or pin is released. *)
 let serve_read t sess ~locked ~snap =
   (* a session inside its own transaction must read its own uncommitted
      writes — only the locked path can see them *)
@@ -460,7 +507,7 @@ let serve_read t sess ~locked ~snap =
       Rwlock.try_read t.lock (fun () ->
           if catalog_clean t then Some (locked ()) else None)
     with
-    | Some (Some frames) -> frames
+    | Some (Some r) -> r
     | Some None | None -> (
       let attempt =
         if not (snap_enter t) then None
@@ -473,29 +520,20 @@ let serve_read t sess ~locked ~snap =
                 ~finally:(fun () -> Snapshot.release s)
                 (fun () ->
                   match snap s with
-                  | frames -> Some frames
+                  | r -> Some r
                   | exception Snapshot.Stale -> None))
       in
       match attempt with
-      | Some frames ->
+      | Some r ->
         sess.s_snap_reads <- sess.s_snap_reads + 1;
         Atomic.incr t.c_snap_reads;
-        frames
+        r
       | None ->
         sess.s_snap_falls <- sess.s_snap_falls + 1;
         Atomic.incr t.c_snap_fallbacks;
         Rwlock.read t.lock locked)
 
 (* -- request execution (pool workers) ------------------------------------ *)
-
-let chunked n items =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: tl ->
-      if k = n then go (List.rev cur :: acc) [ x ] 1 tl
-      else go acc (x :: cur) (k + 1) tl
-  in
-  go [] [] 0 items
 
 (** DDL through one session must invalidate every session's prepared
     plans (they reference dropped/created objects).  Runs only while the
@@ -523,116 +561,139 @@ let is_commit sql =
   | "commit" | "commit;" -> true
   | _ -> false
 
-(** Compute the full response — a list of encoded frames — for one
-    request.  Pure compute: no socket, no outbox; locks are released
-    before a single byte ships. *)
-let respond t (sess : session) (req : Wire.request) : string list =
-  let encoded rs = List.map Wire.encode_response rs in
+(* [n] items off the front of [items], and the rest *)
+let take n items =
+  let rec go acc k = function
+    | x :: tl when k < n -> go (x :: acc) (k + 1) tl
+    | rest -> (List.rev acc, rest)
+  in
+  go [] 0 items
+
+(* What an extraction computed under its lock or pin: memoized frames,
+   or a fresh stream plus the memo generation it was computed at ([None]
+   off a snapshot, which never fills the memo). *)
+type extraction =
+  | Memoized of string list
+  | Computed of H.t * int option
+
+(** Answer one request, handing each encoded frame to [push] as soon as
+    it is encoded.  Locks and snapshot pins cover only the computation
+    of the result; every frame is encoded — and pushed, which may block
+    on a full outbox — after they are released, so a writer waits at
+    most for a reader's compute, never for its encoding or its client.
+    This rests on published results being immutable: IVM patches build
+    new item lists and value arrays, and heap updates replace a slot's
+    tuple rather than mutate it. *)
+let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
+    unit =
+  let send r = push (Wire.encode_response r) in
   match req with
   | Wire.Hello { client = _; version } ->
     if version <> Wire.version then
-      encoded
-        [
-          Wire.Error
-            {
-              kind = "protocol";
-              msg =
-                Printf.sprintf "protocol version %d, server speaks %d" version
-                  Wire.version;
-            };
-        ]
+      send
+        (Wire.Error
+           {
+             kind = "protocol";
+             msg =
+               Printf.sprintf "protocol version %d, server speaks %d" version
+                 Wire.version;
+           })
     else
-      encoded
-        [
-          Wire.Hello_ok
-            { server = "xnfdb"; version = Wire.version; session_id = sess.sid };
-        ]
+      send
+        (Wire.Hello_ok
+           { server = "xnfdb"; version = Wire.version; session_id = sess.sid })
   | Wire.Query { sql; analyze } when analyze ->
     Atomic.incr t.c_queries;
     (* attribution owns its own executor ctx, so the lock-free snapshot
        path can't thread a pinned-epoch ctx through it — take the plain
        read lock instead *)
-    Rwlock.read t.lock (fun () ->
-        encoded [ Wire.Done (Db.explain_analyze sess.sdb sql) ])
+    let report = Rwlock.read t.lock (fun () -> Db.explain_analyze sess.sdb sql) in
+    send (Wire.Done report)
   | Wire.Query { sql; analyze = _ } ->
     Atomic.incr t.c_queries;
+    (* rows are materialized under the lock: batches may alias executor
+       or colstore buffers that the next query reuses *)
     let run ctx =
       let schema, batches = Db.query_batches ?ctx sess.sdb sql in
-      let total = ref 0 in
-      let body =
-        List.map
-          (fun b ->
-            let rows = Batch.list_to_rows [ b ] in
-            total := !total + List.length rows;
-            Wire.Row_batch rows)
-          batches
-      in
-      encoded
-        ((Wire.Row_header schema :: body) @ [ Wire.Row_end { rows = !total } ])
+      (schema, List.map (fun b -> Batch.list_to_rows [ b ]) batches)
     in
-    serve_read t sess
-      ~locked:(fun () -> run None)
-      ~snap:(fun s ->
-        run
-          (Some
-             (Executor.Exec.make_ctx ~result_cache:false
-                ~snapshot:(Snapshot.rows s) ())))
+    let schema, batches =
+      serve_read t sess
+        ~locked:(fun () -> run None)
+        ~snap:(fun s ->
+          run
+            (Some
+               (Executor.Exec.make_ctx ~result_cache:false
+                  ~snapshot:(Snapshot.rows s) ())))
+    in
+    send (Wire.Row_header schema);
+    let total =
+      List.fold_left
+        (fun n rows ->
+          send (Wire.Row_batch rows);
+          n + List.length rows)
+        0 batches
+    in
+    send (Wire.Row_end { rows = total })
   | Wire.Extract { text; chunk = _; analyze = true } ->
     Atomic.incr t.c_extracts;
     (* never consults or fills the frame memo: the reply carries live
        timings, not reusable frames *)
-    Rwlock.read t.lock (fun () ->
-        let text =
-          if Xnf.Xnf_parser.is_xnf_text text then text
-          else Xnf.Xnf_compile.view_text sess.sdb text
-        in
-        encoded [ Wire.Done (Xnf.Xnf_compile.explain_analyze sess.sdb text) ])
+    let report =
+      Rwlock.read t.lock (fun () ->
+          let text =
+            if Xnf.Xnf_parser.is_xnf_text text then text
+            else Xnf.Xnf_compile.view_text sess.sdb text
+          in
+          Xnf.Xnf_compile.explain_analyze sess.sdb text)
+    in
+    send (Wire.Done report)
   | Wire.Extract { text; chunk; analyze = _ } ->
     Atomic.incr t.c_extracts;
     let chunk = if chunk > 0 then chunk else t.config.stream_chunk in
     let key = (text, chunk) in
-    let encode_stream stream =
-      let items = stream.H.items in
-      encoded
-        (Wire.Stream_header stream.H.header
-         :: List.map (fun c -> Wire.Stream_chunk c) (chunked chunk items)
-        @ [ Wire.Stream_end { items = List.length items } ])
+    let run ?ctx () =
+      if Xnf.Xnf_parser.is_xnf_text text then
+        Xnf.Xnf_compile.run ?ctx sess.sdb text
+      else Xnf.Xnf_compile.run_view ?ctx sess.sdb text
     in
     let locked () =
-      let hit = Mutex.protect t.memo_mu (fun () -> Hashtbl.find_opt t.frame_memo key) in
-      match hit with
-      | Some frames ->
-        Atomic.incr t.c_memo_hits;
-        frames
-      | None ->
-        let stream =
-          if Xnf.Xnf_parser.is_xnf_text text then
-            Xnf.Xnf_compile.run sess.sdb text
-          else Xnf.Xnf_compile.run_view sess.sdb text
-        in
-        let frames = encode_stream stream in
-        Mutex.protect t.memo_mu (fun () ->
-            if Hashtbl.length t.frame_memo >= memo_cap then
-              Hashtbl.reset t.frame_memo;
-            Hashtbl.replace t.frame_memo key frames);
-        frames
+      match memo_find t key with
+      | `Hit frames -> Memoized frames
+      | `Miss gen -> Computed (run (), Some gen)
     in
-    (* the snapshot path never touches the frame memo: a concurrent
-       commit clears it, and frames encoded at an older pinned epoch
-       stored after that clear would outlive the state they encode *)
+    (* the snapshot path never touches the frame memo: frames of an
+       older pinned epoch must not outlive a commit that already
+       cleared the memo *)
     let snap s =
       let ctx =
         Executor.Exec.make_ctx ~result_cache:false ~snapshot:(Snapshot.rows s)
           ()
       in
-      let stream =
-        if Xnf.Xnf_parser.is_xnf_text text then
-          Xnf.Xnf_compile.run ~ctx sess.sdb text
-        else Xnf.Xnf_compile.run_view ~ctx sess.sdb text
-      in
-      encode_stream stream
+      Computed (run ~ctx (), None)
     in
-    serve_read t sess ~locked ~snap
+    (match serve_read t sess ~locked ~snap with
+    | Memoized frames ->
+      Atomic.incr t.c_memo_hits;
+      List.iter push frames
+    | Computed (stream, gen) ->
+      (* frames are kept only when this encoding may fill the memo *)
+      let kept = ref [] in
+      let emit r =
+        let f = Wire.encode_response r in
+        if gen <> None then kept := f :: !kept;
+        push f
+      in
+      emit (Wire.Stream_header stream.H.header);
+      let rec ship n items =
+        match take chunk items with
+        | [], _ -> n
+        | c, rest ->
+          emit (Wire.Stream_chunk c);
+          ship (n + List.length c) rest
+      in
+      emit (Wire.Stream_end { items = ship 0 stream.H.items });
+      Option.iter (fun gen -> memo_store t key gen (List.rev !kept)) gen)
   | Wire.Stmt { sql } ->
     Atomic.incr t.c_stmts;
     let execute () =
@@ -641,38 +702,40 @@ let respond t (sess : session) (req : Wire.request) : string list =
       clear_memo t;
       match Db.exec sess.sdb sql with
       | Db.Rows (schema, rows) ->
-        encoded
-          [
-            Wire.Row_header schema;
-            Wire.Row_batch rows;
-            Wire.Row_end { rows = List.length rows };
-          ]
-      | Db.Affected n -> encoded [ Wire.Affected n ]
+        [
+          Wire.Row_header schema;
+          Wire.Row_batch rows;
+          Wire.Row_end { rows = List.length rows };
+        ]
+      | Db.Affected n -> [ Wire.Affected n ]
       | Db.Done msg ->
         if is_ddl sql then broadcast_invalidate t;
-        encoded [ Wire.Done msg ]
+        [ Wire.Done msg ]
     in
-    if is_commit sql && Engine.Group_commit.enabled () then begin
-      (* concurrent sessions' COMMITs drain in one exclusive section:
-         one lock acquisition, one memo clear, one publication burst *)
-      let frames = ref [] in
-      let batch =
-        Engine.Group_commit.submit t.gc
-          ~exclusive:(fun f -> Rwlock.write t.lock f)
-          (fun () -> frames := execute ())
-      in
-      sess.s_gc_commits <- sess.s_gc_commits + 1;
-      if batch > sess.s_gc_max_batch then sess.s_gc_max_batch <- batch;
-      !frames
-    end
-    else if is_ddl sql then
-      (* DDL additionally waits out in-flight lock-free readers *)
-      Rwlock.write t.lock (fun () -> snap_exclude t execute)
-    else Rwlock.write t.lock execute
-  | Wire.Stats -> encoded [ Wire.Stats_reply (stats_text t) ]
+    let replies =
+      if is_commit sql && Engine.Group_commit.enabled () then begin
+        (* concurrent sessions' COMMITs drain in one exclusive section:
+           one lock acquisition, one memo clear, one publication burst *)
+        let replies = ref [] in
+        let batch =
+          Engine.Group_commit.submit t.gc
+            ~exclusive:(fun f -> Rwlock.write t.lock f)
+            (fun () -> replies := execute ())
+        in
+        sess.s_gc_commits <- sess.s_gc_commits + 1;
+        if batch > sess.s_gc_max_batch then sess.s_gc_max_batch <- batch;
+        !replies
+      end
+      else if is_ddl sql then
+        (* DDL additionally waits out in-flight lock-free readers *)
+        Rwlock.write t.lock (fun () -> snap_exclude t execute)
+      else Rwlock.write t.lock execute
+    in
+    List.iter send replies
+  | Wire.Stats -> send (Wire.Stats_reply (stats_text t))
   | Wire.Bye ->
     Atomic.set sess.closing true;
-    encoded [ Wire.Bye_ok ]
+    send Wire.Bye_ok
 
 (** Run one request on a pool worker: decode, execute, push the encoded
     frames into the session outbox (blocking on a full outbox — the
@@ -698,8 +761,8 @@ let handle_request t (sess : session) (payload : string) : unit =
       try
         match Wire.decode_request payload with
         | req -> (
-          match respond t sess req with
-          | frames -> List.iter push_frame frames
+          match respond t sess req ~push:push_frame with
+          | () -> ()
           | exception Errors.Db_error (k, msg) ->
             Atomic.incr t.c_errors;
             push (Wire.Error { kind = Errors.kind_to_string k; msg }))

@@ -5,7 +5,8 @@
     flush); request execution runs on pool workers, which push encoded
     response frames into bounded per-session {!Relcore.Chan} outboxes —
     a full outbox stalls (only) the worker serving that client, which is
-    the backpressure.  Sessions share the catalog, result cache, and IVM
+    the backpressure.  Locks and snapshot pins cover only computing a
+    result; its frames are encoded and pushed after release.  Sessions share the catalog, result cache, and IVM
     state but carry their own transaction and prepared plans
     ({!Engine.Database.session}).  Writes serialize behind a
     process-wide writer lock at statement granularity, and concurrent
@@ -83,6 +84,12 @@ type counters = {
   gc_batches : int;  (** group-commit exclusive sections taken *)
   gc_commits : int;  (** COMMITs drained across all batches *)
   gc_max_batch : int;  (** largest single drain ([XNFDB_GROUP_COMMIT]) *)
+  read_hold_us : int;
+      (** total µs readers held the process rwlock (compute only:
+          frames are encoded and shipped after release) *)
+  write_wait_us : int;
+      (** total µs writers (DML, DDL, COMMIT drains, teardown
+          rollbacks) queued for the rwlock *)
 }
 
 val counters : t -> counters

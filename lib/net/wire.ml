@@ -65,11 +65,16 @@ let frame (payload : string) : string =
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* One pass: reserve the length prefix, write tag and body behind it,
+   then patch the prefix into the single copy taken out of the buffer. *)
 let with_tag tag body =
   let b = Buffer.create 64 in
+  Buffer.add_int32_be b 0l;
   Buffer.add_char b tag;
   body b;
-  frame (Buffer.contents b)
+  let f = Buffer.to_bytes b in
+  Bytes.set_int32_be f 0 (Int32.of_int (Bytes.length f - 4));
+  Bytes.unsafe_to_string f
 
 let encode_request (r : request) : string =
   match r with
@@ -169,6 +174,23 @@ let read_row r : Tuple.t =
   if n < 0 then malformed "negative row arity";
   Array.init n (fun _ -> H.read_value r)
 
+(* A [Stream_chunk] body's items consed onto [acc] (so in reverse), and
+   their count. *)
+let read_chunk_rev payload acc =
+  decoding payload (fun r ->
+      let n = H.read_int r in
+      if n < 0 then malformed "negative chunk size";
+      let acc = ref acc in
+      for _ = 1 to n do
+        acc := H.read_item r :: !acc
+      done;
+      (!acc, n))
+
+let decode_chunk_rev (payload : string) acc =
+  if String.length payload > 0 && payload.[0] = 'i' then
+    Some (read_chunk_rev payload acc)
+  else None
+
 let decode_response (payload : string) : response =
   if String.length payload = 0 then malformed "empty frame";
   match payload.[0] with
@@ -186,11 +208,7 @@ let decode_response (payload : string) : response =
         Row_batch (List.init n (fun _ -> read_row r)))
   | 'E' -> decoding payload (fun r -> Row_end { rows = H.read_int r })
   | 'r' -> decoding payload (fun r -> Stream_header (H.read_header r))
-  | 'i' ->
-    decoding payload (fun r ->
-        let n = H.read_int r in
-        if n < 0 then malformed "negative chunk size";
-        Stream_chunk (List.init n (fun _ -> H.read_item r)))
+  | 'i' -> Stream_chunk (List.rev (fst (read_chunk_rev payload [])))
   | 'z' -> decoding payload (fun r -> Stream_end { items = H.read_int r })
   | 'A' -> decoding payload (fun r -> Affected (H.read_int r))
   | 'D' -> decoding payload (fun r -> Done (H.read_string r))

@@ -63,6 +63,14 @@ val decode_request : string -> request
 val decode_response : string -> response
 (** From a payload (no length prefix).  @raise Malformed *)
 
+val decode_chunk_rev :
+  string -> H.item list -> (H.item list * int) option
+(** [decode_chunk_rev payload acc] is [Some (acc', n)] when [payload] is
+    a [Stream_chunk] frame: its [n] items consed onto [acc] in reverse
+    order, so a whole stream reassembles onto one accumulator with a
+    single final [List.rev].  [None] for any other tag.
+    @raise Malformed *)
+
 (** {2 Blocking frame IO} — the client side's synchronous transport. *)
 
 exception Connection_lost

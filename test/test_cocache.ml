@@ -23,6 +23,67 @@ let deps_arc_text =
 
 let load_workspace db = Ws.of_stream (Xnf.Xnf_compile.run db deps_arc_text)
 
+(* A hub node with many connections in and out: both pointer lists keep
+   the stream's arrival order. *)
+let test_hub_arrival_order () =
+  let open Relcore in
+  let schema = Schema.make [ Schema.column "k" Dtype.Tint ] in
+  let comp comp_no comp_name comp_kind =
+    {
+      H.comp_no;
+      comp_name;
+      comp_kind;
+      comp_schema =
+        (match comp_kind with `Node -> schema | `Rel _ -> Schema.make []);
+      take_cols = None;
+      in_take = true;
+    }
+  in
+  let rel role parent child =
+    `Rel { H.rm_role = role; rm_parent = parent; rm_children = [ child ] }
+  in
+  let header =
+    {
+      H.components =
+        [|
+          comp 0 "hub" `Node;
+          comp 1 "leaf" `Node;
+          comp 2 "inward" (rel "FEEDS" "leaf" "hub");
+          comp 3 "outward" (rel "OWNS" "hub" "leaf");
+        |];
+      root_components = [ "hub"; "leaf" ];
+    }
+  in
+  let n = 2000 in
+  let leaf i = 1 + i in
+  let conn rel id parent child =
+    H.Conn { rel; id; parent; children = [| child |]; attrs = [||] }
+  in
+  let items =
+    H.Row { comp = 0; id = 1; values = [| Value.Int 0 |] }
+    :: List.concat
+         (List.init n (fun i ->
+              [
+                H.Row { comp = 1; id = leaf i; values = [| Value.Int i |] };
+                conn 2 (10_000 + i) (leaf i) 1;
+                conn 3 (20_000 + i) 1 (leaf i);
+              ]))
+  in
+  let ws = Ws.of_stream { H.header; items } in
+  let hub = Option.get (Ws.find_by_id ws 1) in
+  let ids = List.map (fun (c : Cocache.Conode.conn) -> c.Cocache.Conode.conn_id) in
+  Alcotest.(check (list int)) "in-connections in arrival order"
+    (List.init n (fun i -> 10_000 + i))
+    (ids (Cocache.Conode.conns_in hub ~rel:"inward"));
+  Alcotest.(check (list int)) "out-connections in arrival order"
+    (List.init n (fun i -> 20_000 + i))
+    (ids (Cocache.Conode.conns_out hub ~rel:"outward"));
+  Alcotest.(check (list int)) "children in arrival order"
+    (List.init n leaf)
+    (List.map (fun (c : Cocache.Conode.t) -> c.Cocache.Conode.id)
+       (Cocache.Conode.children hub ~rel:"outward"));
+  Alcotest.(check int) "connections counted" (2 * n) (Ws.connection_count ws)
+
 let test_build () =
   let db = org_db () in
   let ws = load_workspace db in
@@ -274,6 +335,7 @@ let test_non_updatable_rejected () =
 let suite =
   [
     Alcotest.test_case "workspace build" `Quick test_build;
+    Alcotest.test_case "hub keeps arrival order" `Quick test_hub_arrival_order;
     Alcotest.test_case "independent cursor" `Quick test_independent_cursor;
     Alcotest.test_case "dependent cursor" `Quick test_dependent_cursor;
     Alcotest.test_case "cursor reset/count" `Quick test_cursor_reset_count;

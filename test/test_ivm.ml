@@ -284,6 +284,45 @@ let test_midtxn_snapshot_rollback () =
   Alcotest.(check bool) "post-rollback read matches cold recompute" true
     (H.equal cold warm)
 
+(* The daemon encodes a stream after releasing the lock it was computed
+   under, so a stream once returned must never change: IVM patches build
+   new item lists and value arrays, and heap updates replace a slot's
+   tuple instead of mutating it. *)
+let test_published_stream_immutable () =
+  RC.set_budget_mb (Some 64);
+  RC.clear ();
+  Ivm.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      RC.clear ();
+      RC.set_budget_mb None;
+      Ivm.reset ())
+  @@ fun () ->
+  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
+  let c = XC.compile db Workloads.Oo1.parts_graph_query in
+  let bump pid =
+    ignore
+      (Db.exec db
+         (Printf.sprintf "UPDATE parts SET build = build + 1 WHERE pid = %d" pid))
+  in
+  (* the refill after the first write builds the maintained state *)
+  ignore (XC.extract ~cache:true c);
+  bump 4;
+  let s1 = XC.extract ~cache:true c in
+  let bytes1 = H.serialize s1 in
+  Ivm.reset_stats ();
+  bump 5;
+  let s2 = XC.extract ~cache:true c in
+  if Ivm.enabled () then
+    Alcotest.(check int) "the update was patched into the held state" 1
+      Ivm.stats.Ivm.patched;
+  Alcotest.(check bool) "the re-extraction sees the update" false
+    (String.equal bytes1 (H.serialize s2));
+  Alcotest.(check bool) "the held stream is unchanged" true
+    (String.equal bytes1 (H.serialize s1));
+  Alcotest.(check bool) "maintained stream = cold recomputation" true
+    (H.equal (XC.extract ~cache:false c) s2)
+
 let test_soak_oo1 () =
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   Ivm.reset_stats ();
@@ -359,4 +398,6 @@ let suite =
       test_soak_bom_recursive;
     Alcotest.test_case "soak: 4 domains" `Quick test_soak_parallel_domains;
     Alcotest.test_case "soak: XNFDB_IVM=0" `Quick test_soak_ivm_off;
+    Alcotest.test_case "published streams are immutable" `Quick
+      test_published_stream_immutable;
   ]

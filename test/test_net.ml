@@ -177,6 +177,73 @@ let test_stream_frames_roundtrip () =
     "tuple-at-a-time reassembly is byte-identical" true
     (H.equal stream { stream with H.items })
 
+(* The framing before one-pass encoding: the payload built in a buffer
+   of its own, then copied behind its length prefix by [Wire.frame]. *)
+let two_pass_response (r : Wire.response) =
+  let framed tag body =
+    let b = Buffer.create 64 in
+    Buffer.add_char b tag;
+    body b;
+    Wire.frame (Buffer.contents b)
+  in
+  let row b (t : Relcore.Tuple.t) =
+    H.write_int b (Array.length t);
+    Array.iter (H.write_value b) t
+  in
+  match r with
+  | Hello_ok { server; version; session_id } ->
+    framed 'H' (fun b ->
+        H.write_string b server;
+        H.write_int b version;
+        H.write_int b session_id)
+  | Row_header schema -> framed 'T' (fun b -> H.write_schema b schema)
+  | Row_batch rows ->
+    framed 'B' (fun b ->
+        H.write_int b (List.length rows);
+        List.iter (row b) rows)
+  | Row_end { rows } -> framed 'E' (fun b -> H.write_int b rows)
+  | Stream_header h -> framed 'r' (fun b -> H.write_header b h)
+  | Stream_chunk items ->
+    framed 'i' (fun b ->
+        H.write_int b (List.length items);
+        List.iter (H.write_item b) items)
+  | Stream_end { items } -> framed 'z' (fun b -> H.write_int b items)
+  | Affected n -> framed 'A' (fun b -> H.write_int b n)
+  | Done msg -> framed 'D' (fun b -> H.write_string b msg)
+  | Error { kind; msg } ->
+    framed 'X' (fun b ->
+        H.write_string b kind;
+        H.write_string b msg)
+  | Stats_reply text -> framed 'Y' (fun b -> H.write_string b text)
+  | Bye_ok -> framed 'Z' (fun _ -> ())
+
+let test_one_pass_framing () =
+  let stream = Xnf.Xnf_compile.run_view (deps_db ()) "deps_arc" in
+  let schema, rows = exec_rows (deps_db ()) "SELECT * FROM emp ORDER BY eno" in
+  let long = String.make 70_000 'x' in
+  List.iter
+    (fun (r : Wire.response) ->
+      let enc = Wire.encode_response r in
+      Alcotest.(check string)
+        (Printf.sprintf "tag %C: same bytes as two-pass framing" enc.[4])
+        (two_pass_response r) enc)
+    [
+      Hello_ok { server = "xnfdb"; version = Wire.version; session_id = 7 };
+      Row_header schema;
+      Row_batch rows;
+      Row_batch [];
+      Row_end { rows = List.length rows };
+      Stream_header stream.H.header;
+      Stream_chunk stream.H.items;
+      Stream_chunk [];
+      Stream_end { items = H.total_items stream };
+      Affected 3;
+      Done long;
+      Error { kind = "exec"; msg = "boom" };
+      Stats_reply "== server ==";
+      Bye_ok;
+    ]
+
 let expect_malformed msg (f : unit -> unit) =
   match f () with
   | () -> Alcotest.failf "%s: expected Malformed" msg
@@ -454,8 +521,10 @@ let test_stats_and_counters () =
               Alcotest.(check bool)
                 (Printf.sprintf "stats mentions %S" needle)
                 true (contains text needle))
-            [ "server"; "sessions" ];
+            [ "server"; "sessions"; "lock: readers held" ];
           let c = Server.counters t in
+          Alcotest.(check bool)
+            "reader lock-hold time counted" true (c.Server.read_hold_us > 0);
           Alcotest.(check int) "one active session" 1 c.Server.active_sessions;
           Alcotest.(check bool) "query counted" true (c.Server.queries >= 1);
           Alcotest.(check bool) "extract counted" true (c.Server.extracts >= 1);
@@ -503,6 +572,101 @@ let test_shutdown_rolls_back_check () =
   Alcotest.(check int) "open txn rolled back on shutdown" 1
     (Relcore.Base_table.cardinality tbl)
 
+(* -- daemon: frames encoded after the lock is released -------------------- *)
+
+let oo1_setup db =
+  let src = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
+  List.iter
+    (fun tbl -> Relcore.Catalog.add_table (Db.catalog db) tbl)
+    (Relcore.Catalog.tables (Db.catalog src));
+  ignore
+    (Db.exec db ("CREATE VIEW parts_co AS " ^ Workloads.Oo1.parts_graph_query))
+
+(* [build] of part [pid] in an extracted parts_co stream *)
+let build_of (s : H.t) pid =
+  let c = H.find_comp s.H.header "xpart" in
+  let ipid = Relcore.Schema.find c.H.comp_schema "pid"
+  and ibuild = Relcore.Schema.find c.H.comp_schema "build" in
+  let found =
+    List.find_map
+      (function
+        | H.Row { comp; values; _ }
+          when comp = c.H.comp_no && values.(ipid) = Relcore.Value.Int pid -> (
+          match values.(ibuild) with Relcore.Value.Int b -> Some b | _ -> None)
+        | _ -> None)
+      s.H.items
+  in
+  match found with
+  | Some b -> b
+  | None -> Alcotest.failf "part %d missing from the stream" pid
+
+(* A committer races repeated extractions of the same view.  Frames
+   are encoded after the reader lock is released, so the frame memo may
+   only keep what was encoded for the generation read under the lock: no
+   extraction may ship a [build] older than a commit acknowledged before
+   its request was sent. *)
+let test_memo_race () =
+  with_server ~setup:oo1_setup (fun addr db t ->
+      let pid = 1 in
+      let reader = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close reader)
+        (fun () ->
+          let base = build_of (Client.extract reader "parts_co") pid in
+          let acked = Atomic.make 0 and stop = Atomic.make false in
+          let committer =
+            Domain.spawn (fun () ->
+                let cl = Client.connect addr in
+                Fun.protect
+                  ~finally:(fun () -> Client.close cl)
+                  (fun () ->
+                    let k = ref 0 in
+                    while not (Atomic.get stop) do
+                      incr k;
+                      (* alternate autocommit and explicit transactions *)
+                      let txn = !k mod 2 = 0 in
+                      if txn then ignore (Client.exec cl "BEGIN");
+                      ignore
+                        (Client.exec cl
+                           (Printf.sprintf
+                              "UPDATE parts SET build = %d WHERE pid = %d"
+                              (base + !k) pid));
+                      if txn then ignore (Client.exec cl "COMMIT");
+                      Atomic.set acked !k;
+                      (* leave each committed state up long enough for a
+                         stale memo entry to be served *)
+                      Unix.sleepf 0.001
+                    done;
+                    !k))
+          in
+          let commits = ref 0 in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set stop true;
+              commits := Domain.join committer)
+            (fun () ->
+              for i = 1 to 300 do
+                let floor = Atomic.get acked in
+                let got = build_of (Client.extract reader "parts_co") pid - base in
+                if got < floor then
+                  Alcotest.failf
+                    "extraction %d shipped build +%d after commit +%d was \
+                     acknowledged"
+                    i got floor
+              done);
+          (* quiesced: a memo hit must equal in-process extraction *)
+          let first = Client.extract reader "parts_co" in
+          let hits = (Server.counters t).Server.memo_hits in
+          let again = Client.extract reader "parts_co" in
+          Alcotest.(check int)
+            "repeat extraction served from the memo" (hits + 1)
+            (Server.counters t).Server.memo_hits;
+          let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+          Alcotest.(check int) "last commit visible" !commits
+            (build_of first pid - base);
+          Alcotest.(check bool) "memo hit equals in-process extraction" true
+            (H.equal reference again && H.equal reference first)))
+
 (* -- daemon: EXPLAIN ANALYZE over the wire -------------------------------- *)
 
 let contains hay needle =
@@ -546,6 +710,7 @@ let suite =
     Alcotest.test_case "codec: float sign bits" `Quick test_float_sign_bits;
     Alcotest.test_case "codec: stream frames" `Quick test_stream_frames_roundtrip;
     Alcotest.test_case "codec: malformed payloads" `Quick test_malformed_payloads;
+    Alcotest.test_case "codec: one-pass framing" `Quick test_one_pass_framing;
     QCheck_alcotest.to_alcotest prop_row_batch_stable;
     QCheck_alcotest.to_alcotest prop_requests_stable;
     QCheck_alcotest.to_alcotest prop_scalar_responses_stable;
@@ -569,4 +734,6 @@ let suite =
       test_shutdown_rolls_back_check;
     Alcotest.test_case "daemon: analyze over the wire" `Quick
       test_analyze_over_wire;
+    Alcotest.test_case "daemon: frame memo vs racing commits" `Quick
+      test_memo_race;
   ]
