@@ -258,8 +258,8 @@ let analyze (outputs : (string * Qgm.box list) list) : row list =
 let total rows = List.fold_left (fun a r -> a + r.ops) 0 rows
 let total_replicated rows = List.fold_left (fun a r -> a + r.replicated) 0 rows
 
-(** Human-readable dump of every operation in a derivation (used by the
-    Table-1 bench in verbose mode and by tests). *)
+(** Human-readable dump of every operation in a derivation (used by
+    tests). *)
 let describe (outputs : (string * Qgm.box list) list) : (string * string list) list =
   let sigs = make_sigs () in
   let visited = Hashtbl.create 64 in

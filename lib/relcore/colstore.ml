@@ -66,22 +66,6 @@ let budget_bytes () =
     | _ -> 0)
   | None -> 0
 
-(* XNFDB_COLSTORE_ENC=0 forces raw (uncompressed) cold blocks — the
-   "spill with no encoding" baseline E11 measures against. *)
-let encode_enabled () =
-  match Sys.getenv_opt "XNFDB_COLSTORE_ENC" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
-(* XNFDB_COLSTORE_BLOCKIDX=0 stops zone maps from acting as a block
-   index over the spill file: cold chunks are always faulted in and
-   evaluated (hot-chunk zone pruning is untouched).  Ablation knob for
-   the E11 naive-spill baseline. *)
-let block_index_enabled () =
-  match Sys.getenv_opt "XNFDB_COLSTORE_BLOCKIDX" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
 (* ------------------------------------------------------------------ *)
 (* Process-wide counters (surfaced by [explain])                       *)
 (* ------------------------------------------------------------------ *)
@@ -126,7 +110,7 @@ type scan_stats = { mutable faulted : int; mutable fbytes : int }
 
 let scan_stats () = { faulted = 0; fbytes = 0 }
 
-(* Process-wide tier gauges across every live store (bench metadata).
+(* Process-wide tier gauges across every live store (EXPLAIN's spill line).
    Adjusted at tier transitions and reclaimed by [release] — which each
    store also runs as a GC finaliser, so dropped databases don't leave
    phantom bytes behind. *)
@@ -414,8 +398,8 @@ module Encoding = struct
     decode_nulls_into sec ~n nulls;
     (out, nulls)
 
-  let encode_floats ?(raw = false) (a : float array) ~null ~live =
-    encode_section ~raw ~allow_for:false ~n:(Array.length a)
+  let encode_floats (a : float array) ~null ~live =
+    encode_section ~raw:false ~allow_for:false ~n:(Array.length a)
       ~get:(fun l -> Int64.bits_of_float a.(l))
       ~null ~live
 
@@ -799,7 +783,6 @@ let alloc_hcols t =
 let encode_chunk t c (h : hcol array) : Bytes.t =
   let rows = t.chunk_rows in
   let base = c * rows in
-  let raw = not (encode_enabled ()) in
   let live l = bit_get t.live (base + l) in
   let ncols = Array.length t.cols in
   let secs =
@@ -807,11 +790,11 @@ let encode_chunk t c (h : hcol array) : Bytes.t =
         let hc = h.(ci) in
         let null l = bit_get hc.hnulls l in
         match hc.hdata with
-        | D_int a -> Encoding.encode_ints ~raw a ~null ~live
+        | D_int a -> Encoding.encode_ints a ~null ~live
         | D_bool b ->
           let a = Array.init rows (fun l -> Char.code (Bytes.unsafe_get b l)) in
-          Encoding.encode_ints ~raw a ~null ~live
-        | D_float a -> Encoding.encode_floats ~raw a ~null ~live)
+          Encoding.encode_ints a ~null ~live
+        | D_float a -> Encoding.encode_floats a ~null ~live)
   in
   let dir_len = 4 * (ncols + 1) in
   let total = Array.fold_left (fun acc s -> acc + Bytes.length s) dir_len secs in
@@ -1263,10 +1246,7 @@ let prune_atom t catom chunk =
 
 let prune_chunk t catoms chunk =
   t.live_per_chunk.(chunk) = 0
-  || ((match t.chunks.(chunk).tier with
-      | Cold _ -> block_index_enabled ()
-      | Hot _ -> true)
-     && Array.exists (fun k -> prune_atom t k chunk) catoms)
+  || Array.exists (fun k -> prune_atom t k chunk) catoms
 
 (* ------------------------------------------------------------------ *)
 (* Selection-vector generation                                         *)

@@ -24,16 +24,6 @@ val budget_bytes : unit -> int
     budget.  0 (the default) disables spilling — every chunk stays
     hot. *)
 
-val encode_enabled : unit -> bool
-(** The [XNFDB_COLSTORE_ENC] knob (default on).  When off, cold blocks
-    are stored raw (uncompressed) — the no-encoding spill baseline. *)
-
-val block_index_enabled : unit -> bool
-(** The [XNFDB_COLSTORE_BLOCKIDX] knob (default on).  When off, zone
-    maps stop acting as a block index over the spill file: cold chunks
-    are always faulted and evaluated.  Hot-chunk pruning is untouched.
-    Ablation knob for the naive-spill baseline. *)
-
 val create : Schema.t -> t
 (** Chunk size comes from [XNFDB_CHUNK_ROWS] (default 1024, min 16). *)
 
@@ -177,14 +167,14 @@ val cold_fraction : t -> float
 
 val global_resident_bytes : unit -> int
 val global_spilled_bytes : unit -> int
-(** Process-wide tier gauges across every live store (bench metadata). *)
+(** Process-wide tier gauges across every live store (EXPLAIN's spill line). *)
 
 (** {1 Encodings} (exposed for property tests) *)
 
 module Encoding : sig
   val encode_ints : ?raw:bool -> int array -> null:(int -> bool) -> live:(int -> bool) -> Bytes.t
   (** Encode one chunk-column of ints.  [raw] forces the uncompressed
-      layout; otherwise the smallest of raw64 / frame-of-reference /
+      layout (the test oracle for decoding raw blocks); otherwise the smallest of raw64 / frame-of-reference /
       RLE is chosen.  Dead and NULL cells are don't-care (normalized to
       the nearest preceding live value). *)
 
@@ -192,7 +182,7 @@ module Encoding : sig
   (** [(values, null_bitmap)] for all [n] positions; cells that were
       dead or NULL at encode time hold the encoder's filler value. *)
 
-  val encode_floats : ?raw:bool -> float array -> null:(int -> bool) -> live:(int -> bool) -> Bytes.t
+  val encode_floats : float array -> null:(int -> bool) -> live:(int -> bool) -> Bytes.t
   (** Floats are stored as IEEE bit patterns (raw64 or RLE — no FOR),
       so NaN payloads and [-0.0] round-trip bit-exactly. *)
 

@@ -1,14 +1,14 @@
 (** Reference tuple-at-a-time interpreter — the pre-batching evaluation
-    strategy, kept verbatim as (a) the differential-testing oracle for
-    the batched executor in {!Exec} and (b) the baseline of the
-    rows/sec benchmark.  Every operator passes one [Tuple.t option] per
-    closure call.
+    strategy, kept verbatim as the differential-testing oracle for the
+    batched executor in {!Exec}.  Every operator passes one
+    [Tuple.t option] per closure call.
 
     It shares {!Exec.ctx} (and therefore the [Shared]-node cache, stored
     as batch lists) so both executors can be pointed at the same
     context. *)
 
 open Relcore
+open Executor
 module Plan = Optimizer.Plan
 
 type ctx = Exec.ctx

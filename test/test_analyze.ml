@@ -282,6 +282,35 @@ let test_measure_sanity () =
   Alcotest.(check bool) "tuple_ns positive" true (p.Calibrate.tuple_ns > 0.0);
   Alcotest.(check bool) "cores recorded" true (p.Calibrate.host_cores >= 1)
 
+(* a calibrated profile may reshape plans, never results: the four
+   workloads return the same rows under the default constants and under
+   a profile far from them *)
+let test_calibrated_plans_keep_results () =
+  let path = Filename.temp_file "xnfdb-profile" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Calibrate.save path weird_profile;
+      List.iter
+        (fun (name, db, sql) ->
+          let rows () =
+            Db.invalidate_plans db;
+            List.sort compare (Db.query_rows ~cache:false db sql)
+          in
+          let default =
+            with_env
+              [ ("XNFDB_COST_PROFILE", ""); ("XNFDB_CALIBRATION", "1") ]
+              rows
+          in
+          let calibrated =
+            with_env
+              [ ("XNFDB_COST_PROFILE", path); ("XNFDB_CALIBRATION", "1") ]
+              rows
+          in
+          Helpers.check_rows (name ^ ": calibrated = default") default
+            calibrated)
+        (workload_cases ()))
+
 let suite =
   [
     Alcotest.test_case "serial attribution" `Quick test_serial_attribution;
@@ -295,4 +324,6 @@ let suite =
     Alcotest.test_case "profile round trip" `Quick test_profile_roundtrip;
     Alcotest.test_case "calibration knobs" `Quick test_calibration_knobs;
     Alcotest.test_case "measure sanity" `Quick test_measure_sanity;
+    Alcotest.test_case "calibrated plans keep results" `Quick
+      test_calibrated_plans_keep_results;
   ]

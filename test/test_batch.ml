@@ -6,7 +6,6 @@ open Helpers
 open Relcore
 module Db = Engine.Database
 module Exec = Executor.Exec
-module Exec_scalar = Executor.Exec_scalar
 
 (* ------------------------------------------------------ Batch unit -- *)
 

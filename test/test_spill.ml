@@ -16,7 +16,7 @@ module Enc = Colstore.Encoding
 
 (* restoring to "" is fine for every knob used here: not an integer, so
    XNFDB_COLSTORE_MB / XNFDB_CHUNK_ROWS fall back to their defaults,
-   and not a disabling value for XNFDB_COLSTORE / XNFDB_COLSTORE_ENC *)
+   and not a disabling value for XNFDB_COLSTORE *)
 let with_env var value f =
   let old = Sys.getenv_opt var in
   Unix.putenv var value;

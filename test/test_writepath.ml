@@ -9,7 +9,6 @@ open Helpers
 open Relcore
 module Db = Engine.Database
 module Exec = Executor.Exec
-module Exec_scalar = Executor.Exec_scalar
 module H = Xnf.Hetstream
 module Client = Net.Client
 module Server = Net.Server

@@ -608,3 +608,103 @@ let suite =
         test_extraction_formulas_at_scale;
       Alcotest.test_case "explain recursive" `Quick test_explain_recursive;
     ]
+
+(* -- the paper's counts (bench/paper.exe times the same comparisons) -- *)
+
+let org_depts n_depts =
+  Workloads.Org.generate { Workloads.Org.default with n_depts }
+
+(* Fig. 5/6: one multi-output graph installs shared derivations once,
+   so extraction reads fewer base rows than with sharing ablated *)
+let test_paper_sharing_scans_less () =
+  let db = org_depts 25 in
+  let rows_scanned ~share =
+    let ctx = Executor.Exec.make_ctx ~result_cache:false () in
+    let c = Xnf.Xnf_compile.compile ~share db Workloads.Org.deps_arc_query in
+    ignore (Xnf.Xnf_compile.extract ~ctx ~cache:false c);
+    ctx.Executor.Exec.rows_scanned
+  in
+  let shared = rows_scanned ~share:true
+  and unshared = rows_scanned ~share:false in
+  Alcotest.(check bool)
+    (Printf.sprintf "shared %d < unshared %d base rows" shared unshared)
+    true (shared < unshared)
+
+(* Sect. 1: XNF compiles one statement for the whole CO, while the
+   navigational walk issues one query per (parent, relationship) *)
+let test_paper_one_query_vs_n_plus_one () =
+  let statements db =
+    let s = Engine.Database.cache_stats db in
+    s.Engine.Database.plan_hits + s.Engine.Database.plan_misses
+  in
+  let db = org_depts 10 in
+  let before = statements db in
+  ignore (Xnf.Xnf_compile.run ~cache:true db Workloads.Org.deps_arc_query);
+  Alcotest.(check int) "XNF looks up one compiled statement" 1
+    (statements db - before);
+  let nav n_depts =
+    let ast = Xnf.Xnf_parser.parse Workloads.Org.deps_arc_query in
+    (Xnf.Navigational.extract ~mode:`Prepared (org_depts n_depts) ast)
+      .Xnf.Navigational.queries_executed
+  in
+  Alcotest.(check int) "navigational queries at 10 departments" 46 (nav 10);
+  Alcotest.(check int) "navigational queries at 30 departments" 136 (nav 30)
+
+(* Sect. 5: the bulk interface ships the CO in one message; one tuple
+   at a time takes a message per item and re-sends the header each time *)
+let test_paper_bulk_one_message () =
+  let stream =
+    Xnf.Xnf_compile.run (org_depts 100) Workloads.Org.deps_arc_query
+  in
+  let bulk = H.serialize stream in
+  let per_tuple =
+    List.map
+      (fun item -> H.serialize { H.header = stream.H.header; items = [ item ] })
+      stream.H.items
+  in
+  Alcotest.(check int) "one message per item" (H.total_items stream)
+    (List.length per_tuple);
+  let tuple_bytes =
+    List.fold_left (fun acc m -> acc + String.length m) 0 per_tuple
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "bulk %d bytes < per-tuple %d bytes" (String.length bulk)
+       tuple_bytes)
+    true
+    (String.length bulk < tuple_bytes)
+
+(* Table 1's SQL column, per component: ops (replicated).  Totals are
+   the paper's 23 (16); the relationship and M:N property rows each
+   differ from the paper's hand attribution by one, cancelling out *)
+let test_paper_table1_sql_column () =
+  let db = org_depts 5 in
+  let ast = Xnf.Xnf_parser.parse Workloads.Org.deps_arc_query in
+  let graphs = Xnf.Sql_derivation.component_graphs db ast in
+  let rows =
+    Starq.Opcount.analyze
+      (List.map (fun n -> (n, List.assoc n graphs)) Workloads.Org.table1_order)
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "SQL ops (replicated) per component"
+    [
+      ("xdept", (1, 0)); ("xemp", (2, 1)); ("xproj", (2, 1));
+      ("employment", (2, 2)); ("ownership", (2, 2)); ("xskills", (6, 4));
+      ("empproperty", (4, 3)); ("projproperty", (4, 3));
+    ]
+    (List.map
+       (fun (r : Starq.Opcount.row) ->
+         Starq.Opcount.(r.component, (r.ops, r.replicated)))
+       rows)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "paper: sharing scans fewer rows" `Quick
+        test_paper_sharing_scans_less;
+      Alcotest.test_case "paper: one query vs N+1" `Quick
+        test_paper_one_query_vs_n_plus_one;
+      Alcotest.test_case "paper: bulk ship is one message" `Quick
+        test_paper_bulk_one_message;
+      Alcotest.test_case "paper: Table 1 SQL column" `Quick
+        test_paper_table1_sql_column;
+    ]
