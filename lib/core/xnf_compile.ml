@@ -446,15 +446,16 @@ let extract_parallel ?domains ?morsel_rows ?threshold ?cache ?snapshot
               p ))
         par
     in
-    (* phase 2: inter-plan parallelism over the frozen shared cache;
-       the CSE derivations themselves fan out across the pool first
-       (dependency waves), instead of materializing one by one *)
+    (* phase 2: inter-plan parallelism over the frozen shared cache,
+       once every CSE derivation the plans read is materialized *)
     let seq_results =
       match seq with
       | [] -> []
       | _ ->
-        Executor.Exec_par.force_shared_parallel ctx ~domains
-          (List.map (fun (_, (p : Plan.compiled)) -> p.Plan.plan) seq);
+        List.iter
+          (fun (_, (p : Plan.compiled)) ->
+            Executor.Exec.force_shared ctx p.Plan.plan)
+          seq;
         let arr = Array.of_list seq in
         let out = Array.make (Array.length arr) [] in
         let next = Atomic.make 0 in

@@ -399,8 +399,8 @@ let explain db (sql : string) : string =
     with per-operator attribution armed, and report estimated vs actual
     rows, per-operator inclusive wall time and q-error, plus this
     statement's cache/colstore/join-filter deltas.  [domains > 1] runs
-    the morsel-parallel executor (workers tally rows into private
-    partials; wall time lands on pipeline roots). *)
+    the morsel-parallel executor (each morsel's operator statistics are
+    merged in after the fan-out). *)
 let explain_analyze ?domains db (sql : string) : string =
   mark_statement db;
   let t0 = Executor.Opstats.now () in

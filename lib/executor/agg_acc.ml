@@ -46,28 +46,6 @@ let add acc (v : Value.t) =
       if Value.is_null acc.best || Value.compare v acc.best > 0 then acc.best <- v
   end
 
-(** Fold [src] into [dst] — used to combine partition-local aggregation
-    tables after a parallel scan.  Only order-insensitive functions
-    (COUNT/MIN/MAX) merge exactly; float SUM/AVG merge in partition
-    order, which the parallel executor avoids by falling back to serial
-    accumulation for those functions. *)
-let merge dst src =
-  assert (dst.fn = src.fn);
-  dst.total <- dst.total + src.total;
-  dst.count <- dst.count + src.count;
-  dst.sum_i <- dst.sum_i + src.sum_i;
-  dst.sum_f <- dst.sum_f +. src.sum_f;
-  dst.is_float <- dst.is_float || src.is_float;
-  if not (Value.is_null src.best) then
-    match dst.fn with
-    | Ast.Min ->
-      if Value.is_null dst.best || Value.compare src.best dst.best < 0 then
-        dst.best <- src.best
-    | Ast.Max ->
-      if Value.is_null dst.best || Value.compare src.best dst.best > 0 then
-        dst.best <- src.best
-    | _ -> ()
-
 let result acc : Value.t =
   match acc.fn with
   | Ast.Count_star -> Value.Int acc.total

@@ -8,12 +8,6 @@ type t
 val create : Ast.agg_fn -> t
 val add : t -> Value.t -> unit
 
-val merge : t -> t -> unit
-(** [merge dst src] folds [src] into [dst] (combining partition-local
-    accumulators).  Exact for COUNT/MIN/MAX; float SUM/AVG pick up
-    partition-order rounding, so parallel plans only use it for the
-    order-insensitive functions. *)
-
 val result : t -> Value.t
 
 val empty_result : Ast.agg_fn -> Value.t

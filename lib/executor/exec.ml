@@ -10,99 +10,16 @@
     execution context as batch lists re-read by every consumer — the
     runtime half of XNF's common-subexpression sharing.  The one-tuple
     API ({!cursor}, {!to_seq}) is a thin adapter over the batched
-    pipeline. *)
+    pipeline.
+
+    The same operators serve the morsel-parallel driver ({!Exec_par}):
+    a morsel worker runs a pipeline on a {!sibling_ctx} whose [morsel]
+    narrows the driving table's scan, probes join tables built once by
+    {!prepare_join}, and is folded back by {!absorb}. *)
 
 open Relcore
 module Plan = Optimizer.Plan
 module Ast = Sqlkit.Ast
-
-(** An execution context, shared across the (possibly many) plans of one
-    multi-output query. *)
-type ctx = {
-  shared : (int, Batch.t list) Hashtbl.t;
-  (* materialized join inners, keyed by physical plan identity: running
-     two plans (or one plan twice) that share an inner subplan object
-     re-reads the first materialization instead of re-draining it *)
-  mutable materialized : (Plan.t * Batch.t list) list;
-  batch_capacity : int; (* rows per batch for this query's table queues *)
-  result_cache : bool; (* promote CSE materializations to Result_cache *)
-  snapshot : (Base_table.t -> Tuple.t option array) option;
-  (* MVCC-lite: when set, every base-table access reads through this
-     frozen slot-array view instead of the live heap.  Columnar scans,
-     live index probes, and cross-query caches are bypassed — they see
-     rows newer than the pinned epoch.  [Snapshot.Stale] may escape any
-     access once the undo window has been outrun. *)
-  mutable rows_scanned : int; (* base-table tuples fetched *)
-  mutable subqueries_run : int; (* correlated subplan executions *)
-  mutable batches_emitted : int; (* batches delivered at plan roots *)
-  mutable materializations : int; (* shared/inner drain runs (cache misses) *)
-  mutable chunks_scanned : int; (* colstore chunks whose rows were visited *)
-  mutable chunks_skipped : int; (* colstore chunks zone-pruned wholesale *)
-  mutable rows_materialized : int; (* heap tuples fetched by columnar scans *)
-  mutable chunks_faulted : int; (* cold colstore chunks read from the spill file *)
-  mutable bytes_faulted : int; (* encoded bytes copied back by those reads *)
-  mutable jf_built : int; (* sideways join filters built *)
-  mutable jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
-  mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)
-  mutable jf_dropped : int; (* join filters adaptively disabled *)
-  mutable analyze : Opstats.t option;
-  (* EXPLAIN ANALYZE accumulator: when set, [open_plan] wraps every
-     numbered operator with wall-time / row attribution.  Only the
-     query's main domain may own one — [sibling_ctx] drops it so
-     parallel helpers never mutate it concurrently (the parallel
-     executor has its own per-worker partials). *)
-}
-
-let make_ctx ?batch_capacity ?result_cache ?snapshot () =
-  {
-    shared = Hashtbl.create 8;
-    materialized = [];
-    batch_capacity =
-      (match batch_capacity with
-      | Some c -> max 1 c
-      | None -> Batch.default_capacity ());
-    result_cache =
-      (match result_cache with
-      | Some b -> b
-      | None -> Result_cache.enabled ());
-    snapshot;
-    rows_scanned = 0;
-    subqueries_run = 0;
-    batches_emitted = 0;
-    materializations = 0;
-    chunks_scanned = 0;
-    chunks_skipped = 0;
-    rows_materialized = 0;
-    chunks_faulted = 0;
-    bytes_faulted = 0;
-    jf_built = 0;
-    jf_chunks_skipped = 0;
-    jf_rows_skipped = 0;
-    jf_dropped = 0;
-    analyze = None;
-  }
-
-(* Fold a scan's fault counters into the ctx and the process totals,
-   then re-arm the per-scan record.  Scan-side fault accounting flows
-   only through caller-owned [scan_stats] (see Colstore), so this is
-   the single point where it reaches shared state. *)
-let flush_faults (ctx : ctx) (sst : Colstore.scan_stats) =
-  if sst.Colstore.faulted > 0 || sst.Colstore.fbytes > 0 then begin
-    ctx.chunks_faulted <- ctx.chunks_faulted + sst.Colstore.faulted;
-    ctx.bytes_faulted <- ctx.bytes_faulted + sst.Colstore.fbytes;
-    Colstore.add_totals ~faulted:sst.Colstore.faulted ~fbytes:sst.Colstore.fbytes
-      ~scanned:0 ~skipped:0 ~materialized:0 ();
-    sst.Colstore.faulted <- 0;
-    sst.Colstore.fbytes <- 0
-  end
-
-exception Cached_batches of Batch.t list
-
-type iter = unit -> Tuple.t option
-type batch_iter = unit -> Batch.t option
-
-(* hot-loop truth test: avoids the polymorphic [= Some true] compare *)
-let[@inline] is_true = function Some true -> true | Some false | None -> false
 
 (* value-keyed hash table for the single-column join fast path (skips
    the per-row key-tuple allocation and array hashing) *)
@@ -129,6 +46,165 @@ end)
 type single_key_table =
   | T_int of Tuple.t list Itbl.t (* every build key was a [Value.Int] *)
   | T_val of Tuple.t list Vtbl.t
+
+(** A built join table with its sideways filter (see {!build_join}). *)
+type join_table =
+  | J_key of single_key_table * Bloom.t option (* one key column *)
+  | J_codes of Tuple.t list Itbl.t * Bloom.t option
+      (* string build keys folded onto the probe dictionary's codes *)
+  | J_tuple of Tuple.t list Tuple.Tbl.t * Bloom.t option (* key tuples *)
+  | J_postings of Tuple.t list Tuple.Tbl.t
+      (* a snapshot index join's posting lists *)
+
+(** An execution context, shared across the (possibly many) plans of one
+    multi-output query. *)
+type ctx = {
+  shared : (int, Batch.t list) Hashtbl.t;
+  (* materialized join inners, keyed by physical plan identity: running
+     two plans (or one plan twice) that share an inner subplan object
+     re-reads the first materialization instead of re-draining it *)
+  mutable materialized : (Plan.t * Batch.t list) list;
+  mutable joins : (Plan.t * join_table) list;
+  (* join tables built ahead by [prepare_join], keyed by physical join
+     node: morsel workers probe one table instead of building their own *)
+  batch_capacity : int; (* rows per batch for this query's table queues *)
+  result_cache : bool; (* promote CSE materializations to Result_cache *)
+  snapshot : (Base_table.t -> Tuple.t option array) option;
+  (* MVCC-lite: when set, every base-table access reads through this
+     frozen slot-array view instead of the live heap.  Columnar scans,
+     live index probes, and cross-query caches are bypassed — they see
+     rows newer than the pinned epoch.  [Snapshot.Stale] may escape any
+     access once the undo window has been outrun. *)
+  morsel : (Base_table.t * int * int) option;
+  (* a morsel worker's share [(table, lo, hi)] of its pipeline's driving
+     table: scans of it visit slots [lo, hi) only (colstore chunks by
+     their first slot).  Such a context keeps its counts to itself until
+     [absorb] folds them into the parent on the calling domain. *)
+  mutable rows_scanned : int; (* base-table tuples fetched *)
+  mutable subqueries_run : int; (* correlated subplan executions *)
+  mutable batches_emitted : int; (* batches delivered at plan roots *)
+  mutable materializations : int; (* shared/inner drain runs (cache misses) *)
+  mutable chunks_scanned : int; (* colstore chunks whose rows were visited *)
+  mutable chunks_skipped : int; (* colstore chunks zone-pruned wholesale *)
+  mutable rows_materialized : int; (* heap tuples fetched by columnar scans *)
+  mutable chunks_faulted : int; (* cold colstore chunks read from the spill file *)
+  mutable bytes_faulted : int; (* encoded bytes copied back by those reads *)
+  mutable jf_built : int; (* sideways join filters built *)
+  mutable jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
+  mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)
+  mutable jf_dropped : int; (* join filters adaptively disabled *)
+  mutable analyze : Opstats.t option;
+  (* EXPLAIN ANALYZE accumulator: when set, [open_plan] wraps every
+     numbered operator with wall-time / row attribution.  A sibling
+     context gets a zeroed copy of its own, merged back by [absorb]. *)
+}
+
+let make_ctx ?batch_capacity ?result_cache ?snapshot () =
+  {
+    shared = Hashtbl.create 8;
+    materialized = [];
+    joins = [];
+    batch_capacity =
+      (match batch_capacity with
+      | Some c -> max 1 c
+      | None -> Batch.default_capacity ());
+    result_cache =
+      (match result_cache with
+      | Some b -> b
+      | None -> Result_cache.enabled ());
+    snapshot;
+    morsel = None;
+    rows_scanned = 0;
+    subqueries_run = 0;
+    batches_emitted = 0;
+    materializations = 0;
+    chunks_scanned = 0;
+    chunks_skipped = 0;
+    rows_materialized = 0;
+    chunks_faulted = 0;
+    bytes_faulted = 0;
+    jf_built = 0;
+    jf_chunks_skipped = 0;
+    jf_rows_skipped = 0;
+    jf_dropped = 0;
+    analyze = None;
+  }
+
+(* -- counters with a process-wide mirror --------------------------------- *)
+
+(* Colstore and join-filter counts also feed the process totals
+   ({!Colstore.add_totals}, {!Bloom.add_totals}).  Only a context that
+   owns its query posts them; a morsel worker's counts get there through
+   [absorb], so workers never write shared state. *)
+let posts_totals (ctx : ctx) =
+  match ctx.morsel with None -> true | Some _ -> false
+
+let chunk_skipped (ctx : ctx) =
+  ctx.chunks_skipped <- ctx.chunks_skipped + 1;
+  if posts_totals ctx then
+    Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
+
+let chunk_scanned (ctx : ctx) ~live ~materialized =
+  ctx.chunks_scanned <- ctx.chunks_scanned + 1;
+  ctx.rows_scanned <- ctx.rows_scanned + live;
+  ctx.rows_materialized <- ctx.rows_materialized + materialized;
+  if posts_totals ctx then
+    Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized ()
+
+(* Fold a scan's fault counters into the ctx (and the process totals),
+   then re-arm the per-scan record.  Scan-side fault accounting flows
+   only through caller-owned [scan_stats] (see Colstore), so this is
+   the single point where it reaches shared state. *)
+let flush_faults (ctx : ctx) (sst : Colstore.scan_stats) =
+  if sst.Colstore.faulted > 0 || sst.Colstore.fbytes > 0 then begin
+    ctx.chunks_faulted <- ctx.chunks_faulted + sst.Colstore.faulted;
+    ctx.bytes_faulted <- ctx.bytes_faulted + sst.Colstore.fbytes;
+    if posts_totals ctx then
+      Colstore.add_totals ~faulted:sst.Colstore.faulted
+        ~fbytes:sst.Colstore.fbytes ~scanned:0 ~skipped:0 ~materialized:0 ();
+    sst.Colstore.faulted <- 0;
+    sst.Colstore.fbytes <- 0
+  end
+
+let jf_built (ctx : ctx) =
+  ctx.jf_built <- ctx.jf_built + 1;
+  if posts_totals ctx then Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0
+
+let jf_chunk_skipped (ctx : ctx) =
+  ctx.jf_chunks_skipped <- ctx.jf_chunks_skipped + 1;
+  if posts_totals ctx then Bloom.add_totals ~built:0 ~chunks:1 ~rows:0 ~dropped:0
+
+let jf_rows_skipped (ctx : ctx) n =
+  ctx.jf_rows_skipped <- ctx.jf_rows_skipped + n;
+  if posts_totals ctx then Bloom.add_totals ~built:0 ~chunks:0 ~rows:n ~dropped:0
+
+(* -- morsel ranges ---------------------------------------------------------- *)
+
+(** The slot range of [t] this context scans: its morsel, if [t] is the
+    driving table of a morsel worker. *)
+let morsel_of (ctx : ctx) (t : Base_table.t) =
+  match ctx.morsel with
+  | Some (mt, lo, hi) when mt == t -> Some (lo, hi)
+  | _ -> None
+
+(** The colstore chunks [[c0, c1)] of [t] this context scans: every
+    chunk, or those whose first slot lies in its morsel. *)
+let chunk_range (ctx : ctx) (t : Base_table.t) (store : Colstore.t) =
+  let n = Colstore.n_chunks store in
+  match morsel_of ctx t with
+  | None -> (0, n)
+  | Some (lo, hi) ->
+    let ch = Colstore.chunk_rows store in
+    let first s = if s >= n * ch then n else (s + ch - 1) / ch in
+    (first lo, first hi)
+
+exception Cached_batches of Batch.t list
+
+type iter = unit -> Tuple.t option
+type batch_iter = unit -> Batch.t option
+
+(* hot-loop truth test: avoids the polymorphic [= Some true] compare *)
+let[@inline] is_true = function Some true -> true | Some false | None -> false
 
 let iter_of_batches (bs : Batch.t list) : batch_iter =
   let rest = ref bs in
@@ -192,6 +268,131 @@ let make_key_fn (frames : Eval.frames) (keys : Plan.scalar list) =
   in
   (extract, scratch)
 
+(** Scan [t] in slot order — the live heap, or under a snapshot the
+    pinned frozen slot array — skipping tombstones; a morsel worker
+    visits only its slot range.  [keep] is a push-down filter (a
+    sideways join filter): rows failing it never enter a batch. *)
+let open_scan (ctx : ctx) ?keep (t : Base_table.t) : batch_iter =
+  let keep =
+    Option.map
+      (fun k row ->
+        ctx.rows_scanned <- ctx.rows_scanned + 1;
+        k row)
+      keep
+  in
+  let counted n = if keep = None then ctx.rows_scanned <- ctx.rows_scanned + n in
+  let kept emit =
+    match keep with None -> emit | Some k -> fun row -> if k row then emit row
+  in
+  match ctx.snapshot, morsel_of ctx t with
+  | Some frozen, range ->
+    let arr = frozen t in
+    let lo, hi = Option.value range ~default:(0, max_int) in
+    let n = min hi (Array.length arr) in
+    let i = ref lo in
+    pack ~capacity:ctx.batch_capacity (fun ~emit ->
+        if !i >= n then false
+        else begin
+          let emit = kept emit in
+          let stop = min n (!i + ctx.batch_capacity) in
+          while !i < stop do
+            (match Array.unsafe_get arr !i with
+            | Some row ->
+              counted 1;
+              emit row
+            | None -> ());
+            incr i
+          done;
+          true
+        end)
+  | None, Some (lo, hi) ->
+    let pending = ref true in
+    pack ~capacity:ctx.batch_capacity (fun ~emit ->
+        !pending
+        && begin
+             pending := false;
+             counted (Base_table.iter_range t ~lo ~hi (kept emit));
+             true
+           end)
+  | None, None ->
+    (* batches grow geometrically from a small first batch so a Limit
+       just above the scan stays nearly as lazy as tuple-at-a-time *)
+    let cap = ref (min 64 ctx.batch_capacity) in
+    let slot = ref 0 in
+    let exhausted = ref false in
+    fun () ->
+      if !exhausted then None
+      else begin
+        let b = Batch.create ~capacity:!cap () in
+        cap := min ctx.batch_capacity (!cap * 4);
+        let next_slot, n =
+          Base_table.scan_into ?filter:keep t ~from:!slot b.Batch.rows ~start:0
+            ~max:(Batch.capacity b)
+        in
+        slot := next_slot;
+        b.Batch.len <- n;
+        counted n;
+        (* [scan_into] only under-fills at the end of the heap, so an
+           empty batch means exhaustion even with a filter dropping rows *)
+        if n = 0 then begin
+          exhausted := true;
+          None
+        end
+        else Some b
+      end
+
+(** One opened probe's adaptive join-filter test: the first
+    [jf_adaptive_sample] keys are observed, and a filter passing more
+    than [jf_drop_threshold] of them is dropped — the test then passes
+    everything.  A failed test counts as a skipped probe row. *)
+let jf_adaptive (ctx : ctx) : Bloom.t -> int -> bool =
+  let live = ref true and decided = ref false in
+  let tested = ref 0 and passed = ref 0 in
+  let sample = Optimizer.Cost.jf_adaptive_sample () in
+  let drop = Optimizer.Cost.jf_drop_threshold () in
+  fun bl k ->
+    let pass =
+      if !decided then (not !live) || Bloom.mem bl k
+      else begin
+        let pass = Bloom.mem bl k in
+        incr tested;
+        if pass then incr passed;
+        if !tested >= sample then begin
+          decided := true;
+          if float_of_int !passed > drop *. float_of_int !tested then begin
+            live := false;
+            ctx.jf_dropped <- ctx.jf_dropped + 1;
+            if posts_totals ctx then
+              Bloom.add_totals ~built:0 ~chunks:0 ~rows:0 ~dropped:1
+          end
+        end;
+        pass
+      end
+    in
+    if not pass then jf_rows_skipped ctx 1;
+    pass
+
+(** The probe side's key column, when the probe is a columnar scan keyed
+    by a bare [Tint] or [Tstr] column.  Never under a snapshot: the
+    colstore mirrors the live heap, not the pinned epoch. *)
+let probe_column (ctx : ctx) (probe : Plan.t) (pk : Plan.scalar) =
+  if ctx.snapshot <> None then None
+  else
+    match Colscan.of_plan ~require_atoms:false probe with
+    | None -> None
+    | Some cs -> (
+      match Colscan.int_key cs pk with
+      | Some ki -> Some (cs, ki, `Int)
+      | None -> Option.map (fun ki -> (cs, ki, `Str)) (Colscan.str_key cs pk))
+
+(* a join filter over a finished int-keyed table: one pass gives the
+   exact distinct key set, and so an exactly sized Bloom *)
+let itbl_filter (ctx : ctx) (itbl : _ Itbl.t) : Bloom.t =
+  let bl = Bloom.create ~expected:(Itbl.length itbl) in
+  Itbl.iter (fun k _ -> Bloom.add bl k) itbl;
+  jf_built ctx;
+  bl
+
 (* [open_plan] is the attribution shim: with EXPLAIN ANALYZE armed it
    clocks the open and every pull of each numbered operator (inclusive
    times — the recursion wraps children too) and counts output rows
@@ -221,52 +422,7 @@ let rec open_plan (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
 
 and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
   match p with
-  | Plan.Scan t -> (
-    match ctx.snapshot with
-    | Some frozen ->
-      (* snapshot scan: walk the frozen slot array in slot order — the
-         same order the live heap scan visits — skipping tombstones *)
-      let arr = frozen t in
-      let n = Array.length arr in
-      let i = ref 0 in
-      pack ~capacity:ctx.batch_capacity (fun ~emit ->
-          if !i >= n then false
-          else begin
-            let stop = min n (!i + ctx.batch_capacity) in
-            while !i < stop do
-              (match Array.unsafe_get arr !i with
-              | Some row ->
-                ctx.rows_scanned <- ctx.rows_scanned + 1;
-                emit row
-              | None -> ());
-              incr i
-            done;
-            true
-          end)
-    | None ->
-    (* batches grow geometrically from a small first batch so a Limit
-       just above the scan stays nearly as lazy as tuple-at-a-time *)
-    let cap = ref (min 64 ctx.batch_capacity) in
-    let slot = ref 0 in
-    let exhausted = ref false in
-    fun () ->
-      if !exhausted then None
-      else begin
-        let b = Batch.create ~capacity:!cap () in
-        cap := min ctx.batch_capacity (!cap * 4);
-        let next_slot, n =
-          Base_table.scan_into t ~from:!slot b.Batch.rows ~start:0
-            ~max:(Batch.capacity b)
-        in
-        slot := next_slot;
-        b.Batch.len <- n;
-        ctx.rows_scanned <- ctx.rows_scanned + n;
-        if n = 0 then begin
-          exhausted := true;
-          None
-        end
-        else Some b
-      end)
+  | Plan.Scan t -> open_scan ctx t
   | Plan.Values rows ->
     iter_of_batches (Batch.of_list ~capacity:ctx.batch_capacity rows)
   | Plan.Filter (input, pred) -> begin
@@ -312,14 +468,8 @@ and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
       out
     in
     (match join with
-    | Plan.Hash_join
-        { build; probe; build_keys; probe_keys; residual = _; jfilter } ->
-      open_hash_join ctx frames ~mk_row ~build ~probe ~build_keys ~probe_keys
-        ~residual:Plan.P_true ~jfilter
-    | Plan.Index_join { outer; table; index; keys; residual = _ } ->
-      open_index_join ctx frames ~mk_row ~outer ~table ~index ~keys
-        ~residual:Plan.P_true
-    | _ -> assert false)
+    | Plan.Hash_join _ -> open_hash_join ctx frames ~mk_row join
+    | _ -> open_index_join ctx frames ~mk_row join)
   | Plan.Project (input, cols) ->
     let it = open_plan ctx frames input in
     let project = Eval.compile_project cols in
@@ -345,13 +495,8 @@ and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
                 inner_bs)
             ob;
           true)
-  | Plan.Hash_join { build; probe; build_keys; probe_keys; residual; jfilter }
-    ->
-    open_hash_join ctx frames ~mk_row:Tuple.concat ~build ~probe ~build_keys
-      ~probe_keys ~residual ~jfilter
-  | Plan.Index_join { outer; table; index; keys; residual } ->
-    open_index_join ctx frames ~mk_row:Tuple.concat ~outer ~table ~index ~keys
-      ~residual
+  | Plan.Hash_join _ -> open_hash_join ctx frames ~mk_row:Tuple.concat p
+  | Plan.Index_join _ -> open_index_join ctx frames ~mk_row:Tuple.concat p
   | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
     (* sort both sides on their key values, then merge equal groups *)
     let keyed plan keys =
@@ -398,10 +543,7 @@ and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
                  (Array.to_list side))
           in
           let dropped = Array.length side - Array.length kept in
-          if dropped > 0 then begin
-            ctx.jf_rows_skipped <- ctx.jf_rows_skipped + dropped;
-            Bloom.add_totals ~built:0 ~chunks:0 ~rows:dropped ~dropped:0
-          end;
+          if dropped > 0 then jf_rows_skipped ctx dropped;
           kept
         in
         (keep l, keep r)
@@ -695,25 +837,20 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
   let sel = Array.make (Colstore.chunk_rows store) 0 in
   let sst = Colstore.scan_stats () in
   (* snapshotted: queries never mutate their own base tables here *)
-  let n_chunks = Colstore.n_chunks store in
-  let chunk = ref 0 in
+  let c0, c1 = chunk_range ctx table store in
+  let chunk = ref c0 in
   pack ~capacity:ctx.batch_capacity (fun ~emit ->
-      if !chunk >= n_chunks then false
+      if !chunk >= c1 then false
       else begin
         let c = !chunk in
         incr chunk;
-        if Colstore.prune_chunk store katoms c then begin
-          ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-          Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
-        end
+        if Colstore.prune_chunk store katoms c then chunk_skipped ctx
         else begin
-          ctx.chunks_scanned <- ctx.chunks_scanned + 1;
-          ctx.rows_scanned <- ctx.rows_scanned + Colstore.live_in_chunk store c;
           Colstore.pin store c;
           let n = Colstore.select_chunk ~stats:sst store katoms c sel in
           Colstore.unpin store c;
-          ctx.rows_materialized <- ctx.rows_materialized + n;
-          Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized:n ();
+          chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
+            ~materialized:n;
           flush_faults ctx sst;
           (match test with
           | None ->
@@ -729,10 +866,23 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
         true
       end)
 
-(** Open an index join.  [mk_row] as in {!open_hash_join}. *)
+(** The join table of [node]: the one {!prepare_join} built ahead, or a
+    fresh build on this context. *)
+and join_table (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
+  match List.assq_opt node ctx.joins with
+  | Some jt -> jt
+  | None -> build_join ctx frames node
+
+(** Open an index join ([node] is the [Index_join]).  [mk_row] as in
+    {!open_hash_join}. *)
 and open_index_join (ctx : ctx) (frames : Eval.frames)
-    ~(mk_row : Tuple.t -> Tuple.t -> Tuple.t) ~outer ~table ~index ~keys
-    ~residual : batch_iter =
+    ~(mk_row : Tuple.t -> Tuple.t -> Tuple.t) (node : Plan.t) : batch_iter =
+  let outer, table, index, keys, residual =
+    match node with
+    | Plan.Index_join { outer; table; index; keys; residual } ->
+      (outer, table, index, keys, residual)
+    | _ -> invalid_arg "Exec.open_index_join"
+  in
   let outer_it = open_plan ctx frames outer in
   let extract, scratch = make_key_fn frames keys in
   let emit_match =
@@ -743,83 +893,62 @@ and open_index_join (ctx : ctx) (frames : Eval.frames)
         let t = Tuple.concat row irow in
         if is_true (test frames t) then emit (mk_row row irow)
   in
-  match ctx.snapshot with
-  | Some frozen ->
-    (* snapshot probe: the live index tracks the heap, so reproduce the
-       posting layout from the frozen slot array instead.  Matches cons
-       on ascending rid, so list iteration presents descending rid —
-       exactly the order {!Index.iter} walks (postings are rid-sorted
-       ascending and iterated in reverse). *)
-    let postings =
-      lazy
-        (let arr = frozen table in
-         let cols = index.Index.key_columns in
-         let tbl = Tuple.Tbl.create 256 in
-         Array.iter
-           (fun slot ->
-             match slot with
-             | None -> ()
-             | Some irow ->
-               let key = Array.map (fun c -> irow.(c)) cols in
-               (* null keys are never probed: [extract] refuses them *)
-               if not (Array.exists Value.is_null key) then begin
-                 let prev = try Tuple.Tbl.find tbl key with Not_found -> [] in
-                 Tuple.Tbl.replace tbl key (irow :: prev)
-               end)
-           arr;
-         tbl)
-    in
-    pack ~capacity:ctx.batch_capacity (fun ~emit ->
-        match outer_it () with
-        | None -> false
-        | Some ob ->
-          Batch.iter
-            (fun row ->
-              if extract row then
-                match Tuple.Tbl.find (Lazy.force postings) scratch with
-                | exception Not_found -> ()
-                | matches ->
-                  List.iter
-                    (fun irow ->
-                      ctx.rows_scanned <- ctx.rows_scanned + 1;
-                      emit_match emit row irow)
-                    matches)
-            ob;
-          true)
-  | None ->
-    let emit_rid emit row rid =
-      match Base_table.get table rid with
-      | None -> ()
-      | Some irow ->
-        ctx.rows_scanned <- ctx.rows_scanned + 1;
-        emit_match emit row irow
-    in
-    pack ~capacity:ctx.batch_capacity (fun ~emit ->
-        match outer_it () with
-        | None -> false
-        | Some ob ->
-          Batch.iter
-            (fun row ->
-              if extract row then
-                (* Index.iter probes without building a rid list. *)
-                Index.iter index scratch (emit_rid emit row))
-            ob;
-          true)
+  let probe =
+    match ctx.snapshot with
+    | Some _ ->
+      (* snapshot probe: the live index tracks the heap, so probe the
+         posting lists rebuilt from the frozen slot array instead *)
+      let postings =
+        lazy
+          (match join_table ctx frames node with
+          | J_postings tbl -> tbl
+          | _ -> assert false)
+      in
+      fun emit row -> (
+        match Tuple.Tbl.find (Lazy.force postings) scratch with
+        | exception Not_found -> ()
+        | matches ->
+          List.iter
+            (fun irow ->
+              ctx.rows_scanned <- ctx.rows_scanned + 1;
+              emit_match emit row irow)
+            matches)
+    | None ->
+      fun emit row ->
+        (* Index.iter probes without building a rid list. *)
+        Index.iter index scratch (fun rid ->
+            match Base_table.get table rid with
+            | None -> ()
+            | Some irow ->
+              ctx.rows_scanned <- ctx.rows_scanned + 1;
+              emit_match emit row irow)
+  in
+  pack ~capacity:ctx.batch_capacity (fun ~emit ->
+      match outer_it () with
+      | None -> false
+      | Some ob ->
+        Batch.iter (fun row -> if extract row then probe emit row) ob;
+        true)
 
-(** Open a hash join.  [mk_row] builds each output row from a probe row
-    and a build match — [Tuple.concat] for the plain join, a column
-    picker when a projection has been fused into the emit.  The residual
-    (if any) is always evaluated over the full concatenation.
+(** Open a hash join ([node] is the [Hash_join]).  [mk_row] builds each
+    output row from a probe row and a build match — [Tuple.concat] for
+    the plain join, a column picker when a projection has been fused
+    into the emit.  The residual (if any) is always evaluated over the
+    full concatenation.
 
-    [jfilter] is the planner's sideways-information-passing hint: when
-    set (and [XNFDB_JOINFILTER] allows it), the single-int-key build
-    also produces a {!Bloom} filter pushed into the probe scan — key
-    range atoms prune whole probe chunks, and the Bloom is tested per
-    probe key before the heap tuple is materialized.  The filter is
-    false-positive-only, so output is byte-identical with it off. *)
+    The join's [jfilter] hint adds a sideways filter to the build (see
+    {!build_join}): key range atoms prune whole probe chunks, and the
+    Bloom is tested per probe key before the heap tuple is
+    materialized.  The filter is false-positive-only, so output is
+    byte-identical with it off. *)
 and open_hash_join (ctx : ctx) (frames : Eval.frames)
-    ~(mk_row : Tuple.t -> Tuple.t -> Tuple.t) ~build ~probe ~build_keys
-    ~probe_keys ~residual ~(jfilter : Plan.jfilter option) : batch_iter =
+    ~(mk_row : Tuple.t -> Tuple.t -> Tuple.t) (node : Plan.t) : batch_iter =
+  let probe, probe_keys, residual =
+    match node with
+    | Plan.Hash_join { probe; probe_keys; residual; _ } ->
+      (probe, probe_keys, residual)
+    | _ -> invalid_arg "Exec.open_hash_join"
+  in
   let emit_match =
     match residual_test ctx residual with
     | None -> fun emit row m -> emit (mk_row row m)
@@ -835,123 +964,16 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       emit_match emit row m;
       emit_matches emit row tl
   in
-  match build_keys, probe_keys with
-  | [ bk ], [ pk ] ->
-    (* single-column equi-join fast path: hash the key value directly *)
-    let want_jf = jfilter <> None && Bloom.enabled () in
-    let table =
-      lazy
-        (let tbl =
-           (* the columnar mirror tracks the live heap: under a snapshot
-              the build must drain the (frozen) row pipeline instead *)
-           match
-             (if ctx.snapshot = None then
-                columnar_build ctx frames ~build ~key:bk
-              else None)
-           with
-           | Some tbl -> tbl
-           | None ->
-             let tbl = Vtbl.create 256 in
-             let all_int = ref true in
-             let bf = Eval.compile_scalar_fn bk in
-             let bit = open_plan ctx frames build in
-             let rec drain () =
-               match bit () with
-               | None -> ()
-               | Some b ->
-                 Batch.iter
-                   (fun row ->
-                     let v = bf frames row in
-                     if not (Value.is_null v) then begin
-                       (match v with Value.Int _ -> () | _ -> all_int := false);
-                       let prev = try Vtbl.find tbl v with Not_found -> [] in
-                       Vtbl.replace tbl v (row :: prev)
-                     end)
-                   b;
-                 drain ()
-             in
-             drain ();
-             if !all_int then begin
-               (* re-key by raw int: the probe loop then skips the generic
-                  value hash entirely *)
-               let itbl = Itbl.create (2 * Vtbl.length tbl) in
-               Vtbl.iter
-                 (fun v rows ->
-                   match v with
-                   | Value.Int i -> Itbl.replace itbl i rows
-                   | _ -> assert false)
-                 tbl;
-               T_int itbl
-             end
-             else T_val tbl
-         in
-         (* sideways filter: one pass over the finished table gives the
-            exact distinct key set (and so an exactly sized Bloom) *)
-         let flt =
-           match tbl with
-           | T_int itbl when want_jf ->
-             let bl = Bloom.create ~expected:(Itbl.length itbl) in
-             Itbl.iter (fun k _ -> Bloom.add bl k) itbl;
-             ctx.jf_built <- ctx.jf_built + 1;
-             Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-             Some bl
-           | _ -> None
-         in
-         (tbl, flt))
-    in
-    (* adaptive per-row state: observe the first [adaptive_sample] probe
-       keys; a filter passing more than [drop_threshold] of them is
-       dropped (range chunk pruning stays — it is exact and ~free) *)
-    let jf_live = ref true in
-    let jf_decided = ref false in
-    let jf_tested = ref 0 and jf_passed = ref 0 in
-    let jf_sample = Optimizer.Cost.jf_adaptive_sample () in
-    let jf_drop = Optimizer.Cost.jf_drop_threshold () in
-    let jf_pass bl k =
-      if !jf_decided then (not !jf_live) || Bloom.mem bl k
-      else begin
-        let pass = Bloom.mem bl k in
-        incr jf_tested;
-        if pass then incr jf_passed;
-        if !jf_tested >= jf_sample then begin
-          jf_decided := true;
-          if float_of_int !jf_passed > jf_drop *. float_of_int !jf_tested
-          then begin
-            jf_live := false;
-            ctx.jf_dropped <- ctx.jf_dropped + 1;
-            Bloom.add_totals ~built:0 ~chunks:0 ~rows:0 ~dropped:1
-          end
-        end;
-        pass
-      end
-    in
-    let jf_pass_counted bl k =
-      let p = jf_pass bl k in
-      if not p then begin
-        ctx.jf_rows_skipped <- ctx.jf_rows_skipped + 1;
-        Bloom.add_totals ~built:0 ~chunks:0 ~rows:1 ~dropped:0
-      end;
-      p
-    in
-    let columnar_probe =
-      match
-        (if ctx.snapshot = None then Colscan.of_plan ~require_atoms:false probe
-         else None)
-      with
-      | Some cs -> (
-        match Colscan.int_key cs pk with
-        | Some ki -> Some (cs, ki, `Int)
-        | None ->
-          (match Colscan.str_key cs pk with
-          | Some ki -> Some (cs, ki, `Str)
-          | None -> None))
-      | None -> None
-    in
-    (match columnar_probe with
-    | Some (cs, ki, `Int) ->
-      (* chunk-driven probe: keys come straight off the unboxed column;
-         the probe-side heap tuple is materialized only for rows that
-         survive the atoms (and, with no residual, only on a match) *)
+  let table = lazy (join_table ctx frames node) in
+  let jf_pass = jf_adaptive ctx in
+  match probe_keys with
+  | [ pk ] -> (
+    match probe_column ctx probe pk with
+    | Some (cs, ki, kind) ->
+      (* chunk-driven probe: keys (dictionary codes for strings) come
+         straight off the unboxed column; the probe-side heap tuple is
+         materialized only for rows that survive the atoms (and, with no
+         residual, only on a match) *)
       let store = cs.Colscan.store in
       let ptable = cs.Colscan.table in
       let katoms = cs.Colscan.katoms in
@@ -959,14 +981,15 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       let sel = Array.make (Colstore.chunk_rows store) 0 in
       let rdr = Colstore.reader store in
       let sst = Colstore.scan_stats () in
-      let n_chunks = Colstore.n_chunks store in
-      let chunk = ref 0 in
-      (* build-side key range as zone-prunable atoms over the probe's
-         key column (forces the build) *)
+      let c0, c1 = chunk_range ctx ptable store in
+      let chunk = ref c0 in
+      (* build-side key range as zone-prunable atoms over the probe's key
+         column (forces the build); codes are unordered, so a string key
+         is filtered by its Bloom alone *)
       let jf_atoms =
         lazy
-          (match snd (Lazy.force table), pk with
-          | Some bl, Plan.P_col ki -> begin
+          (match kind, Lazy.force table with
+          | `Int, J_key (_, Some bl) -> (
             match Bloom.range bl with
             | Some (lo, hi) ->
               Colstore.compile store
@@ -974,52 +997,37 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                   Colstore.A_cmp (ki, Colstore.Cge, Value.Int lo);
                   Colstore.A_cmp (ki, Colstore.Cle, Value.Int hi);
                 ]
-            | None -> None
-          end
+            | None -> None)
           | _ -> None)
       in
       pack ~capacity:ctx.batch_capacity (fun ~emit ->
-          if !chunk >= n_chunks then false
+          if !chunk >= c1 then false
           else begin
             let c = !chunk in
             incr chunk;
-            if Colstore.prune_chunk store katoms c then begin
-              ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-              Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
-            end
+            if Colstore.prune_chunk store katoms c then chunk_skipped ctx
             else begin
               match Lazy.force jf_atoms with
               | Some ja when Colstore.prune_chunk store ja c ->
                 (* every key in the chunk is outside the build's range —
                    pruned before the chunk is decoded or faulted in *)
-                ctx.jf_chunks_skipped <- ctx.jf_chunks_skipped + 1;
-                Bloom.add_totals ~built:0 ~chunks:1 ~rows:0 ~dropped:0
+                jf_chunk_skipped ctx
               | _ ->
-                ctx.chunks_scanned <- ctx.chunks_scanned + 1;
-                ctx.rows_scanned <-
-                  ctx.rows_scanned + Colstore.live_in_chunk store c;
                 Colstore.pin store c;
                 let n = Colstore.select_chunk ~stats:sst store katoms c sel in
                 let mat = ref 0 in
-                let tbl, flt = Lazy.force table in
-                let jfb =
-                  match flt with Some bl when !jf_live -> Some bl | _ -> None
-                in
                 (if n > 0 then begin
                    let data, knulls, kbase =
                      Colstore.key_chunk ~stats:sst store rdr ki c
                    in
-                   match tbl, test with
-                   | T_int itbl, None ->
+                   match Lazy.force table, test with
+                   | (J_key (T_int itbl, flt) | J_codes (itbl, flt)), None ->
                      for j = 0 to n - 1 do
                        let s = Array.unsafe_get sel j in
                        let l = s - kbase in
                        if not (Colstore.bit_get knulls l) then begin
                          let k = Array.unsafe_get data l in
-                         if
-                           match jfb with
-                           | None -> true
-                           | Some bl -> jf_pass_counted bl k
+                         if match flt with None -> true | Some bl -> jf_pass bl k
                          then begin
                            match Itbl.find itbl k with
                            | exception Not_found -> ()
@@ -1030,7 +1038,7 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                          end
                        end
                      done
-                   | T_int itbl, Some t ->
+                   | (J_key (T_int itbl, flt) | J_codes (itbl, flt)), Some t ->
                      for j = 0 to n - 1 do
                        let s = Array.unsafe_get sel j in
                        let l = s - kbase in
@@ -1039,10 +1047,7 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                          (* the Bloom runs before materialization: a key
                             absent from the build can't survive the join
                             whatever the residual says *)
-                         if
-                           match jfb with
-                           | None -> true
-                           | Some bl -> jf_pass_counted bl k
+                         if match flt with None -> true | Some bl -> jf_pass bl k
                          then begin
                            let row = Base_table.get_exn ptable s in
                            incr mat;
@@ -1054,10 +1059,10 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                          end
                        end
                      done
-                   | T_val vtbl, test ->
-                     (* build side fell back to value keys (possible when it
-                        was empty of ints only in theory — keys here are
-                        ints, so this probes with boxed Int values) *)
+                   | J_key (T_val vtbl, _), test ->
+                     (* an int probe column against value build keys
+                        (some build key was not an Int): probe with
+                        boxed Int values *)
                      for j = 0 to n - 1 do
                        let s = Array.unsafe_get sel j in
                        let l = s - kbase in
@@ -1078,130 +1083,12 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                          end
                        end
                      done
+                   | (J_tuple _ | J_postings _), _ -> assert false
                  end);
                 Colstore.unpin store c;
-                ctx.rows_materialized <- ctx.rows_materialized + !mat;
-                Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized:!mat ();
+                chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
+                  ~materialized:!mat;
                 flush_faults ctx sst
-            end;
-            true
-          end)
-    | Some (cs, ki, `Str) ->
-      (* string-keyed chunk-driven probe: keys come off the
-         dictionary-code column; build strings fold onto probe-side
-         codes once, so the probe loop compares ints and never touches
-         a string.  A build string absent from the probe dictionary
-         cannot match any probe row and is dropped at translation.
-         Codes are unordered, so there is no range-atom chunk pruning —
-         the Bloom over codes is the whole sideways filter. *)
-      let store = cs.Colscan.store in
-      let ptable = cs.Colscan.table in
-      let katoms = cs.Colscan.katoms in
-      let test = Option.map (compile_pred ctx) cs.Colscan.residual in
-      let sel = Array.make (Colstore.chunk_rows store) 0 in
-      let rdr = Colstore.reader store in
-      let sst = Colstore.scan_stats () in
-      let n_chunks = Colstore.n_chunks store in
-      let chunk = ref 0 in
-      let ctable =
-        lazy
-          (let tbl, _ = Lazy.force table in
-           let itbl = Itbl.create 256 in
-           (match tbl with
-           | T_val vtbl ->
-             Vtbl.iter
-               (fun v rows ->
-                 match v with
-                 | Value.Str s -> (
-                   match Colstore.dict_find store s with
-                   | Some code -> Itbl.replace itbl code rows
-                   | None -> ())
-                 | _ -> () (* non-string keys never equal a string key *))
-               vtbl
-           | T_int _ -> () (* int build keys never equal a string key *));
-           let flt =
-             if want_jf then begin
-               let bl = Bloom.create ~expected:(max 1 (Itbl.length itbl)) in
-               Itbl.iter (fun k _ -> Bloom.add bl k) itbl;
-               ctx.jf_built <- ctx.jf_built + 1;
-               Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-               Some bl
-             end
-             else None
-           in
-           (itbl, flt))
-      in
-      pack ~capacity:ctx.batch_capacity (fun ~emit ->
-          if !chunk >= n_chunks then false
-          else begin
-            let c = !chunk in
-            incr chunk;
-            if Colstore.prune_chunk store katoms c then begin
-              ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-              Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
-            end
-            else begin
-              ctx.chunks_scanned <- ctx.chunks_scanned + 1;
-              ctx.rows_scanned <-
-                ctx.rows_scanned + Colstore.live_in_chunk store c;
-              Colstore.pin store c;
-              let n = Colstore.select_chunk ~stats:sst store katoms c sel in
-              let mat = ref 0 in
-              let itbl, flt = Lazy.force ctable in
-              let jfb =
-                match flt with Some bl when !jf_live -> Some bl | _ -> None
-              in
-              (if n > 0 then begin
-                 let data, knulls, kbase =
-                   Colstore.key_chunk ~stats:sst store rdr ki c
-                 in
-                 match test with
-                 | None ->
-                   for j = 0 to n - 1 do
-                     let s = Array.unsafe_get sel j in
-                     let l = s - kbase in
-                     if not (Colstore.bit_get knulls l) then begin
-                       let k = Array.unsafe_get data l in
-                       if
-                         match jfb with
-                         | None -> true
-                         | Some bl -> jf_pass_counted bl k
-                       then begin
-                         match Itbl.find itbl k with
-                         | exception Not_found -> ()
-                         | matches ->
-                           incr mat;
-                           emit_matches emit (Base_table.get_exn ptable s)
-                             matches
-                       end
-                     end
-                   done
-                 | Some t ->
-                   for j = 0 to n - 1 do
-                     let s = Array.unsafe_get sel j in
-                     let l = s - kbase in
-                     if not (Colstore.bit_get knulls l) then begin
-                       let k = Array.unsafe_get data l in
-                       if
-                         match jfb with
-                         | None -> true
-                         | Some bl -> jf_pass_counted bl k
-                       then begin
-                         let row = Base_table.get_exn ptable s in
-                         incr mat;
-                         if is_true (t frames row) then begin
-                           match Itbl.find itbl k with
-                           | exception Not_found -> ()
-                           | matches -> emit_matches emit row matches
-                         end
-                       end
-                     end
-                   done
-               end);
-              Colstore.unpin store c;
-              ctx.rows_materialized <- ctx.rows_materialized + !mat;
-              Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized:!mat ();
-              flush_faults ctx sst
             end;
             true
           end)
@@ -1209,64 +1096,34 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       let pf = Eval.compile_scalar_fn pk in
       (* the probe source is chosen once the build table (and so the
          filter) exists: a bare base-table probe with an int-keyed build
-         applies the join filter inside [scan_into] itself, so dropped
-         rows never enter a batch *)
+         applies the join filter inside the scan itself, so dropped rows
+         never enter a batch *)
       let state =
         lazy
-          (let tbl, flt = Lazy.force table in
+          (let tbl, flt =
+             match Lazy.force table with
+             | J_key (tbl, flt) -> (tbl, flt)
+             | _ -> assert false
+           in
            (* [loop_flt] is the filter still owed by the probe loop: None
               once the scan itself already applied it *)
            let probe_it, loop_flt =
              match probe, pk, tbl, flt with
-             | Plan.Scan pt, Plan.P_col ki, T_int _, Some bl
-               when ctx.snapshot = None ->
+             | Plan.Scan pt, Plan.P_col ki, T_int _, Some bl ->
+               (* rows whose key cannot equal any int build key (NULL,
+                  strings, fractional floats) never join and are safe
+                  to drop here too, exactly as the probe loop below
+                  ignores them *)
                let keep row =
-                 ctx.rows_scanned <- ctx.rows_scanned + 1;
-                 let pass_int i =
-                   let p = jf_pass bl i in
-                   if not p then begin
-                     ctx.jf_rows_skipped <- ctx.jf_rows_skipped + 1;
-                     Bloom.add_totals ~built:0 ~chunks:0 ~rows:1 ~dropped:0
-                   end;
-                   p
-                 in
-                 (* rows whose key cannot equal any int build key (NULL,
-                    strings, fractional floats) never join and are safe
-                    to drop here too, exactly as the probe loop below
-                    ignores them *)
                  match Array.unsafe_get row ki with
-                 | Value.Int i -> pass_int i
+                 | Value.Int i -> jf_pass bl i
                  | Value.Float f -> (
                    match Value.int_key_of_float f with
-                   | Some i -> pass_int i
+                   | Some i -> jf_pass bl i
                    | None -> false)
                  | _ -> false
                in
-               let cap = ref (min 64 ctx.batch_capacity) in
-               let slot = ref 0 in
-               let exhausted = ref false in
-               let it () =
-                 if !exhausted then None
-                 else begin
-                   let b = Batch.create ~capacity:!cap () in
-                   cap := min ctx.batch_capacity (!cap * 4);
-                   let next_slot, n =
-                     Base_table.scan_into ~filter:keep pt ~from:!slot
-                       b.Batch.rows ~start:0 ~max:(Batch.capacity b)
-                   in
-                   slot := next_slot;
-                   b.Batch.len <- n;
-                   (* [scan_into] only under-fills at the end of the
-                      heap, so an empty batch means exhaustion even with
-                      the filter dropping rows *)
-                   if n = 0 then begin
-                     exhausted := true;
-                     None
-                   end
-                   else Some b
-                 end
-               in
-               (it, None)
+               (open_scan ctx ~keep pt, None)
              | _ -> (open_plan ctx frames probe, flt)
            in
            (tbl, probe_it, loop_flt))
@@ -1280,8 +1137,8 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
             | T_int itbl ->
               let may =
                 match loop_flt with
-                | Some bl when !jf_live -> fun i -> jf_pass_counted bl i
-                | _ -> fun _ -> true
+                | Some bl -> fun i -> jf_pass bl i
+                | None -> fun _ -> true
               in
               Batch.iter
                 (fun row ->
@@ -1322,78 +1179,17 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
        passes (false-positive-only, as required for byte-identity).
        The Bloom membership test is a single cache-line probe, cheaper
        than the table's bucket walk + tuple equality on misses. *)
-    let want_jf = jfilter <> None && Bloom.enabled () in
-    let table =
-      lazy
-        (let tbl = Tuple.Tbl.create 256 in
-         let bfs = List.map Eval.compile_scalar_fn build_keys in
-         let bit = open_plan ctx frames build in
-         let rec drain () =
-           match bit () with
-           | None -> ()
-           | Some b ->
-             Batch.iter
-               (fun row ->
-                 let key =
-                   Array.of_list (List.map (fun f -> f frames row) bfs)
-                 in
-                 if not (Array.exists Value.is_null key) then begin
-                   let prev =
-                     try Tuple.Tbl.find tbl key with Not_found -> []
-                   in
-                   Tuple.Tbl.replace tbl key (row :: prev)
-                 end)
-               b;
-             drain ()
-         in
-         drain ();
-         let flt =
-           if want_jf then begin
-             (* one pass over the finished table: exactly sized, one
-                entry per distinct key tuple *)
-             let bl = Bloom.create ~expected:(Tuple.Tbl.length tbl) in
-             Tuple.Tbl.iter (fun k _ -> Bloom.add bl (Tuple.hash k)) tbl;
-             ctx.jf_built <- ctx.jf_built + 1;
-             Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-             Some bl
-           end
-           else None
-         in
-         (tbl, flt))
-    in
-    (* same adaptive policy as the single-key path: observe the first
-       [adaptive_sample] probe keys, drop a filter that passes more
-       than [drop_threshold] of them *)
-    let jf_live = ref true in
-    let jf_decided = ref false in
-    let jf_tested = ref 0 and jf_passed = ref 0 in
-    let jf_sample = Optimizer.Cost.jf_adaptive_sample () in
-    let jf_drop = Optimizer.Cost.jf_drop_threshold () in
-    let jf_pass bl k =
-      if !jf_decided then (not !jf_live) || Bloom.mem bl k
-      else begin
-        let pass = Bloom.mem bl k in
-        incr jf_tested;
-        if pass then incr jf_passed;
-        if !jf_tested >= jf_sample then begin
-          jf_decided := true;
-          if float_of_int !jf_passed > jf_drop *. float_of_int !jf_tested
-          then begin
-            jf_live := false;
-            ctx.jf_dropped <- ctx.jf_dropped + 1;
-            Bloom.add_totals ~built:0 ~chunks:0 ~rows:0 ~dropped:1
-          end
-        end;
-        pass
-      end
-    in
     let probe_it = open_plan ctx frames probe in
     let extract, scratch = make_key_fn frames probe_keys in
     pack ~capacity:ctx.batch_capacity (fun ~emit ->
         match probe_it () with
         | None -> false
         | Some pb ->
-          let tbl, flt = Lazy.force table in
+          let tbl, flt =
+            match Lazy.force table with
+            | J_tuple (tbl, flt) -> (tbl, flt)
+            | _ -> assert false
+          in
           let lookup row =
             match Tuple.Tbl.find tbl scratch with
             | exception Not_found -> ()
@@ -1404,21 +1200,150 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
             | None -> fun row -> if extract row then lookup row
             | Some bl ->
               fun row ->
-                if extract row then
-                  if jf_pass bl (Tuple.hash scratch) then lookup row
-                  else begin
-                    ctx.jf_rows_skipped <- ctx.jf_rows_skipped + 1;
-                    Bloom.add_totals ~built:0 ~chunks:0 ~rows:1 ~dropped:0
-                  end
+                if extract row && jf_pass bl (Tuple.hash scratch) then
+                  lookup row
           in
           Batch.iter probe_row pb;
           true)
+
+(** Build the table a join probes: for a [Hash_join] its build side
+    keyed by the build keys, plus — when the planner's [jfilter] hint
+    is set and [XNFDB_JOINFILTER] allows it — a {!Bloom} sideways
+    filter over the distinct keys; for an [Index_join] under a snapshot
+    the posting lists of its index, rebuilt from the frozen slot
+    array. *)
+and build_join (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
+  match node with
+  | Plan.Hash_join
+      { build; probe; build_keys = [ bk ]; probe_keys = [ pk ]; jfilter; _ } -> (
+    let want_jf = jfilter <> None && Bloom.enabled () in
+    let tbl =
+      (* the columnar mirror tracks the live heap: under a snapshot the
+         build must drain the (frozen) row pipeline instead *)
+      match
+        (if ctx.snapshot = None then columnar_build ctx frames ~build ~key:bk
+         else None)
+      with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = Vtbl.create 256 in
+        let all_int = ref true in
+        let bf = Eval.compile_scalar_fn bk in
+        let bit = open_plan ctx frames build in
+        let rec drain () =
+          match bit () with
+          | None -> ()
+          | Some b ->
+            Batch.iter
+              (fun row ->
+                let v = bf frames row in
+                if not (Value.is_null v) then begin
+                  (match v with Value.Int _ -> () | _ -> all_int := false);
+                  let prev = try Vtbl.find tbl v with Not_found -> [] in
+                  Vtbl.replace tbl v (row :: prev)
+                end)
+              b;
+            drain ()
+        in
+        drain ();
+        if !all_int then begin
+          (* re-key by raw int: the probe loop then skips the generic
+             value hash entirely *)
+          let itbl = Itbl.create (2 * Vtbl.length tbl) in
+          Vtbl.iter
+            (fun v rows ->
+              match v with
+              | Value.Int i -> Itbl.replace itbl i rows
+              | _ -> assert false)
+            tbl;
+          T_int itbl
+        end
+        else T_val tbl
+    in
+    match probe_column ctx probe pk, tbl with
+    | Some (cs, _, `Str), _ ->
+      (* a string-keyed columnar probe compares dictionary codes: build
+         strings fold onto probe-side codes once, so the probe loop
+         never touches a string.  A build string absent from the probe
+         dictionary cannot match any probe row and is dropped here. *)
+      let itbl = Itbl.create 256 in
+      (match tbl with
+      | T_val vtbl ->
+        Vtbl.iter
+          (fun v rows ->
+            match v with
+            | Value.Str s -> (
+              match Colstore.dict_find cs.Colscan.store s with
+              | Some code -> Itbl.replace itbl code rows
+              | None -> ())
+            | _ -> () (* non-string keys never equal a string key *))
+          vtbl
+      | T_int _ -> () (* int build keys never equal a string key *));
+      J_codes (itbl, if want_jf then Some (itbl_filter ctx itbl) else None)
+    | _, T_int itbl when want_jf -> J_key (tbl, Some (itbl_filter ctx itbl))
+    | _ -> J_key (tbl, None))
+  | Plan.Hash_join { build; build_keys; jfilter; _ } ->
+    let tbl = Tuple.Tbl.create 256 in
+    let bfs = List.map Eval.compile_scalar_fn build_keys in
+    let bit = open_plan ctx frames build in
+    let rec drain () =
+      match bit () with
+      | None -> ()
+      | Some b ->
+        Batch.iter
+          (fun row ->
+            let key = Array.of_list (List.map (fun f -> f frames row) bfs) in
+            if not (Array.exists Value.is_null key) then begin
+              let prev = try Tuple.Tbl.find tbl key with Not_found -> [] in
+              Tuple.Tbl.replace tbl key (row :: prev)
+            end)
+          b;
+        drain ()
+    in
+    drain ();
+    let flt =
+      if jfilter <> None && Bloom.enabled () then begin
+        (* one pass over the finished table: exactly sized, one entry
+           per distinct key tuple *)
+        let bl = Bloom.create ~expected:(Tuple.Tbl.length tbl) in
+        Tuple.Tbl.iter (fun k _ -> Bloom.add bl (Tuple.hash k)) tbl;
+        jf_built ctx;
+        Some bl
+      end
+      else None
+    in
+    J_tuple (tbl, flt)
+  | Plan.Index_join { table; index; _ } ->
+    let frozen =
+      match ctx.snapshot with
+      | Some frozen -> frozen
+      | None -> invalid_arg "Exec.build_join: live index join"
+    in
+    (* matches cons on ascending rid, so list iteration presents
+       descending rid — exactly the order {!Index.iter} walks (postings
+       are rid-sorted ascending and iterated in reverse) *)
+    let cols = index.Index.key_columns in
+    let tbl = Tuple.Tbl.create 256 in
+    Array.iter
+      (function
+        | None -> ()
+        | Some irow ->
+          let key = Array.map (fun c -> irow.(c)) cols in
+          (* null keys are never probed: the key extractor refuses them *)
+          if not (Array.exists Value.is_null key) then begin
+            let prev = try Tuple.Tbl.find tbl key with Not_found -> [] in
+            Tuple.Tbl.replace tbl key (irow :: prev)
+          end)
+      (frozen table);
+    J_postings tbl
+  | _ -> invalid_arg "Exec.build_join"
 
 (** Columnar build for a single-[Tint]-column hash-join key: drain the
     build side chunk-at-a-time and fill the int-keyed table straight
     from the unboxed key column — no per-row key closure, no [Value]
     match.  [None] when the build side is not a columnar scan or the
-    key is not a bare [Tint] column. *)
+    key is not a bare [Tint] column.  A build side is never a morsel:
+    every chunk is read. *)
 and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
     single_key_table option =
   match Colscan.of_plan ~require_atoms:false build with
@@ -1435,13 +1360,8 @@ and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
       let sst = Colstore.scan_stats () in
       let itbl = Itbl.create 256 in
       for c = 0 to Colstore.n_chunks store - 1 do
-        if Colstore.prune_chunk store katoms c then begin
-          ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-          Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
-        end
+        if Colstore.prune_chunk store katoms c then chunk_skipped ctx
         else begin
-          ctx.chunks_scanned <- ctx.chunks_scanned + 1;
-          ctx.rows_scanned <- ctx.rows_scanned + Colstore.live_in_chunk store c;
           Colstore.pin store c;
           let n = Colstore.select_chunk ~stats:sst store katoms c sel in
           let mat = ref 0 in
@@ -1470,12 +1390,13 @@ and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
              done
            end);
           Colstore.unpin store c;
-          ctx.rows_materialized <- ctx.rows_materialized + !mat;
-          Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized:!mat ();
+          chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
+            ~materialized:!mat;
           flush_faults ctx sst
         end
       done;
       Some (T_int itbl))
+
 
 (** Materialize a subplan into a batch list.  Uncorrelated subplans
     ([frames = []]) are cached by physical plan identity in the context,
@@ -1663,70 +1584,22 @@ let force_shared (ctx : ctx) (p : Plan.t) : unit =
   in
   walk p
 
-(** Every [Shared] node reachable in [p] as [(bid, inner, deps)] where
-    [deps] are the box ids of [Shared] nodes reachable {e inside}
-    [inner] — the derivations that must be materialized first.
-    Deduplicated by box id, bottom-up discovery order (dependencies
-    precede their dependents), predicate subplans included. *)
-let shared_nodes (p : Plan.t) : (int * Plan.t * int list) list =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  (* [Plan.children] covers [Filter] predicate subplans but not join
-     condition/residual subplans — visit those like {!force_shared} *)
-  let join_pred_subs q k =
-    let rec pred = function
-      | Plan.P_exists sub | Plan.P_in (_, sub) -> k sub
-      | Plan.P_and (a, b) | Plan.P_or (a, b) ->
-        pred a;
-        pred b
-      | Plan.P_not a -> pred a
-      | Plan.P_true | Plan.P_false | Plan.P_cmp _ | Plan.P_is_null _
-      | Plan.P_is_not_null _ | Plan.P_like _ ->
-        ()
-    in
-    match q with
-    | Plan.Nl_join { cond; _ } -> pred cond
-    | Plan.Hash_join { residual; _ } | Plan.Index_join { residual; _ }
-    | Plan.Merge_join { residual; _ } ->
-      pred residual
-    | _ -> ()
-  in
-  let rec walk p =
-    match p with
-    | Plan.Shared (bid, inner) ->
-      walk inner;
-      if not (Hashtbl.mem seen bid) then begin
-        Hashtbl.add seen bid ();
-        (* direct dependencies only: a nested [Shared] reads its own
-           cache entry, so transitive ones are covered by ordering *)
-        let deps = Hashtbl.create 4 in
-        let rec dep q =
-          match q with
-          | Plan.Shared (b, _) -> Hashtbl.replace deps b ()
-          | _ ->
-            List.iter dep (Plan.children q);
-            join_pred_subs q dep
-        in
-        List.iter dep (Plan.children inner);
-        join_pred_subs inner dep;
-        acc := (bid, inner, Hashtbl.fold (fun b () l -> b :: l) deps []) :: !acc
-      end
-    | _ ->
-      List.iter walk (Plan.children p);
-      join_pred_subs p walk
-  in
-  walk p;
-  List.rev !acc
+(* -- morsel workers ---------------------------------------------------------- *)
 
 (** A context for another domain sharing this one's CSE cache (safe once
-    {!force_shared} ran for every plan about to execute). *)
+    {!force_shared} ran for every plan about to execute), its
+    materialized inners and its prepared join tables — all only read
+    there.  Counters start at zero; an analyze accumulator becomes a
+    zeroed copy of the parent's. *)
 let sibling_ctx (ctx : ctx) : ctx =
   {
     shared = ctx.shared;
-    materialized = [];
+    materialized = ctx.materialized;
+    joins = ctx.joins;
     batch_capacity = ctx.batch_capacity;
     result_cache = ctx.result_cache;
     snapshot = ctx.snapshot;
+    morsel = ctx.morsel;
     rows_scanned = 0;
     subqueries_run = 0;
     batches_emitted = 0;
@@ -1740,8 +1613,52 @@ let sibling_ctx (ctx : ctx) : ctx =
     jf_chunks_skipped = 0;
     jf_rows_skipped = 0;
     jf_dropped = 0;
-    analyze = None;
+    analyze = Option.map Opstats.like ctx.analyze;
   }
+
+(** Fold a finished morsel worker's counters and operator statistics
+    into [into], posting its colstore and join-filter counts to the
+    process totals on the way.  Single-threaded: the caller's domain,
+    after the workers are done. *)
+let absorb ~(into : ctx) (w : ctx) =
+  into.rows_scanned <- into.rows_scanned + w.rows_scanned;
+  into.subqueries_run <- into.subqueries_run + w.subqueries_run;
+  into.batches_emitted <- into.batches_emitted + w.batches_emitted;
+  into.materializations <- into.materializations + w.materializations;
+  into.chunks_scanned <- into.chunks_scanned + w.chunks_scanned;
+  into.chunks_skipped <- into.chunks_skipped + w.chunks_skipped;
+  into.rows_materialized <- into.rows_materialized + w.rows_materialized;
+  into.chunks_faulted <- into.chunks_faulted + w.chunks_faulted;
+  into.bytes_faulted <- into.bytes_faulted + w.bytes_faulted;
+  into.jf_built <- into.jf_built + w.jf_built;
+  into.jf_chunks_skipped <- into.jf_chunks_skipped + w.jf_chunks_skipped;
+  into.jf_rows_skipped <- into.jf_rows_skipped + w.jf_rows_skipped;
+  into.jf_dropped <- into.jf_dropped + w.jf_dropped;
+  if posts_totals into then begin
+    Colstore.add_totals ~faulted:w.chunks_faulted ~fbytes:w.bytes_faulted
+      ~scanned:w.chunks_scanned ~skipped:w.chunks_skipped
+      ~materialized:w.rows_materialized ();
+    Bloom.add_totals ~built:w.jf_built ~chunks:w.jf_chunks_skipped
+      ~rows:w.jf_rows_skipped ~dropped:w.jf_dropped
+  end;
+  match into.analyze, w.analyze with
+  | Some acc, Some part -> Opstats.merge ~into:acc part
+  | _ -> ()
+
+(** Build [node]'s join table now, on this context, and keep it there:
+    every later open of [node] here or on a {!sibling_ctx} taken
+    afterwards probes this one table.  Applies to [Hash_join] nodes and,
+    under a snapshot, [Index_join] nodes; a no-op on anything else. *)
+let prepare_join (ctx : ctx) (node : Plan.t) : unit =
+  let wanted =
+    match node with
+    | Plan.Hash_join _ -> true
+    | Plan.Index_join _ -> ctx.snapshot <> None
+    | _ -> false
+  in
+  if wanted && not (List.mem_assq node ctx.joins) then
+    ctx.joins <- (node, build_join ctx [] node) :: ctx.joins
+
 
 (* -- public surface ------------------------------------------------------ *)
 
@@ -1767,18 +1684,12 @@ let scan_victims (ctx : ctx) (table : Base_table.t) (pp : Plan.ppred) :
     let sel = Array.make (Colstore.chunk_rows store) 0 in
     let sst = Colstore.scan_stats () in
     for c = 0 to Colstore.n_chunks store - 1 do
-      if Colstore.prune_chunk store katoms c then begin
-        ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-        Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
-      end
+      if Colstore.prune_chunk store katoms c then chunk_skipped ctx
       else begin
-        ctx.chunks_scanned <- ctx.chunks_scanned + 1;
-        ctx.rows_scanned <- ctx.rows_scanned + Colstore.live_in_chunk store c;
         Colstore.pin store c;
         let n = Colstore.select_chunk ~stats:sst store katoms c sel in
         Colstore.unpin store c;
-        ctx.rows_materialized <- ctx.rows_materialized + n;
-        Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized:n ();
+        chunk_scanned ctx ~live:(Colstore.live_in_chunk store c) ~materialized:n;
         flush_faults ctx sst;
         (* slots ascend within and across chunks, so consing yields the
            descending-rid victim list directly *)

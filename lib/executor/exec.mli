@@ -6,6 +6,9 @@
 open Relcore
 module Plan = Optimizer.Plan
 
+type join_table
+(** A join's built table and sideways filter (see {!prepare_join}). *)
+
 (** Execution context shared across the (possibly many) plans of one
     multi-output query: the CSE cache, the inner-materialization cache,
     and instrumentation counters. *)
@@ -13,10 +16,15 @@ type ctx = {
   shared : (int, Batch.t list) Hashtbl.t;
   mutable materialized : (Plan.t * Batch.t list) list;
       (* join inners materialized once per physical plan object *)
+  mutable joins : (Plan.t * join_table) list;
+      (* join tables built ahead by {!prepare_join}, by physical node *)
   batch_capacity : int; (* rows per batch for this query's table queues *)
   result_cache : bool; (* promote CSE materializations to Result_cache *)
   snapshot : (Base_table.t -> Tuple.t option array) option;
       (* MVCC-lite frozen view: all base-table access reads through it *)
+  morsel : (Base_table.t * int * int) option;
+      (* a morsel worker's [(table, lo, hi)]: scans of that table visit
+         slots [lo, hi) only, colstore chunks by their first slot *)
   mutable rows_scanned : int; (* base-table tuples fetched *)
   mutable subqueries_run : int; (* correlated subplan executions *)
   mutable batches_emitted : int; (* batches delivered at plan roots *)
@@ -31,8 +39,8 @@ type ctx = {
   mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)
   mutable jf_dropped : int; (* join filters adaptively disabled *)
   mutable analyze : Opstats.t option;
-      (* EXPLAIN ANALYZE accumulator; owned by the query's main domain
-         ([sibling_ctx] drops it) *)
+      (* EXPLAIN ANALYZE accumulator; a sibling context records into a
+         zeroed copy that {!absorb} merges back *)
 }
 
 exception Cached_batches of Batch.t list
@@ -59,13 +67,6 @@ val make_ctx :
     promotion stays off.  Any access may raise {!Relcore.Snapshot.Stale}
     once the undo window has been outrun. *)
 
-module Vtbl : Hashtbl.S with type key = Value.t
-(** Value-keyed table used by the single-column join fast path (shared
-    with the parallel executor's build-side mirror). *)
-
-module Itbl : Hashtbl.S with type key = int
-(** Raw-int-keyed table for the all-integer join-key case. *)
-
 type iter = unit -> Tuple.t option
 type batch_iter = unit -> Batch.t option
 
@@ -85,16 +86,22 @@ val force_shared : ctx -> Plan.t -> unit
     afterwards executing it — even from several domains sharing the
     context — only reads the CSE cache. *)
 
-val shared_nodes : Plan.t -> (int * Plan.t * int list) list
-(** Every [Shared] node reachable in the plan (predicate subplans
-    included) as [(bid, inner, deps)], where [deps] are the box ids of
-    the [Shared] nodes [inner] reads directly.  Deduplicated by box id,
-    bottom-up discovery order — dependencies precede dependents.  The
-    dependency structure drives {!Exec_par.force_shared_parallel}'s
-    wave schedule. *)
-
 val sibling_ctx : ctx -> ctx
-(** A context for another domain sharing this one's CSE cache. *)
+(** A context for another domain: it shares this one's CSE cache,
+    materialized inners, prepared join tables and [morsel], and starts
+    its counters (and a copy of its analyze accumulator) at zero. *)
+
+val absorb : into:ctx -> ctx -> unit
+(** Fold a finished morsel worker's counters and operator statistics
+    into its parent, posting its colstore and join-filter counts to the
+    process totals (a worker never posts them itself).  Single-threaded,
+    after the workers are done. *)
+
+val prepare_join : ctx -> Plan.t -> unit
+(** Build a [Hash_join]'s table and join filter (or, under a snapshot,
+    an [Index_join]'s posting lists) on this context now; every later
+    open of that node here or on a sibling taken afterwards probes the
+    one table, read-only.  A no-op on other nodes. *)
 
 val scan_victims : ctx -> Base_table.t -> Plan.ppred -> (Heap.rid * Tuple.t) list
 (** UPDATE/DELETE victim finding through the executor's batch layer:

@@ -1,134 +1,29 @@
-(** Parallel table-queue execution on OCaml 5 domains.
+(** Morsel-parallel execution on OCaml 5 domains: a driver over {!Exec}'s
+    own operators.
 
-    The sequential executor ({!Exec}) drains a plan one batch at a time
-    on one domain.  This module runs the same plans across the shared
-    domain pool ({!Relcore.Pool}) with {e morsel-style} scheduling:
+    - A pipeline (scan, filter, project, the probe side of a hash join,
+      the outer side of an index or nested-loop join) is split at its
+      driving table into slot-range morsels; a columnar scan takes each
+      colstore chunk whole, in the morsel that holds its first slot.
+      {!Relcore.Pool.for_morsels} runs {!Exec.open_plan} over each
+      morsel on a sibling context whose [morsel] narrows that one scan,
+      and the outputs are concatenated in morsel order — the order
+      {!Exec} produces.
+    - Whatever the morsels only read is built once on the calling
+      domain first ({!Exec.prepare_join}): hash tables with their join
+      filters, snapshot posting lists, nested-loop inners.
+    - Blocking operators (Aggregate, Sort, Distinct, Merge_join) run
+      serially in {!Exec} over their input, drained in parallel and
+      spliced in as a [Values] leaf.
+    - Plans with correlated subplan probes or a LIMIT, and pipelines
+      that start anywhere but a base table, run in {!Exec} as they are.
 
-    - the base-table scan at the bottom of a pipeline is partitioned
-      into row-range morsels handed out by an atomic counter;
-    - each worker pushes the streamable part of the pipeline
-      (scan/filter/project/join probe) over its morsels, packing output
-      rows into batches;
-    - per-morsel batch lists travel to the consumer over a bounded
-      {!Relcore.Chan} — a real inter-domain table queue — and are
-      re-merged {e by morsel index}, so the output row order is exactly
-      the sequential order and results are bit-identical to {!Exec};
-    - hash-join builds run partitioned too: per-morsel local tables are
-      merged in ascending morsel order, reproducing the sequential
-      build's match-list ordering;
-    - aggregates over the order-insensitive functions
-      (COUNT/MIN/MAX) merge partition-local group tables in morsel
-      order; float SUM/AVG instead drain their input in parallel and
-      splice the rows into the sequential operator, keeping float
-      accumulation order — and hence every bit of the result — intact.
-
-    Anything that cannot run this way (correlated subplan probes,
-    LIMIT's early-out) raises {!Not_parallel}, and {!run_batches} falls
-    back to {!Exec} on the whole plan.  Small inputs are detected via
-    [Cost.choose_dop] and run inline on the calling domain. *)
+    Results are therefore bit-identical to {!Exec}; a snapshot context
+    is just one more scan source, which {!Exec} already reads. *)
 
 open Relcore
 module Plan = Optimizer.Plan
-module Ast = Sqlkit.Ast
 module Cost = Optimizer.Cost
-
-exception Not_parallel
-
-let[@inline] is_true = function Some true -> true | Some false | None -> false
-
-(** Compile a pure predicate or refuse to parallelize: subplan probes
-    (EXISTS/IN) need the sequential executor's context. *)
-let compile_pure (p : Plan.ppred) =
-  match Eval.compile_pred_pure p with
-  | Some f -> f
-  | None -> raise Not_parallel
-
-(** [None] when the residual is trivially true (skip the per-row test). *)
-let residual_opt (p : Plan.ppred) =
-  match p with Plan.P_true -> None | _ -> Some (compile_pure p)
-
-(* per-worker counters, folded into the shared ctx once the fan-out is
-   over (workers never touch ctx concurrently) *)
-type stats = {
-  mutable s_scanned : int;
-  mutable s_chunks_scanned : int; (* colstore chunks visited *)
-  mutable s_chunks_skipped : int; (* colstore chunks zone-pruned *)
-  mutable s_materialized : int; (* heap tuples fetched by columnar scans *)
-  mutable s_faulted : int; (* cold chunks read from the spill file *)
-  mutable s_fbytes : int; (* encoded bytes copied back by those reads *)
-  mutable s_jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
-  mutable s_jf_rows_skipped : int; (* probe rows dropped by a join filter *)
-  mutable s_jf_dropped : int; (* per-worker adaptive join-filter disables *)
-  s_ops : int array;
-      (* EXPLAIN ANALYZE row partials, one slot per numbered plan
-         operator ([||] when analyze is off): workers tally privately,
-         [fold_stats] merges after the fan-out like every counter above *)
-}
-
-let new_stats (ctx : Exec.ctx) =
-  {
-    s_scanned = 0;
-    s_chunks_scanned = 0;
-    s_chunks_skipped = 0;
-    s_materialized = 0;
-    s_faulted = 0;
-    s_fbytes = 0;
-    s_jf_chunks_skipped = 0;
-    s_jf_rows_skipped = 0;
-    s_jf_dropped = 0;
-    s_ops =
-      (match ctx.Exec.analyze with
-      | Some acc -> Opstats.new_partial acc
-      | None -> [||]);
-  }
-
-(* single-threaded fold of per-worker counters into the shared ctx and
-   the process-wide colstore totals (runs after Pool.await) *)
-let fold_stats (ctx : Exec.ctx) (stats : stats array) =
-  Array.iter
-    (fun st ->
-      ctx.Exec.rows_scanned <- ctx.Exec.rows_scanned + st.s_scanned;
-      ctx.Exec.chunks_scanned <- ctx.Exec.chunks_scanned + st.s_chunks_scanned;
-      ctx.Exec.chunks_skipped <- ctx.Exec.chunks_skipped + st.s_chunks_skipped;
-      ctx.Exec.rows_materialized <-
-        ctx.Exec.rows_materialized + st.s_materialized;
-      ctx.Exec.chunks_faulted <- ctx.Exec.chunks_faulted + st.s_faulted;
-      ctx.Exec.bytes_faulted <- ctx.Exec.bytes_faulted + st.s_fbytes;
-      ctx.Exec.jf_chunks_skipped <-
-        ctx.Exec.jf_chunks_skipped + st.s_jf_chunks_skipped;
-      ctx.Exec.jf_rows_skipped <- ctx.Exec.jf_rows_skipped + st.s_jf_rows_skipped;
-      ctx.Exec.jf_dropped <- ctx.Exec.jf_dropped + st.s_jf_dropped;
-      Colstore.add_totals ~faulted:st.s_faulted ~fbytes:st.s_fbytes
-        ~scanned:st.s_chunks_scanned ~skipped:st.s_chunks_skipped
-        ~materialized:st.s_materialized ();
-      Bloom.add_totals ~built:0 ~chunks:st.s_jf_chunks_skipped
-        ~rows:st.s_jf_rows_skipped ~dropped:st.s_jf_dropped;
-      match ctx.Exec.analyze with
-      | Some acc -> Opstats.merge_partial acc st.s_ops
-      | None -> ())
-    stats
-
-(** Where a pipeline's morsels come from: a slot-range-partitioned base
-    table, an already-materialized batch list (one batch per morsel), or
-    a columnar scan whose morsels are whole chunk ranges.  A columnar
-    source additionally carries the sideways join-filter key-range atoms
-    — if a hash join above it produced any — tried as a second-chance
-    zone prune after the scan's own atoms. *)
-type source =
-  | Src_table of Base_table.t
-  | Src_batches of Batch.t array
-  | Src_colscan of Colscan.t * Colstore.catom array option
-
-(** A streamable pipeline: a morsel source plus a per-worker row
-    transformer.  [make_feed] is called once per worker so compiled
-    scalar closures and key scratch buffers are never shared across
-    domains; the function it returns consumes one {e source} row and
-    emits the pipeline's output rows. *)
-type pipe = {
-  src : source;
-  src_rows : int; (* source cardinality estimate, for the DOP choice *)
-  make_feed : stats -> emit:(Tuple.t -> unit) -> Tuple.t -> unit;
-}
 
 type opts = {
   domains : int;
@@ -136,959 +31,10 @@ type opts = {
   threshold : int; (* serial below this many source rows *)
 }
 
-(** Morsel geometry of a source: [(n_morsels, rows_per_morsel)].  Batch
-    sources use one batch per morsel (their unit of production). *)
-let morsels_of ~opts (src : source) =
-  match src with
-  | Src_table t ->
-    let slots = Base_table.slot_count t in
-    let msz =
-      match opts.morsel with
-      | Some n -> max 1 n
-      | None ->
-        (* enough morsels for dynamic load balancing (~8 per worker),
-           large enough that scheduling is noise *)
-        min 16384 (max 256 (slots / max 1 (opts.domains * 8)))
-    in
-    (((slots + msz - 1) / msz), msz)
-  | Src_batches arr -> (Array.length arr, 0)
-  | Src_colscan (cs, _) ->
-    (* morsels aligned to chunk boundaries: a chunk is never split, so
-       zone pruning and selection run whole-chunk inside one worker *)
-    let store = cs.Colscan.store in
-    let ch = Colstore.chunk_rows store in
-    let n_chunks = Colstore.n_chunks store in
-    let target =
-      match opts.morsel with
-      | Some n -> max 1 n
-      | None ->
-        let slots = n_chunks * ch in
-        min 16384 (max 256 (slots / max 1 (opts.domains * 8)))
-    in
-    let cpm = max 1 ((target + ch - 1) / ch) in
-    (((n_chunks + cpm - 1) / cpm), cpm)
-
-(** Drive [feed] over morsel [m]; returns base-table rows scanned.
-    For columnar sources [msz] counts chunks, and [st] additionally
-    collects per-worker chunk/materialization counters. *)
-let iter_morsel (src : source) ~msz (st : stats) m feed =
-  match src with
-  | Src_table t -> Base_table.iter_range t ~lo:(m * msz) ~hi:((m + 1) * msz) feed
-  | Src_batches arr ->
-    Batch.iter feed arr.(m);
-    0
-  | Src_colscan (cs, jf) ->
-    let store = cs.Colscan.store in
-    let katoms = cs.Colscan.katoms in
-    let table = cs.Colscan.table in
-    let n_chunks = Colstore.n_chunks store in
-    let sel = Array.make (Colstore.chunk_rows store) 0 in
-    let lo = m * msz
-    and hi = min ((m + 1) * msz) n_chunks in
-    let visited = ref 0 in
-    let sst = Colstore.scan_stats () in
-    for c = lo to hi - 1 do
-      if Colstore.prune_chunk store katoms c then
-        st.s_chunks_skipped <- st.s_chunks_skipped + 1
-      else
-        match jf with
-        | Some ja when Colstore.prune_chunk store ja c ->
-          (* every key in the chunk is outside the build side's range —
-             pruned before the chunk is decoded or faulted in *)
-          st.s_jf_chunks_skipped <- st.s_jf_chunks_skipped + 1
-        | _ ->
-          st.s_chunks_scanned <- st.s_chunks_scanned + 1;
-          visited := !visited + Colstore.live_in_chunk store c;
-          Colstore.pin store c;
-          let n = Colstore.select_chunk ~stats:sst store katoms c sel in
-          Colstore.unpin store c;
-          st.s_materialized <- st.s_materialized + n;
-          for i = 0 to n - 1 do
-            feed (Base_table.get_exn table (Array.unsafe_get sel i))
-          done
-    done;
-    st.s_faulted <- st.s_faulted + sst.Colstore.faulted;
-    st.s_fbytes <- st.s_fbytes + sst.Colstore.fbytes;
-    !visited
-
-let choose_dop ~opts ~rows ~n_morsels =
-  if Pool.in_worker () || n_morsels <= 1 then 1
-  else
-    min n_morsels
-      (Cost.choose_dop ~threshold:opts.threshold ~domains:opts.domains ~rows ())
-
-(* build-side hash tables, mirroring Exec's specializations *)
-type join_table =
-  | J_int of Tuple.t list Exec.Itbl.t
-  | J_val of Tuple.t list Exec.Vtbl.t
-  | J_multi of Tuple.t list Tuple.Tbl.t
-
-(** Per-worker multi-column key extractor (fresh scratch per worker). *)
-let make_key_fn (keys : Plan.scalar list) =
-  let fs = Array.of_list (List.map Eval.compile_scalar_fn keys) in
-  let n = Array.length fs in
-  let scratch = Array.make n Value.Null in
-  let extract row =
-    let ok = ref true in
-    for k = 0 to n - 1 do
-      let v = fs.(k) [] row in
-      if Value.is_null v then ok := false;
-      scratch.(k) <- v
-    done;
-    !ok
-  in
-  (extract, scratch)
-
-(* -- pipeline construction ----------------------------------------------- *)
-
-(* Effective source rows for the DOP choice: cold chunks cost extra to
-   read (section copy + decode), so a partially spilled table warrants
-   an earlier fan-out.  Identity when spilling is off. *)
-(** Sideways filter over a finished multi-key join table: one Bloom
-    entry per distinct key tuple, keyed on {!Tuple.hash} — the same hash
-    the table's own lookup uses, so a findable key always passes
-    (false-positive-only).  Built after the per-morsel merge, which
-    makes the serial and parallel builds counter-identical. *)
-let multi_key_bloom (ctx : Exec.ctx) ~want_jf
-    (tbl : Tuple.t list Tuple.Tbl.t) : Bloom.t option =
-  if not want_jf then None
-  else begin
-    let bl = Bloom.create ~expected:(Tuple.Tbl.length tbl) in
-    Tuple.Tbl.iter (fun k _ -> Bloom.add bl (Tuple.hash k)) tbl;
-    ctx.Exec.jf_built <- ctx.Exec.jf_built + 1;
-    Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-    Some bl
-  end
-
-let scan_rows_est (t : Base_table.t) =
-  int_of_float
-    (float_of_int (Base_table.cardinality t) *. Cost.scan_access_factor t)
-
-(* [pipe_of] is the parallel path's attribution shim: with EXPLAIN
-   ANALYZE armed, each numbered operator's feed is wrapped so workers
-   tally its output rows into their private [s_ops] partial (merged by
-   [fold_stats] after the fan-out).  The node is marked opened here, on
-   the calling domain, at pipeline-construction time; wall time is
-   attributed to pipeline roots by [drain], since a fused worker feed
-   has no meaningful per-operator clock. *)
-let rec pipe_of (ctx : Exec.ctx) ~opts (p : Plan.t) : pipe =
-  match ctx.Exec.analyze with
-  | None -> pipe_of_raw ctx ~opts p
-  | Some acc ->
-    let id = Opstats.id_of acc p in
-    if id < 0 then pipe_of_raw ctx ~opts p
-    else begin
-      let pipe = pipe_of_raw ctx ~opts p in
-      Opstats.note_open acc id 0.0;
-      {
-        pipe with
-        make_feed =
-          (fun st ~emit ->
-            if Array.length st.s_ops = 0 then pipe.make_feed st ~emit
-            else
-              pipe.make_feed st ~emit:(fun row ->
-                  st.s_ops.(id) <- st.s_ops.(id) + 1;
-                  emit row));
-      }
-    end
-
-and pipe_of_raw (ctx : Exec.ctx) ~opts (p : Plan.t) : pipe =
-  match p with
-  | Plan.Scan t -> (
-    match ctx.Exec.snapshot with
-    | Some frozen ->
-      (* MVCC-lite reader: materialize the frozen slot array (slot
-         order, tombstones dropped) and morsel over the batches — the
-         live heap is never touched *)
-      let arr = frozen t in
-      let rows = ref [] in
-      for i = Array.length arr - 1 downto 0 do
-        match arr.(i) with Some row -> rows := row :: !rows | None -> ()
-      done;
-      let bs =
-        Array.of_list (Batch.of_list ~capacity:ctx.Exec.batch_capacity !rows)
-      in
-      {
-        src = Src_batches bs;
-        src_rows = List.length !rows;
-        make_feed = (fun _ ~emit -> emit);
-      }
-    | None ->
-      {
-        src = Src_table t;
-        src_rows = scan_rows_est t;
-        make_feed = (fun _ ~emit -> emit);
-      })
-  | Plan.Values rows ->
-    let bs =
-      Array.of_list (Batch.of_list ~capacity:ctx.Exec.batch_capacity rows)
-    in
-    {
-      src = Src_batches bs;
-      src_rows = List.length rows;
-      make_feed = (fun _ ~emit -> emit);
-    }
-  | Plan.Shared _ ->
-    (* materialized once on the calling domain; workers only read *)
-    let bs = Exec.materialize ctx [] p in
-    {
-      src = Src_batches (Array.of_list bs);
-      src_rows = Batch.list_length bs;
-      make_feed = (fun _ ~emit -> emit);
-    }
-  | Plan.Filter (input, pred) -> begin
-    (* the columnar mirror tracks the live heap: bypassed under a
-       snapshot, where the row path reads the frozen scan source *)
-    match (if ctx.Exec.snapshot = None then Colscan.of_plan p else None) with
-    | Some cs ->
-      (* columnar access path: the source itself prunes chunks and runs
-         the unboxed atoms, feeding only surviving (materialized) heap
-         tuples; the residual — if any — filters per worker exactly
-         like a plain Filter feed *)
-      let residual =
-        match cs.Colscan.residual with None -> Plan.P_true | Some r -> r
-      in
-      (* force Not_parallel now, not at feed time *)
-      ignore (residual_opt residual);
-      {
-        src = Src_colscan (cs, None);
-        src_rows = scan_rows_est cs.Colscan.table;
-        make_feed =
-          (fun _ ~emit ->
-            match residual_opt residual with
-            | None -> emit
-            | Some test -> fun row -> if is_true (test [] row) then emit row);
-      }
-    | None ->
-      let pipe = pipe_of ctx ~opts input in
-      (* force Not_parallel now, not at feed time *)
-      ignore (compile_pure pred : Eval.frames -> Tuple.t -> bool option);
-      {
-        pipe with
-        make_feed =
-          (fun st ~emit ->
-            let test = compile_pure pred in
-            pipe.make_feed st ~emit:(fun row ->
-                if is_true (test [] row) then emit row));
-      }
-  end
-  | Plan.Project (input, cols) ->
-    let pipe = pipe_of ctx ~opts input in
-    {
-      pipe with
-      make_feed =
-        (fun st ~emit ->
-          let fs = Array.map Eval.compile_scalar_fn cols in
-          let n = Array.length fs in
-          pipe.make_feed st ~emit:(fun row ->
-              let out = Array.make n Value.Null in
-              for k = 0 to n - 1 do
-                out.(k) <- fs.(k) [] row
-              done;
-              emit out));
-    }
-  | Plan.Nl_join { outer; inner; cond } ->
-    ignore (compile_pure cond : Eval.frames -> Tuple.t -> bool option);
-    let pipe = pipe_of ctx ~opts outer in
-    let inner_bs = Exec.materialize ctx [] inner in
-    {
-      pipe with
-      make_feed =
-        (fun st ~emit ->
-          let test = compile_pure cond in
-          pipe.make_feed st ~emit:(fun o ->
-              List.iter
-                (Batch.iter (fun i ->
-                     let t = Tuple.concat o i in
-                     if is_true (test [] t) then emit t))
-                inner_bs));
-    }
-  | Plan.Hash_join { build; probe; build_keys; probe_keys; residual; jfilter }
-    ->
-    ignore (residual_opt residual);
-    let table, bloom = build_join_table ctx ~opts ~jfilter build build_keys in
-    let pipe = pipe_of ctx ~opts probe in
-    (* sideways information passing: when the probe source's rows ARE
-       the probe rows (a bare — possibly filtered — scan, no Project in
-       between) the build side's exact key range becomes a second-chance
-       zone prune on the probe's chunks.  A bare [Scan] probe is
-       upgraded to a columnar source for this, as in [Exec]. *)
-    let range_atoms (cs : Colscan.t) ki =
-      match bloom with
-      | None -> None
-      | Some bl -> (
-        match Bloom.range bl with
-        | Some (lo, hi) ->
-          Colstore.compile cs.Colscan.store
-            [
-              Colstore.A_cmp (ki, Colstore.Cge, Value.Int lo);
-              Colstore.A_cmp (ki, Colstore.Cle, Value.Int hi);
-            ]
-        | None -> None)
-    in
-    let pipe =
-      match (pipe.src, probe, probe_keys) with
-      | Src_colscan (cs, None), Plan.Filter (Plan.Scan _, _), [ Plan.P_col ki ]
-        -> begin
-        match range_atoms cs ki with
-        | Some ja -> { pipe with src = Src_colscan (cs, Some ja) }
-        | None -> pipe
-      end
-      | Src_table _, Plan.Scan _, [ Plan.P_col ki ] when bloom <> None -> begin
-        match Colscan.of_plan ~require_atoms:false probe with
-        | Some cs -> begin
-          match range_atoms cs ki with
-          | Some ja -> { pipe with src = Src_colscan (cs, Some ja) }
-          | None -> pipe
-        end
-        | None -> pipe
-      end
-      | _ -> pipe
-    in
-    {
-      pipe with
-      make_feed =
-        (fun st ~emit ->
-          let res = residual_opt residual in
-          let emit_match row m =
-            match res with
-            | None -> emit (Tuple.concat row m)
-            | Some test ->
-              let t = Tuple.concat row m in
-              if is_true (test [] t) then emit t
-          in
-          let rec emit_matches row = function
-            | [] -> ()
-            | m :: tl ->
-              emit_match row m;
-              emit_matches row tl
-          in
-          match table with
-          | J_int itbl ->
-            let pf =
-              Eval.compile_scalar_fn
-                (match probe_keys with [ pk ] -> pk | _ -> assert false)
-            in
-            (* per-worker adaptive filter state: [make_feed] runs once
-               per worker, so nothing here is shared across domains *)
-            let jf_test =
-              match bloom with
-              | None -> None
-              | Some bl ->
-                let live = ref true and decided = ref false in
-                let tested = ref 0 and passed = ref 0 in
-                let jf_sample = Cost.jf_adaptive_sample () in
-                let jf_drop = Cost.jf_drop_threshold () in
-                Some
-                  (fun k ->
-                    if !decided then (not !live) || Bloom.mem bl k
-                    else begin
-                      let pass = Bloom.mem bl k in
-                      incr tested;
-                      if pass then incr passed;
-                      if !tested >= jf_sample then begin
-                        decided := true;
-                        if float_of_int !passed > jf_drop *. float_of_int !tested
-                        then begin
-                          live := false;
-                          st.s_jf_dropped <- st.s_jf_dropped + 1
-                        end
-                      end;
-                      pass
-                    end)
-            in
-            let probe_int row i =
-              match Exec.Itbl.find itbl i with
-              | exception Not_found -> ()
-              | matches -> emit_matches row matches
-            in
-            let probe_int =
-              match jf_test with
-              | None -> probe_int
-              | Some test ->
-                fun row i ->
-                  if test i then probe_int row i
-                  else st.s_jf_rows_skipped <- st.s_jf_rows_skipped + 1
-            in
-            pipe.make_feed st ~emit:(fun row ->
-                (* Ints and integral Floats compare equal under SQL
-                   numeric equality, exactly as in [Exec]; the fold is
-                   bounded by [int_key_of_float] so it stays exact at
-                   2^53 and beyond *)
-                match pf [] row with
-                | Value.Int i -> probe_int row i
-                | Value.Float f -> (
-                  match Value.int_key_of_float f with
-                  | Some i -> probe_int row i
-                  | None -> ())
-                | _ -> ())
-          | J_val vtbl ->
-            let pf =
-              Eval.compile_scalar_fn
-                (match probe_keys with [ pk ] -> pk | _ -> assert false)
-            in
-            pipe.make_feed st ~emit:(fun row ->
-                let v = pf [] row in
-                if not (Value.is_null v) then
-                  match Exec.Vtbl.find vtbl v with
-                  | exception Not_found -> ()
-                  | matches -> emit_matches row matches)
-          | J_multi ttbl ->
-            let extract, scratch = make_key_fn probe_keys in
-            (* per-worker adaptive filter state, as in the J_int arm *)
-            let jf_test =
-              match bloom with
-              | None -> None
-              | Some bl ->
-                let live = ref true and decided = ref false in
-                let tested = ref 0 and passed = ref 0 in
-                let jf_sample = Cost.jf_adaptive_sample () in
-                let jf_drop = Cost.jf_drop_threshold () in
-                Some
-                  (fun k ->
-                    if !decided then (not !live) || Bloom.mem bl k
-                    else begin
-                      let pass = Bloom.mem bl k in
-                      incr tested;
-                      if pass then incr passed;
-                      if !tested >= jf_sample then begin
-                        decided := true;
-                        if float_of_int !passed > jf_drop *. float_of_int !tested
-                        then begin
-                          live := false;
-                          st.s_jf_dropped <- st.s_jf_dropped + 1
-                        end
-                      end;
-                      pass
-                    end)
-            in
-            let lookup row =
-              match Tuple.Tbl.find ttbl scratch with
-              | exception Not_found -> ()
-              | matches -> emit_matches row matches
-            in
-            let probe_row =
-              match jf_test with
-              | None -> fun row -> if extract row then lookup row
-              | Some test ->
-                fun row ->
-                  if extract row then
-                    if test (Tuple.hash scratch) then lookup row
-                    else st.s_jf_rows_skipped <- st.s_jf_rows_skipped + 1
-            in
-            pipe.make_feed st ~emit:probe_row);
-    }
-  | Plan.Index_join { outer; table; index; keys; residual } ->
-    (* the live index tracks the heap; the serial executor knows how to
-       emulate the posting layout from frozen slots — fall back to it *)
-    if ctx.Exec.snapshot <> None then raise Not_parallel;
-    ignore (residual_opt residual);
-    let pipe = pipe_of ctx ~opts outer in
-    {
-      pipe with
-      make_feed =
-        (fun st ~emit ->
-          let res = residual_opt residual in
-          let extract, scratch = make_key_fn keys in
-          pipe.make_feed st ~emit:(fun row ->
-              if extract row then
-                (* Index.iter probes without building a rid list. *)
-                Index.iter index scratch (fun rid ->
-                    match Base_table.get table rid with
-                    | None -> ()
-                    | Some irow ->
-                      st.s_scanned <- st.s_scanned + 1;
-                      (match res with
-                      | None -> emit (Tuple.concat row irow)
-                      | Some test ->
-                        let t = Tuple.concat row irow in
-                        if is_true (test [] t) then emit t))));
-    }
-  | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Merge_join _
-  | Plan.Union_all _ | Plan.Limit _ ->
-    (* blocking operators are handled at the drain level; LIMIT's
-       early-out is inherently serial *)
-    raise Not_parallel
-
-(* -- parallel hash-join build -------------------------------------------- *)
-
-(** Build the join hash table.  When the build side is itself streamable
-    and large enough, workers fill {e per-morsel} local tables which are
-    then merged in ascending morsel order: since the sequential build
-    prepends each row to its key's match list (lists end up in reverse
-    scan order), [merged(k) = local_m(k) @ ... @ local_0(k)] reproduces
-    the sequential list for every key exactly. *)
-and build_join_table ctx ~opts ~(jfilter : Plan.jfilter option)
-    (build : Plan.t) (build_keys : Plan.scalar list) :
-    join_table * Bloom.t option =
-  let want_jf = jfilter <> None && Bloom.enabled () in
-  let promote_all_int tbl =
-    (* re-key by raw int so probes skip the generic value hash *)
-    let itbl = Exec.Itbl.create (2 * Exec.Vtbl.length tbl) in
-    Exec.Vtbl.iter
-      (fun v rows ->
-        match v with
-        | Value.Int i -> Exec.Itbl.replace itbl i rows
-        | _ -> assert false)
-      tbl;
-    J_int itbl
-  in
-  match pipe_of ctx ~opts build with
-  | exception Not_parallel -> build_sequential ctx ~want_jf build build_keys
-  | bpipe -> (
-    let n_morsels, msz = morsels_of ~opts bpipe.src in
-    let dop = choose_dop ~opts ~rows:bpipe.src_rows ~n_morsels in
-    if dop <= 1 then build_sequential ctx ~want_jf build build_keys
-    else
-      let stats = Array.init dop (fun _ -> new_stats ctx) in
-      let next = Atomic.make 0 in
-      match build_keys with
-      | [ bk ] ->
-        let all_int = Atomic.make true in
-        let locals = Array.init n_morsels (fun _ -> Exec.Vtbl.create 16) in
-        (* per-worker partial join filters: one shared [expected] means
-           one shared geometry, so the OR-merge below is exact — the
-           mirror of the per-morsel table merge *)
-        let partials =
-          if want_jf then
-            Some (Array.init dop (fun _ -> Bloom.create ~expected:bpipe.src_rows))
-          else None
-        in
-        Pool.run ~domains:dop (fun w ->
-            let st = stats.(w) in
-            let bf = Eval.compile_scalar_fn bk in
-            let cur = ref locals.(0) in
-            let emit row =
-              let v = bf [] row in
-              if not (Value.is_null v) then begin
-                (match v, partials with
-                | Value.Int i, Some bs -> Bloom.add bs.(w) i
-                | Value.Int _, None -> ()
-                | _ -> Atomic.set all_int false);
-                let prev =
-                  try Exec.Vtbl.find !cur v with Not_found -> []
-                in
-                Exec.Vtbl.replace !cur v (row :: prev)
-              end
-            in
-            let feed = bpipe.make_feed st ~emit in
-            let rec loop () =
-              let m = Atomic.fetch_and_add next 1 in
-              if m < n_morsels then begin
-                cur := locals.(m);
-                st.s_scanned <-
-                  st.s_scanned + iter_morsel bpipe.src ~msz st m feed;
-                loop ()
-              end
-            in
-            loop ());
-        fold_stats ctx stats;
-        let g = Exec.Vtbl.create 256 in
-        for m = 0 to n_morsels - 1 do
-          Exec.Vtbl.iter
-            (fun k l ->
-              let old = try Exec.Vtbl.find g k with Not_found -> [] in
-              Exec.Vtbl.replace g k (l @ old))
-            locals.(m)
-        done;
-        if Atomic.get all_int then begin
-          let bloom =
-            match partials with
-            | Some bs ->
-              let b0 = bs.(0) in
-              for w = 1 to dop - 1 do
-                Bloom.union_into ~into:b0 bs.(w)
-              done;
-              ctx.Exec.jf_built <- ctx.Exec.jf_built + 1;
-              Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-              Some b0
-            | None -> None
-          in
-          (promote_all_int g, bloom)
-        end
-        else (J_val g, None)
-      | _ ->
-        let locals = Array.init n_morsels (fun _ -> Tuple.Tbl.create 16) in
-        Pool.run ~domains:dop (fun w ->
-            let st = stats.(w) in
-            let bfs = List.map Eval.compile_scalar_fn build_keys in
-            let cur = ref locals.(0) in
-            let emit row =
-              let key = Array.of_list (List.map (fun f -> f [] row) bfs) in
-              if not (Array.exists Value.is_null key) then begin
-                let prev = try Tuple.Tbl.find !cur key with Not_found -> [] in
-                Tuple.Tbl.replace !cur key (row :: prev)
-              end
-            in
-            let feed = bpipe.make_feed st ~emit in
-            let rec loop () =
-              let m = Atomic.fetch_and_add next 1 in
-              if m < n_morsels then begin
-                cur := locals.(m);
-                st.s_scanned <-
-                  st.s_scanned + iter_morsel bpipe.src ~msz st m feed;
-                loop ()
-              end
-            in
-            loop ());
-        fold_stats ctx stats;
-        let g = Tuple.Tbl.create 256 in
-        for m = 0 to n_morsels - 1 do
-          Tuple.Tbl.iter
-            (fun k l ->
-              let old = try Tuple.Tbl.find g k with Not_found -> [] in
-              Tuple.Tbl.replace g k (l @ old))
-            locals.(m)
-        done;
-        (J_multi g, multi_key_bloom ctx ~want_jf g))
-
-(** Sequential build through {!Exec.open_plan}: handles any build-side
-    plan (including ones with subplan probes) and is, by construction,
-    the ordering oracle the parallel build reproduces. *)
-and build_sequential (ctx : Exec.ctx) ~want_jf (build : Plan.t)
-    (build_keys : Plan.scalar list) : join_table * Bloom.t option =
-  let it = Exec.open_plan ctx [] build in
-  match build_keys with
-  | [ bk ] ->
-    let tbl = Exec.Vtbl.create 256 in
-    let all_int = ref true in
-    let bf = Eval.compile_scalar_fn bk in
-    let rec drain () =
-      match it () with
-      | None -> ()
-      | Some b ->
-        Batch.iter
-          (fun row ->
-            let v = bf [] row in
-            if not (Value.is_null v) then begin
-              (match v with Value.Int _ -> () | _ -> all_int := false);
-              let prev = try Exec.Vtbl.find tbl v with Not_found -> [] in
-              Exec.Vtbl.replace tbl v (row :: prev)
-            end)
-          b;
-        drain ()
-    in
-    drain ();
-    if !all_int then begin
-      let itbl = Exec.Itbl.create (2 * Exec.Vtbl.length tbl) in
-      Exec.Vtbl.iter
-        (fun v rows ->
-          match v with
-          | Value.Int i -> Exec.Itbl.replace itbl i rows
-          | _ -> assert false)
-        tbl;
-      let bloom =
-        if want_jf then begin
-          (* the finished table holds the exact distinct key set, so the
-             filter is sized exactly *)
-          let bl = Bloom.create ~expected:(Exec.Itbl.length itbl) in
-          Exec.Itbl.iter (fun k _ -> Bloom.add bl k) itbl;
-          ctx.Exec.jf_built <- ctx.Exec.jf_built + 1;
-          Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0;
-          Some bl
-        end
-        else None
-      in
-      (J_int itbl, bloom)
-    end
-    else (J_val tbl, None)
-  | _ ->
-    let tbl = Tuple.Tbl.create 256 in
-    let bfs = List.map Eval.compile_scalar_fn build_keys in
-    let rec drain () =
-      match it () with
-      | None -> ()
-      | Some b ->
-        Batch.iter
-          (fun row ->
-            let key = Array.of_list (List.map (fun f -> f [] row) bfs) in
-            if not (Array.exists Value.is_null key) then begin
-              let prev = try Tuple.Tbl.find tbl key with Not_found -> [] in
-              Tuple.Tbl.replace tbl key (row :: prev)
-            end)
-          b;
-        drain ()
-    in
-    drain ();
-    (J_multi tbl, multi_key_bloom ctx ~want_jf tbl)
-
-(* -- streaming a pipe over the pool -------------------------------------- *)
-
-(** Run a pipe over its morsels and return its output batches in
-    sequential row order.  Parallel mode sends per-morsel batch lists
-    over a bounded channel and the consumer re-merges them by morsel
-    index — the deterministic-merge half of the table queue. *)
-and stream (ctx : Exec.ctx) ~opts (pipe : pipe) : Batch.t list =
-  let n_morsels, msz = morsels_of ~opts pipe.src in
-  let dop = choose_dop ~opts ~rows:pipe.src_rows ~n_morsels in
-  let capacity = ctx.Exec.batch_capacity in
-  if dop <= 1 then begin
-    (* serial inline: same morsel walk, no channel *)
-    let st = new_stats ctx in
-    let out = ref [] in
-    let buf = ref (Batch.create ~capacity ()) in
-    let emit row =
-      Batch.push !buf row;
-      if Batch.is_full !buf then begin
-        out := !buf :: !out;
-        buf := Batch.create ~capacity ()
-      end
-    in
-    let feed = pipe.make_feed st ~emit in
-    for m = 0 to n_morsels - 1 do
-      st.s_scanned <- st.s_scanned + iter_morsel pipe.src ~msz st m feed
-    done;
-    if not (Batch.is_empty !buf) then out := !buf :: !out;
-    fold_stats ctx [| st |];
-    List.rev !out
-  end
-  else begin
-    let chan = Chan.create ~capacity:(2 * dop) in
-    let next = Atomic.make 0 in
-    let active = Atomic.make dop in
-    let stats = Array.init dop (fun _ -> new_stats ctx) in
-    let worker w =
-      (* the last worker out closes the queue, even on error, so the
-         consumer below can never block forever *)
-      Fun.protect
-        ~finally:(fun () ->
-          if Atomic.fetch_and_add active (-1) = 1 then Chan.close chan)
-        (fun () ->
-          let st = stats.(w) in
-          let out = ref [] in
-          let buf = ref (Batch.create ~capacity ()) in
-          let emit row =
-            Batch.push !buf row;
-            if Batch.is_full !buf then begin
-              out := !buf :: !out;
-              buf := Batch.create ~capacity ()
-            end
-          in
-          let feed = pipe.make_feed st ~emit in
-          let rec loop () =
-            let m = Atomic.fetch_and_add next 1 in
-            if m < n_morsels then begin
-              out := [];
-              buf := Batch.create ~capacity ();
-              st.s_scanned <- st.s_scanned + iter_morsel pipe.src ~msz st m feed;
-              if not (Batch.is_empty !buf) then out := !buf :: !out;
-              Chan.push chan (m, List.rev !out);
-              loop ()
-            end
-          in
-          loop ())
-    in
-    let h = Pool.launch ~n:dop worker in
-    (* consumer: re-merge by morsel index *)
-    let pending = Hashtbl.create 32 in
-    let next_m = ref 0 in
-    let acc = ref [] in
-    let rec flush () =
-      match Hashtbl.find_opt pending !next_m with
-      | Some bs ->
-        Hashtbl.remove pending !next_m;
-        acc := bs :: !acc;
-        incr next_m;
-        flush ()
-      | None -> ()
-    in
-    let rec pump () =
-      match Chan.pop chan with
-      | None -> ()
-      | Some (m, bs) ->
-        if m = !next_m then begin
-          acc := bs :: !acc;
-          incr next_m;
-          flush ()
-        end
-        else Hashtbl.replace pending m bs;
-        pump ()
-    in
-    pump ();
-    Pool.await h;
-    fold_stats ctx stats;
-    List.concat (List.rev !acc)
-  end
-
-(* -- blocking operators at the drain level ------------------------------- *)
-
-(** Drain [input] in parallel and splice the resulting rows — already in
-    sequential order — into the {e sequential} operator as a [Values]
-    leaf.  Blocking operators thus parallelize their input while the
-    order-sensitive part (float accumulation, sorting, distinct's
-    first-occurrence scan) stays bit-exact. *)
-and splice ctx ~opts (input : Plan.t) (rebuild : Plan.t -> Plan.t) :
-    Batch.t list =
-  let rows = Batch.list_to_rows (drain ctx ~opts input) in
-  Exec.drain_batches (Exec.open_plan ctx [] (rebuild (Plan.Values rows)))
-
-and drain_aggregate ctx ~opts ~input ~(keys : Plan.scalar list)
-    ~(aggs : Plan.agg_spec list) : Batch.t list =
-  let rebuild v = Plan.Aggregate { input = v; keys; aggs } in
-  let mergeable =
-    List.for_all
-      (fun (a : Plan.agg_spec) ->
-        match a.Plan.agg_fn with
-        | Ast.Count_star | Ast.Count | Ast.Min | Ast.Max -> true
-        | Ast.Sum | Ast.Avg -> false (* float addition is not associative *))
-      aggs
-  in
-  if not mergeable then splice ctx ~opts input rebuild
-  else
-    match pipe_of ctx ~opts input with
-    | exception Not_parallel -> splice ctx ~opts input rebuild
-    | pipe -> (
-      let n_morsels, msz = morsels_of ~opts pipe.src in
-      let dop = choose_dop ~opts ~rows:pipe.src_rows ~n_morsels in
-      if dop <= 1 then splice ctx ~opts input rebuild
-      else begin
-        (* per-morsel group tables, merged in morsel order so group
-           first-appearance order matches the sequential scan *)
-        let stats = Array.init dop (fun _ -> new_stats ctx) in
-        let next = Atomic.make 0 in
-        let aggs_a = Array.of_list aggs in
-        let new_accs () =
-          Array.map (fun (a : Plan.agg_spec) -> Agg_acc.create a.Plan.agg_fn) aggs_a
-        in
-        let locals =
-          Array.init n_morsels (fun _ -> (Tuple.Tbl.create 16, ref []))
-        in
-        Pool.run ~domains:dop (fun w ->
-            let st = stats.(w) in
-            let kfs = Array.of_list (List.map Eval.compile_scalar_fn keys) in
-            let afs =
-              Array.map
-                (fun (a : Plan.agg_spec) ->
-                  match a.Plan.agg_arg with
-                  | Some s ->
-                    let f = Eval.compile_scalar_fn s in
-                    fun row -> f [] row
-                  | None -> fun _ -> Value.Int 1)
-                aggs_a
-            in
-            let cur = ref locals.(0) in
-            let emit row =
-              let groups, order = !cur in
-              let key = Array.map (fun f -> f [] row) kfs in
-              let accs =
-                match Tuple.Tbl.find groups key with
-                | accs -> accs
-                | exception Not_found ->
-                  let accs = new_accs () in
-                  Tuple.Tbl.add groups key accs;
-                  order := key :: !order;
-                  accs
-              in
-              for i = 0 to Array.length afs - 1 do
-                Agg_acc.add accs.(i) (afs.(i) row)
-              done
-            in
-            let feed = pipe.make_feed st ~emit in
-            let rec loop () =
-              let m = Atomic.fetch_and_add next 1 in
-              if m < n_morsels then begin
-                cur := locals.(m);
-                st.s_scanned <- st.s_scanned + iter_morsel pipe.src ~msz st m feed;
-                loop ()
-              end
-            in
-            loop ());
-        fold_stats ctx stats;
-        let groups = Tuple.Tbl.create 64 in
-        let order = ref [] in
-        for m = 0 to n_morsels - 1 do
-          let ltbl, lorder = locals.(m) in
-          List.iter
-            (fun key ->
-              let laccs = Tuple.Tbl.find ltbl key in
-              match Tuple.Tbl.find groups key with
-              | accs ->
-                for i = 0 to Array.length accs - 1 do
-                  Agg_acc.merge accs.(i) laccs.(i)
-                done
-              | exception Not_found ->
-                Tuple.Tbl.add groups key laccs;
-                order := key :: !order)
-            (List.rev !lorder)
-        done;
-        let rows =
-          if Tuple.Tbl.length groups = 0 && keys = [] then
-            (* global aggregate over empty input: identity row *)
-            [
-              Array.of_list
-                (List.map
-                   (fun (a : Plan.agg_spec) -> Agg_acc.empty_result a.Plan.agg_fn)
-                   aggs);
-            ]
-          else
-            List.rev_map
-              (fun key ->
-                let accs = Tuple.Tbl.find groups key in
-                Tuple.concat key (Array.map Agg_acc.result accs))
-              !order
-        in
-        Batch.of_list ~capacity:ctx.Exec.batch_capacity rows
-      end)
-
-(** Drain a plan to its batch list with sequential-identical row order.
-    @raise Not_parallel if the plan cannot run on this path.
-
-    With EXPLAIN ANALYZE armed this is also where parallel wall time
-    lands: elapsed drain time is recorded against the plan node — as
-    the {e open} of a blocking operator (whose output rows are counted
-    here too, since the splice path rebuilds fresh unnumbered nodes),
-    and as extra inclusive time on a streamed pipeline root (already
-    marked opened by [pipe_of], its rows tallied by the workers). *)
-and drain (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
-  match ctx.Exec.analyze with
-  | None -> drain_raw ctx ~opts p
-  | Some acc ->
-    let id = Opstats.id_of acc p in
-    if id < 0 then drain_raw ctx ~opts p
-    else begin
-      let t0 = Opstats.now () in
-      let bs = drain_raw ctx ~opts p in
-      let dt = Opstats.now () -. t0 in
-      (match p with
-      | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Merge_join _
-      | Plan.Union_all _ | Plan.Shared _ | Plan.Limit _ ->
-        Opstats.note_open acc id dt;
-        Opstats.add_rows acc id (Batch.list_length bs)
-      | _ -> Opstats.add_time acc id dt);
-      bs
-    end
-
-and drain_raw (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
-  match p with
-  | Plan.Aggregate { input; keys; aggs } ->
-    drain_aggregate ctx ~opts ~input ~keys ~aggs
-  | Plan.Sort (input, specs) ->
-    splice ctx ~opts input (fun v -> Plan.Sort (v, specs))
-  | Plan.Distinct input -> splice ctx ~opts input (fun v -> Plan.Distinct v)
-  | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
-    let l = Batch.list_to_rows (drain ctx ~opts left) in
-    let r = Batch.list_to_rows (drain ctx ~opts right) in
-    Exec.drain_batches
-      (Exec.open_plan ctx []
-         (Plan.Merge_join
-            {
-              left = Plan.Values l;
-              right = Plan.Values r;
-              left_keys;
-              right_keys;
-              residual;
-            }))
-  | Plan.Union_all inputs -> List.concat_map (drain ctx ~opts) inputs
-  | Plan.Shared _ -> Exec.materialize ctx [] p
-  | Plan.Limit _ -> raise Not_parallel
-  | _ -> stream ctx ~opts (pipe_of ctx ~opts p)
-
-(* -- public surface ------------------------------------------------------ *)
-
-(** Cheap syntactic check: will {!run_batches} take the parallel path
-    for this plan (as opposed to falling back to {!Exec})?  Used by
-    schedulers to decide which plans to fan out; a mispredict only
-    affects scheduling, never results. *)
+(** Cheap syntactic check: will {!run_batches} fan this plan out (as
+    opposed to running it in {!Exec} as it is)?  Used by schedulers to
+    decide which plans to fan out; a mispredict only affects
+    scheduling, never results. *)
 let parallelizable (p : Plan.t) : bool =
   let pure pred = Eval.compile_pred_pure pred <> None in
   let rec go = function
@@ -1106,142 +52,157 @@ let parallelizable (p : Plan.t) : bool =
   in
   go p
 
-let default_morsel_rows () =
-  Option.bind (Sys.getenv_opt "XNFDB_MORSEL_ROWS") int_of_string_opt
+(** The base table a pipeline's morsels partition: the leaf under its
+    chain of streaming operators. *)
+let rec driving_table = function
+  | Plan.Scan t -> Some t
+  | Plan.Filter (i, _) | Plan.Project (i, _) -> driving_table i
+  | Plan.Hash_join { probe = i; _ }
+  | Plan.Index_join { outer = i; _ }
+  | Plan.Nl_join { outer = i; _ } ->
+    driving_table i
+  | _ -> None
 
-let make_opts ?domains ?morsel_rows ?threshold () =
-  {
-    domains = (match domains with Some d -> d | None -> Pool.default_domains ());
-    morsel = (match morsel_rows with Some _ -> morsel_rows | None -> default_morsel_rows ());
-    threshold =
-      (match threshold with
-      | Some t -> t
-      | None -> Cost.parallel_threshold_rows ());
-  }
+(** Build, on the calling domain, everything along the chain that the
+    morsels only read. *)
+let rec prepare (ctx : Exec.ctx) = function
+  | Plan.Filter (i, _) | Plan.Project (i, _) -> prepare ctx i
+  | (Plan.Hash_join { probe = i; _ } | Plan.Index_join { outer = i; _ }) as j ->
+    Exec.prepare_join ctx j;
+    prepare ctx i
+  | Plan.Nl_join { outer; inner; _ } ->
+    ignore (Exec.materialize ctx [] inner : Batch.t list);
+    prepare ctx outer
+  | _ -> ()
 
-(** Run a compiled plan across the domain pool; falls back to the
-    sequential executor when the plan (or its size) does not warrant the
-    parallel path.  Row order — and hence the result — is always
-    identical to {!Exec.run_batches}. *)
+let serial (ctx : Exec.ctx) (p : Plan.t) : Batch.t list =
+  Exec.drain_batches (Exec.open_plan ctx [] p)
+
+(** Run a pipeline over morsels of its driving table, or serially when
+    it has none or is too small to pay for the fan-out. *)
+let pipeline (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
+  match driving_table p with
+  | None -> serial ctx p
+  | Some t ->
+    let slots =
+      match ctx.Exec.snapshot with
+      | Some frozen -> Array.length (frozen t)
+      | None -> Base_table.slot_count t
+    in
+    (* A columnar scan takes each chunk whole, in the morsel holding the
+       chunk's first slot, so any size is correct.  The adaptive size
+       is whole chunks when the colstore may serve the scan, so that no
+       morsel comes up empty. *)
+    let size =
+      match opts.morsel with
+      | Some n -> max 1 n
+      | None ->
+        (* enough morsels for dynamic load balancing (~8 per worker),
+           large enough that scheduling is noise *)
+        let size = min 16384 (max 256 (slots / max 1 (opts.domains * 8))) in
+        if Option.is_none ctx.Exec.snapshot && Colstore.enabled () then
+          let ch = Colstore.chunk_rows t.Base_table.colstore in
+          (size + ch - 1) / ch * ch
+        else size
+    in
+    let n = (slots + size - 1) / size in
+    let rows =
+      int_of_float
+        (float_of_int (Base_table.cardinality t) *. Cost.scan_access_factor t)
+    in
+    let dop =
+      if Pool.in_worker () || n <= 1 then 1
+      else
+        min n
+          (Cost.choose_dop ~threshold:opts.threshold ~domains:opts.domains
+             ~rows ())
+    in
+    if dop <= 1 then serial ctx p
+    else begin
+      prepare ctx p;
+      let workers =
+        Array.init n (fun m ->
+            let hi = if m = n - 1 then max_int else (m + 1) * size in
+            {
+              (Exec.sibling_ctx ctx) with
+              Exec.morsel = Some (t, m * size, hi);
+            })
+      in
+      let out = Array.make n [] in
+      Pool.for_morsels ~domains:dop ~morsels:n (fun m ->
+          out.(m) <- serial workers.(m) p);
+      Array.iter (Exec.absorb ~into:ctx) workers;
+      List.concat (Array.to_list out)
+    end
+
+(** Drain a plan to its batch list in {!Exec}'s row order.  With EXPLAIN
+    ANALYZE armed, a blocking operator's open and output rows are
+    recorded here against its node: the operator that runs is a fresh,
+    unnumbered copy over the spliced input. *)
+let rec drain (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
+  match p with
+  | Plan.Aggregate a ->
+    blocking ctx p (fun () ->
+        Plan.Aggregate { a with input = spliced ctx ~opts a.input })
+  | Plan.Sort (input, specs) ->
+    blocking ctx p (fun () -> Plan.Sort (spliced ctx ~opts input, specs))
+  | Plan.Distinct input ->
+    blocking ctx p (fun () -> Plan.Distinct (spliced ctx ~opts input))
+  | Plan.Merge_join m ->
+    blocking ctx p (fun () ->
+        let left = spliced ctx ~opts m.left in
+        let right = spliced ctx ~opts m.right in
+        Plan.Merge_join { m with left; right })
+  | Plan.Union_all inputs ->
+    timed ctx p (fun () -> List.concat_map (drain ctx ~opts) inputs)
+  | _ -> pipeline ctx ~opts p
+
+and spliced ctx ~opts (input : Plan.t) : Plan.t =
+  Plan.Values (Batch.list_to_rows (drain ctx ~opts input))
+
+and blocking ctx p (rebuild : unit -> Plan.t) : Batch.t list =
+  timed ctx p (fun () -> serial ctx (rebuild ()))
+
+and timed (ctx : Exec.ctx) (p : Plan.t) (f : unit -> Batch.t list) :
+    Batch.t list =
+  match ctx.Exec.analyze with
+  | Some acc when Opstats.id_of acc p >= 0 ->
+    let id = Opstats.id_of acc p in
+    let t0 = Opstats.now () in
+    let bs = f () in
+    Opstats.note_open acc id (Opstats.now () -. t0);
+    Opstats.add_rows acc id (Batch.list_length bs);
+    bs
+  | _ -> f ()
+
+(* -- public surface ------------------------------------------------------ *)
+
+(** Run a compiled plan across the domain pool.  Row order — and hence
+    the result — is always identical to {!Exec.run_batches}. *)
 let run_batches ?ctx ?domains ?morsel_rows ?threshold (c : Plan.compiled) :
     Batch.t list =
   let ctx = match ctx with Some c -> c | None -> Exec.make_ctx () in
-  let opts = make_opts ?domains ?morsel_rows ?threshold () in
-  match drain ctx ~opts c.Plan.plan with
-  | bs ->
+  if not (parallelizable c.Plan.plan) then Exec.run_batches ~ctx c
+  else begin
+    let opts =
+      {
+        domains = Option.value domains ~default:(Pool.default_domains ());
+        morsel = morsel_rows;
+        threshold =
+          Option.value threshold ~default:(Cost.parallel_threshold_rows ());
+      }
+    in
+    (* tables prepared for this query's morsels are not the caller's *)
+    let joins = ctx.Exec.joins in
+    let bs =
+      Fun.protect
+        ~finally:(fun () -> ctx.Exec.joins <- joins)
+        (fun () -> drain ctx ~opts c.Plan.plan)
+    in
     ctx.Exec.batches_emitted <- ctx.Exec.batches_emitted + List.length bs;
     bs
-  | exception Not_parallel -> Exec.run_batches ~ctx c
+  end
 
 let run ?ctx ?domains ?morsel_rows ?threshold (c : Plan.compiled) :
     Tuple.t list =
   Batch.list_to_rows (run_batches ?ctx ?domains ?morsel_rows ?threshold c)
-
-(** Materialize every [Shared] node reachable in [plans] into [ctx]'s
-    CSE cache, fanning independent derivations out across the pool.
-    Derivations are scheduled in waves over {!Exec.shared_nodes}'s
-    dependency edges: a wave holds nodes whose dependencies are already
-    installed, each running on its own domain against a frozen copy of
-    the cache; results are installed into [ctx.shared] single-threaded
-    between waves.  The final cache state — and each materialized batch
-    list — is identical to running {!Exec.force_shared} over [plans]
-    sequentially. *)
-let force_shared_parallel (ctx : Exec.ctx) ?domains (plans : Plan.t list) :
-    unit =
-  let domains =
-    match domains with Some d -> d | None -> Pool.default_domains ()
-  in
-  (* dedup across plans (first occurrence wins); skip already-installed *)
-  let seen = Hashtbl.create 8 in
-  let nodes =
-    List.filter
-      (fun ((bid, _, _) : int * Plan.t * int list) ->
-        let fresh =
-          (not (Hashtbl.mem seen bid))
-          && not (Hashtbl.mem ctx.Exec.shared bid)
-        in
-        Hashtbl.replace seen bid ();
-        fresh)
-      (List.concat_map Exec.shared_nodes plans)
-  in
-  (* worker contexts are private; fold their counters back so EXPLAIN
-     and cache accounting see the same totals as the serial path *)
-  let absorb (w : Exec.ctx) =
-    ctx.Exec.rows_scanned <- ctx.Exec.rows_scanned + w.Exec.rows_scanned;
-    ctx.Exec.subqueries_run <- ctx.Exec.subqueries_run + w.Exec.subqueries_run;
-    ctx.Exec.batches_emitted <-
-      ctx.Exec.batches_emitted + w.Exec.batches_emitted;
-    ctx.Exec.materializations <-
-      ctx.Exec.materializations + w.Exec.materializations;
-    ctx.Exec.chunks_scanned <- ctx.Exec.chunks_scanned + w.Exec.chunks_scanned;
-    ctx.Exec.chunks_skipped <- ctx.Exec.chunks_skipped + w.Exec.chunks_skipped;
-    ctx.Exec.rows_materialized <-
-      ctx.Exec.rows_materialized + w.Exec.rows_materialized;
-    ctx.Exec.chunks_faulted <- ctx.Exec.chunks_faulted + w.Exec.chunks_faulted;
-    ctx.Exec.bytes_faulted <- ctx.Exec.bytes_faulted + w.Exec.bytes_faulted;
-    ctx.Exec.jf_built <- ctx.Exec.jf_built + w.Exec.jf_built;
-    ctx.Exec.jf_chunks_skipped <-
-      ctx.Exec.jf_chunks_skipped + w.Exec.jf_chunks_skipped;
-    ctx.Exec.jf_rows_skipped <-
-      ctx.Exec.jf_rows_skipped + w.Exec.jf_rows_skipped;
-    ctx.Exec.jf_dropped <- ctx.Exec.jf_dropped + w.Exec.jf_dropped
-  in
-  (* the serial route is always safe: [get_shared] materializes nested
-     dependencies on demand, in the exact sequential order *)
-  let serial (bid, inner, _) =
-    ignore (Exec.materialize ctx [] (Plan.Shared (bid, inner)))
-  in
-  if domains <= 1 then List.iter serial nodes
-  else begin
-    let rec waves remaining =
-      match remaining with
-      | [] -> ()
-      | _ -> (
-        let ready, later =
-          List.partition
-            (fun ((_, _, deps) : int * Plan.t * int list) ->
-              List.for_all (Hashtbl.mem ctx.Exec.shared) deps)
-            remaining
-        in
-        match ready with
-        | [] ->
-          (* unsatisfiable edge (never for DAG plans): degrade serially *)
-          List.iter serial remaining
-        | [ one ] ->
-          serial one;
-          waves later
-        | _ ->
-          let arr = Array.of_list ready in
-          let out = Array.make (Array.length arr) None in
-          let next = Atomic.make 0 in
-          Pool.run ~domains:(min domains (Array.length arr)) (fun _ ->
-              let rec loop () =
-                let i = Atomic.fetch_and_add next 1 in
-                if i < Array.length arr then begin
-                  let bid, inner, _ = arr.(i) in
-                  let my_ctx =
-                    {
-                      (Exec.sibling_ctx ctx) with
-                      Exec.shared = Hashtbl.copy ctx.Exec.shared;
-                    }
-                  in
-                  let bs =
-                    Exec.materialize my_ctx [] (Plan.Shared (bid, inner))
-                  in
-                  out.(i) <- Some (bs, my_ctx);
-                  loop ()
-                end
-              in
-              loop ());
-          Array.iteri
-            (fun i ((bid, _, _) : int * Plan.t * int list) ->
-              match out.(i) with
-              | Some (bs, w) ->
-                Hashtbl.replace ctx.Exec.shared bid bs;
-                absorb w
-              | None -> ())
-            arr;
-          waves later)
-    in
-    waves nodes
-  end

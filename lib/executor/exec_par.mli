@@ -1,21 +1,17 @@
-(** Parallel table-queue execution on OCaml 5 domains: morsel-partitioned
-    scans, partitioned hash-join builds, and a deterministic
-    merge-by-morsel-index over bounded inter-domain channels, so results
-    are bit-identical to the sequential executor ({!Exec}).  Plans the
-    parallel path cannot run (correlated subplan probes, LIMIT) fall
-    back to {!Exec} wholesale. *)
+(** Morsel-parallel execution on OCaml 5 domains: a driver that runs
+    {!Exec}'s own pipelines over slot-range morsels of their driving
+    table and concatenates the outputs in morsel order, so results are
+    bit-identical to {!Exec}.  Join tables are built once on the calling
+    domain; blocking operators run serially over their input drained in
+    parallel.  Plans with correlated subplan probes or a LIMIT run in
+    {!Exec} as they are. *)
 
 open Relcore
 module Plan = Optimizer.Plan
 
-exception Not_parallel
-(** Raised internally when a plan fragment cannot take the parallel
-    path; {!run_batches} catches it and falls back to {!Exec}. *)
-
 val parallelizable : Plan.t -> bool
-(** Will {!run_batches} take the parallel path for this plan?  A cheap
-    syntactic check for schedulers; a mispredict only affects
-    scheduling, never results. *)
+(** Will {!run_batches} fan this plan out?  A cheap syntactic check for
+    schedulers; a mispredict only affects scheduling, never results. *)
 
 val run_batches :
   ?ctx:Exec.ctx ->
@@ -25,10 +21,11 @@ val run_batches :
   Plan.compiled ->
   Batch.t list
 (** Drain a compiled plan across the shared domain pool.  [domains]
-    defaults to [Pool.default_domains ()] (the [XNFDB_DOMAINS] knob);
-    [morsel_rows] defaults to [XNFDB_MORSEL_ROWS] or an adaptive size;
+    defaults to [Pool.default_domains ()]; [morsel_rows] forces the
+    morsel size in slots (default: ~8 morsels per domain, in whole
+    colstore chunks when the colstore may serve the scan);
     [threshold] (default [Cost.parallel_threshold_rows]) is the
-    source-row count below which the fragment runs inline.  Row order is
+    source-row count below which a pipeline runs inline.  Row order is
     identical to {!Exec.run_batches}. *)
 
 val run :
@@ -38,12 +35,3 @@ val run :
   ?threshold:int ->
   Plan.compiled ->
   Tuple.t list
-
-val force_shared_parallel : Exec.ctx -> ?domains:int -> Plan.t list -> unit
-(** Materialize every [Shared] node reachable in the plans into the
-    context's CSE cache, fanning independent derivations out across the
-    domain pool in dependency waves (each wave's tasks read a frozen
-    cache copy; results install single-threaded between waves).  Ends
-    with exactly the cache state — and batch contents — of sequential
-    {!Exec.force_shared} over the same plans.  [domains] defaults to
-    [Pool.default_domains ()]; [domains <= 1] runs serially. *)

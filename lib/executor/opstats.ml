@@ -8,13 +8,11 @@
     rows, counted after selection vectors are applied, so the child
     row count of a pipeline is exactly its parent's input.
 
-    The serial executor ({!Exec}) mutates the accumulator directly — it
-    runs on one domain.  The parallel executor ({!Exec_par}) gives each
-    worker a private row-count partial (an [int array] indexed by op
-    id, carried in its per-worker [stats]) and merges them
-    single-threaded after [Pool.await], exactly like its scan
-    counters; wall time there is attributed to pipeline roots, since a
-    fused worker feed has no meaningful per-operator clock. *)
+    The executor ({!Exec}) mutates the accumulator directly, on one
+    domain.  A morsel worker of the parallel driver ({!Exec_par})
+    records into a zeroed copy ({!like}) that the calling domain
+    {!merge}s after the fan-out, so a parallel operator's opens count
+    its morsels and its time sums its workers' clocks. *)
 
 module Plan = Optimizer.Plan
 module Cost = Optimizer.Cost
@@ -159,18 +157,27 @@ let add_rows (t : t) id rows =
   let op = t.ops.(id) in
   op.rows <- op.rows + rows
 
-(* -- parallel partials (merged single-threaded after Pool.await) ---------- *)
+(* -- morsel workers (merged single-threaded after the fan-out) ----------- *)
 
-let new_partial (t : t) : int array = Array.make (Array.length t.ops) 0
+let like (t : t) : t =
+  {
+    t with
+    ops =
+      Array.map
+        (fun op -> { op with opens = 0; rows = 0; batches = 0; wall = 0.0 })
+        t.ops;
+    total_wall = 0.0;
+  }
 
-let merge_partial (t : t) (rows : int array) =
-  let n = min (Array.length rows) (Array.length t.ops) in
-  for i = 0 to n - 1 do
-    if rows.(i) <> 0 then begin
-      let op = t.ops.(i) in
-      op.rows <- op.rows + rows.(i)
-    end
-  done
+let merge ~(into : t) (w : t) =
+  Array.iteri
+    (fun i (op : op) ->
+      let o = into.ops.(i) in
+      o.opens <- o.opens + op.opens;
+      o.rows <- o.rows + op.rows;
+      o.batches <- o.batches + op.batches;
+      o.wall <- o.wall +. op.wall)
+    w.ops
 
 (* -- reporting ------------------------------------------------------------ *)
 

@@ -2,9 +2,9 @@
     preorder ids over one or more plans, inclusive wall time, output
     rows/batches, a plan-level row estimator and the q-error report.
 
-    Recording discipline: the serial executor mutates ops directly (one
-    domain); parallel workers accumulate into {!new_partial} arrays
-    that {!merge_partial} folds in single-threaded after [Pool.await]. *)
+    Recording discipline: the executor mutates ops directly (one
+    domain); each morsel worker records into its own {!like} copy, which
+    {!merge} folds in single-threaded after the fan-out. *)
 
 module Plan = Optimizer.Plan
 
@@ -50,11 +50,12 @@ val add_batch : t -> int -> dt:float -> rows:int -> unit
 val add_time : t -> int -> float -> unit
 val add_rows : t -> int -> int -> unit
 
-val new_partial : t -> int array
-(** A per-worker row-count partial, one slot per op. *)
+val like : t -> t
+(** A zeroed accumulator over the same numbered operators. *)
 
-val merge_partial : t -> int array -> unit
-(** Fold a worker partial in; caller must be single-threaded. *)
+val merge : into:t -> t -> unit
+(** Add a {!like} copy's opens, rows, batches and time in; the caller
+    must be single-threaded. *)
 
 val q_error : op -> float
 (** max(est/act, act/est), both floored at one row. *)

@@ -1,7 +1,7 @@
 (** Cross-query materialized result cache.
 
     One process-wide, mutex-guarded LRU store shared by every database
-    and both executors.  Entries hold materialized table queues (batch
+    and every execution context.  Entries hold materialized table queues (batch
     lists for shared subexpressions) or assembled CO-view streams;
     payloads travel as [exn] — the classic universal-type trick — so
     this module stays below the layers that define those types (the

@@ -19,9 +19,9 @@ let default_selectivity = 0.5
 
     A profile is produced by {!measure} (run via [xnfdb calibrate]),
     persisted with {!save} as [key value] lines, and picked up when
-    [XNFDB_COST_PROFILE] names the file.  [XNFDB_CALIBRATION=0] (or an
-    unset/unreadable profile) restores the hand-set defaults bit for
-    bit, so existing plans and tests are unchanged unless a profile is
+    [XNFDB_COST_PROFILE] names the file.  An unset, empty or
+    unreadable profile means the hand-set defaults bit for bit, so
+    existing plans and tests are unchanged unless a profile is
     explicitly activated. *)
 module Calibrate = struct
   type profile = {
@@ -279,11 +279,6 @@ module Calibrate = struct
 
   (* -- activation ------------------------------------------------------ *)
 
-  let enabled () =
-    match Sys.getenv_opt "XNFDB_CALIBRATION" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true
-
   (* empty value = unset: putenv cannot remove a variable, so tests
      (and users) clear the knob by setting it to "" *)
   let profile_path () =
@@ -291,39 +286,33 @@ module Calibrate = struct
     | Some "" | None -> None
     | Some p -> Some p
 
-  (* memoized on the pair of env knobs so tests can flip them
-     mid-process; a missing/unreadable profile warns once and falls
-     back to the defaults *)
-  let cache :
-      ((string option * string option) * profile) option Atomic.t =
-    Atomic.make None
+  (* memoized on the profile knob so tests can flip it mid-process; a
+     missing/unreadable profile warns once and falls back to the
+     defaults *)
+  let cache : (string option * profile) option Atomic.t = Atomic.make None
 
   let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
 
   let active () : profile =
-    let key =
-      (Sys.getenv_opt "XNFDB_CALIBRATION", profile_path ())
-    in
+    let key = profile_path () in
     match Atomic.get cache with
     | Some (k, p) when k = key -> p
     | _ ->
       let p =
-        if not (enabled ()) then defaults
-        else
-          match profile_path () with
-          | None -> defaults
-          | Some path -> begin
-            match load path with
-            | Ok p -> p
-            | Error e ->
-              if not (Hashtbl.mem warned path) then begin
-                Hashtbl.replace warned path ();
-                Printf.eprintf
-                  "xnfdb: cost profile %s unreadable (%s); using defaults\n%!"
-                  path e
-              end;
-              defaults
-          end
+        match key with
+        | None -> defaults
+        | Some path -> begin
+          match load path with
+          | Ok p -> p
+          | Error e ->
+            if not (Hashtbl.mem warned path) then begin
+              Hashtbl.replace warned path ();
+              Printf.eprintf
+                "xnfdb: cost profile %s unreadable (%s); using defaults\n%!"
+                path e
+            end;
+            defaults
+        end
       in
       Atomic.set cache (Some (key, p));
       p
@@ -386,7 +375,7 @@ let parallel_threshold_rows () =
     the measured empty fan-out round-trip. *)
 let parallel_overhead () = (Calibrate.active ()).Calibrate.parallel_overhead
 
-(* -- sideways join-filter economics (shared by both executors) ----------- *)
+(* -- sideways join-filter economics ---------------------------------------- *)
 
 (** Probe rows to observe before judging a filter's usefulness. *)
 let jf_adaptive_sample () = (Calibrate.active ()).Calibrate.jf_adaptive_sample

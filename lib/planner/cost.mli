@@ -10,8 +10,8 @@ val default_selectivity : float
 
 (** Host calibration of the cost constants (see [xnfdb calibrate]).
     Constants are ratios over the per-tuple scan cost; a persisted
-    profile is activated by [XNFDB_COST_PROFILE] and disabled bit for
-    bit by [XNFDB_CALIBRATION=0]. *)
+    profile is activated by [XNFDB_COST_PROFILE]; unset or empty, the
+    hand-set defaults hold bit for bit. *)
 module Calibrate : sig
   type profile = {
     batch_overhead : float;
@@ -40,18 +40,13 @@ module Calibrate : sig
   val load : string -> (profile, string) result
   (** Missing keys keep their defaults; unknown keys are ignored. *)
 
-  val enabled : unit -> bool
-  (** The [XNFDB_CALIBRATION] knob (default on; "0" restores
-      defaults). *)
-
   val profile_path : unit -> string option
   (** The [XNFDB_COST_PROFILE] knob. *)
 
   val active : unit -> profile
   (** The profile in force: the file named by [XNFDB_COST_PROFILE] when
-      calibration is enabled and the file loads, else {!defaults}.
-      Memoized on the two knob values, so flipping them mid-process
-      takes effect immediately. *)
+      it loads, else {!defaults}.  Memoized on the knob's value, so
+      flipping it mid-process takes effect immediately. *)
 end
 
 val tuple_cost : float
@@ -87,7 +82,7 @@ val parallel_overhead : unit -> float
     deterministic re-merge; calibrated). *)
 
 val jf_adaptive_sample : unit -> int
-(** Probe rows both executors observe before judging a join filter's
+(** Probe rows the executor observes before judging a join filter's
     usefulness (calibrated). *)
 
 val jf_drop_threshold : unit -> float

@@ -8,9 +8,9 @@
 
    The small-set path stores up to [exact_cap] distinct keys verbatim;
    while it is live, [mem] is exact (no false positives), which is the
-   common case for selective build sides.  Bloom bits are always set in
-   parallel so overflowing — directly or via [union_into] — just drops
-   the array and keeps the (already complete) bloom. *)
+   common case for selective build sides.  Bloom bits are always set
+   alongside, so overflowing — directly or via [union_into] — just
+   drops the array and keeps the (already complete) bloom. *)
 
 let enabled () =
   match Sys.getenv_opt "XNFDB_JOINFILTER" with

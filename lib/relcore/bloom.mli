@@ -10,8 +10,7 @@
     filtering is therefore output-preserving by construction.
 
     Two filters built with the same [~expected] have identical block
-    geometry and can be OR-merged with {!union_into}, matching the
-    per-morsel partial-table merge of the parallel build. *)
+    geometry and can be OR-merged with {!union_into}. *)
 
 type t
 
@@ -44,7 +43,7 @@ val union_into : into:t -> t -> unit
     same [~expected] (identical geometry); raises [Invalid_argument]
     otherwise. *)
 
-(** {1 Adaptive disabling} — shared constants so both executors agree. *)
+(** {1 Adaptive disabling} *)
 
 val adaptive_sample : int
 (** Probe rows to observe before judging a filter's usefulness. *)

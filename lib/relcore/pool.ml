@@ -4,8 +4,10 @@
     Worker domains are spawned lazily (up to the requested parallelism)
     and kept for the life of the process, blocked on a task queue; every
     parallel query execution reuses them, so per-query domain spawn cost
-    is paid once.  The pool is sized by [XNFDB_DOMAINS] (default: the
-    runtime's recommended domain count, i.e. the physical cores).
+    is paid once.  Parallel queries name their own domain count;
+    [XNFDB_DOMAINS] (default: the runtime's recommended domain count,
+    i.e. the physical cores) sizes the daemon's worker warm-up and is
+    the fallback for a parallel entry point called without one.
 
     Nesting is safe by construction: a task that itself calls {!run}
     detects it is already on a pool worker and executes its subtasks
@@ -13,7 +15,7 @@
     deadlock on its own tasks. *)
 
 (** Configured parallelism: [XNFDB_DOMAINS], or the hardware's
-    recommended domain count. *)
+    recommended domain count.  The daemon warms up this many workers. *)
 let default_domains () =
   match Option.bind (Sys.getenv_opt "XNFDB_DOMAINS") int_of_string_opt with
   | Some n when n > 0 -> n

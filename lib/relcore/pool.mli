@@ -1,9 +1,11 @@
 (** Shared domain pool: persistent worker domains behind parallel
-    table-queue execution.  Sized by [XNFDB_DOMAINS] (default: physical
-    cores); workers are spawned lazily and reused across queries. *)
+    table-queue execution.  Workers are spawned lazily, up to the
+    parallelism a query asks for, and reused across queries. *)
 
 val default_domains : unit -> int
-(** [XNFDB_DOMAINS], or [Domain.recommended_domain_count ()]. *)
+(** [XNFDB_DOMAINS], or [Domain.recommended_domain_count ()]: the
+    worker count the daemon warms up at start, and the fallback for a
+    parallel entry point called without [~domains]. *)
 
 val in_worker : unit -> bool
 (** Is the current domain a pool worker?  ({!run} from a worker executes

@@ -3,9 +3,9 @@
     Covers the per-operator accumulator (rows-in/out invariants on the
     serial and the 4-domain executor), byte-identity of query results
     with analysis armed vs off across the four workload databases, the
-    calibration profile's save/load round trip, and the
-    [XNFDB_CALIBRATION=0] escape hatch restoring the hand-set constants
-    (and hence today's plans) bit for bit. *)
+    calibration profile's save/load round trip, and an empty
+    [XNFDB_COST_PROFILE] restoring the hand-set constants (and hence
+    today's plans) bit for bit. *)
 
 open Relcore
 module Db = Engine.Database
@@ -228,8 +228,8 @@ let test_profile_roundtrip () =
   | Error _ -> ()
 
 let test_calibration_knobs () =
-  (* baseline: no profile, calibration on — the hand-set constants *)
-  with_env [ ("XNFDB_COST_PROFILE", ""); ("XNFDB_CALIBRATION", "1") ]
+  (* baseline: no profile — the hand-set constants *)
+  with_env [ ("XNFDB_COST_PROFILE", "") ]
     (fun () ->
       let db = Helpers.org_db () in
       let baseline_explain = Db.explain db org_join_sql in
@@ -248,9 +248,9 @@ let test_calibration_knobs () =
                 (Cost.parallel_threshold_rows ());
               Alcotest.(check (float 0.0)) "calibrated jf drop" 0.625
                 (Cost.jf_drop_threshold ());
-              (* the escape hatch restores the defaults bit for bit,
-                 profile notwithstanding *)
-              with_env [ ("XNFDB_CALIBRATION", "0") ] (fun () ->
+              (* clearing the profile restores the defaults bit for
+                 bit *)
+              with_env [ ("XNFDB_COST_PROFILE", "") ] (fun () ->
                   Alcotest.(check (float 0.0)) "escape batch_overhead" 4.0
                     (Cost.batch_overhead ());
                   Alcotest.(check (float 0.0)) "escape jf drop"
@@ -261,7 +261,7 @@ let test_calibration_knobs () =
                     (Cost.jf_adaptive_sample ());
                   let off_explain = Db.explain db org_join_sql in
                   Alcotest.(check string) "plans unchanged with \
-                                           XNFDB_CALIBRATION=0"
+                                           XNFDB_COST_PROFILE empty"
                     (plan_section baseline_explain)
                     (plan_section off_explain)))))
 
@@ -298,14 +298,10 @@ let test_calibrated_plans_keep_results () =
             List.sort compare (Db.query_rows ~cache:false db sql)
           in
           let default =
-            with_env
-              [ ("XNFDB_COST_PROFILE", ""); ("XNFDB_CALIBRATION", "1") ]
-              rows
+            with_env [ ("XNFDB_COST_PROFILE", "") ] rows
           in
           let calibrated =
-            with_env
-              [ ("XNFDB_COST_PROFILE", path); ("XNFDB_CALIBRATION", "1") ]
-              rows
+            with_env [ ("XNFDB_COST_PROFILE", path) ] rows
           in
           Helpers.check_rows (name ^ ": calibrated = default") default
             calibrated)

@@ -12,7 +12,9 @@ module Exec = Executor.Exec
 let test_selection_vectors () =
   let rows = List.init 10 (fun i -> row [ vi i ]) in
   let b =
-    match Batch.of_list rows with [ b ] -> b | _ -> Alcotest.fail "one batch"
+    match Batch.of_list ~capacity:16 rows with
+    | [ b ] -> b
+    | _ -> Alcotest.fail "one batch"
   in
   Alcotest.(check int) "dense length" 10 (Batch.length b);
   (* first refinement allocates the selection vector *)
@@ -102,7 +104,7 @@ let test_empty_batch () =
   Alcotest.(check int) "of_list [] is no batches" 0
     (List.length (Batch.of_list []));
   (* refining to nothing leaves an empty (but allocated) batch *)
-  let b = match Batch.of_list (rows_of_ints [ [ 1 ]; [ 2 ] ]) with
+  let b = match Batch.of_list ~capacity:2 (rows_of_ints [ [ 1 ]; [ 2 ] ]) with
     | [ b ] -> b | _ -> Alcotest.fail "one batch"
   in
   Batch.refine b (fun _ -> false);

@@ -66,8 +66,7 @@ let test_union_never_false_negative =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"union keeps every key"
        (QCheck.pair keys_arb keys_arb) (fun (ka, kb) ->
-         (* shared [expected] = shared geometry, as in the parallel
-            build's per-worker partials *)
+         (* shared [expected] = shared geometry *)
          let expected = List.length ka + List.length kb in
          let a = Bloom.create ~expected and b = Bloom.create ~expected in
          List.iter (Bloom.add a) ka;

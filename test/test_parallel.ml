@@ -249,6 +249,74 @@ let test_parallelizable () =
   Alcotest.(check bool) "limit is not" false
     (Exec_par.parallelizable limited.Optimizer.Plan.plan)
 
+(* ------------------------------------ parallel under a snapshot -- *)
+
+let contains s affix =
+  let n = String.length s and m = String.length affix in
+  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
+  go 0
+
+(* morsel workers read the pinned epoch exactly like the serial
+   executor: commits after the pin stay invisible to both *)
+let test_snapshot_equiv () =
+  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 } in
+  let traversal =
+    "SELECT c.cto, c.clength FROM parts p, conns c WHERE p.pid = c.cfrom AND \
+     p.build < 5000"
+  in
+  let cases =
+    [
+      ( "scan + filter",
+        `Auto,
+        "SELECT cfrom, cto, clength FROM conns WHERE clength < 500",
+        "Filter" );
+      ( "hash join",
+        `Auto,
+        "SELECT p.pid, c.cto FROM parts p, conns c WHERE p.build = c.clength",
+        "HashJoin" );
+      ("index join", `Auto, traversal, "IndexJoin");
+    ]
+  in
+  let compiled =
+    List.map
+      (fun (name, join_method, sql, op) ->
+        let c = Db.compile_query ~join_method db sql in
+        Alcotest.(check bool)
+          (name ^ ": plan uses " ^ op)
+          true
+          (contains (Optimizer.Plan.explain c.Optimizer.Plan.plan) op);
+        (name, c))
+      cases
+  in
+  (* the generator loads rows below the SQL layer: publish them as the
+     committed state the pin reads *)
+  Snapshot.publish_catalog (Db.catalog db);
+  let s = Snapshot.pin (Db.catalog db) in
+  Fun.protect
+    ~finally:(fun () -> Snapshot.release s)
+    (fun () ->
+      ignore (Db.exec db "UPDATE conns SET clength = 0 WHERE cfrom < 20");
+      ignore (Db.exec db "DELETE FROM conns WHERE cfrom >= 20 AND cfrom < 30");
+      ignore (Db.exec db "INSERT INTO conns VALUES (1, 2, 'conn-type0', 7)");
+      List.iter
+        (fun (name, c) ->
+          let snap () =
+            Exec.make_ctx ~result_cache:false ~snapshot:(Snapshot.rows s) ()
+          in
+          let expected = Exec.run ~ctx:(snap ()) c in
+          Alcotest.(check bool) (name ^ ": the snapshot has rows") true
+            (expected <> []);
+          Alcotest.(check bool)
+            (name ^ ": the commits are not in the snapshot")
+            false
+            (List.sort compare expected = List.sort compare (Exec.run c));
+          check_rows
+            (name ^ " @ 4 domains under a snapshot")
+            expected
+            (Exec_par.run ~ctx:(snap ()) ~domains:4 ~threshold:1
+               ~morsel_rows:17 c))
+        compiled)
+
 let suite =
   [
     Alcotest.test_case "domain pool" `Quick test_pool;
@@ -262,4 +330,6 @@ let suite =
     Alcotest.test_case "randomized morsel stress" `Quick test_morsel_stress;
     Alcotest.test_case "dop choice + parallel cost" `Quick test_dop_choice;
     Alcotest.test_case "parallelizable predicate" `Quick test_parallelizable;
+    Alcotest.test_case "parallel = sequential under a snapshot" `Quick
+      test_snapshot_equiv;
   ]
