@@ -121,7 +121,8 @@ exception Cached_compiled of compiled
 (** Payload constructor for XNF compilations parked in the database's
     plugin cache (cleared together with the plan cache on DDL). *)
 
-let compile ?share ?nf_rewrite ?cache (db : Db.t) (text : string) : compiled =
+let compile ?share ?nf_rewrite ?(cache = true) (db : Db.t) (text : string) :
+    compiled =
   let compile_now () =
     let c = compile_ast ?share ?nf_rewrite db (Xnf_parser.parse text) in
     Log.debug (fun m ->
@@ -133,10 +134,7 @@ let compile ?share ?nf_rewrite ?cache (db : Db.t) (text : string) : compiled =
                 c.rewrite_stats)));
     c
   in
-  let use =
-    match cache with Some b -> b | None -> Db.plan_cache_enabled ()
-  in
-  if not use then compile_now ()
+  if not cache then compile_now ()
   else begin
     let key =
       Printf.sprintf "xnfplan|%b|%b|%s"
@@ -325,9 +323,8 @@ let structural_key (c : compiled) : string option =
   stream_key ~versions:false c
 
 (** Run [body] through the stream cache when [use] allows it.  On a
-    version-key miss with [XNFDB_IVM] on, {!Xnf_ivm} first tries to
-    maintain (or instrument) the cached extraction instead of running
-    [body]; with the knob off this is exactly the old store-on-miss. *)
+    version-key miss {!Xnf_ivm} first tries to maintain (or instrument)
+    the cached extraction instead of running [body]. *)
 let with_stream_cache ~use (c : compiled) (body : unit -> Hetstream.t) :
     Hetstream.t =
   match (if use then stream_cache_key c else None) with
@@ -344,7 +341,7 @@ let with_stream_cache ~use (c : compiled) (body : unit -> Hetstream.t) :
         in
         Executor.Result_cache.store key ~bytes (Cached_stream s)
       in
-      (match (if Xnf_ivm.enabled () then structural_key c else None) with
+      (match structural_key c with
       | Some skey ->
         Xnf_ivm.extract ~skey ~header:c.header ~rewritten:c.rewritten
           ~plans:c.plans ~store body

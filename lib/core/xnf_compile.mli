@@ -30,8 +30,7 @@ exception Cached_compiled of compiled
 val compile :
   ?share:bool -> ?nf_rewrite:bool -> ?cache:bool -> Db.t -> string -> compiled
 (** Goes through the database's compiled-query cache keyed by normalized
-    text × flags; [cache] (default: [Db.plan_cache_enabled ()]) bypasses
-    it when [false]. *)
+    text × flags; [cache] (default [true]) bypasses it when [false]. *)
 
 val assemble : compiled -> (string -> Batch.t list) -> Hetstream.t
 (** Assemble the stream from per-output table queues (batch lists,

@@ -20,32 +20,18 @@
     the maintainer's idea of every component is verified row-by-row
     against the executor's actual output; any mismatch falls back to
     the executor and, after two strikes, disables instrumentation for
-    that query.  The [XNFDB_IVM] knob (default on) restores today's
-    invalidate + recompute behavior exactly; delta-log overflow and the
-    [XNFDB_IVM_THRESHOLD] cost gate (delta rows / cached rows) fall
-    back per-window. *)
+    that query.  Delta-log overflow and the {!threshold} cost gate
+    (delta rows / cached rows) fall back per-window to invalidate +
+    recompute. *)
 
 open Relcore
 module Plan = Optimizer.Plan
 module Delta = Executor.Delta
 module Exec = Executor.Exec
 
-let truthy = function "0" | "false" | "off" | "no" -> false | _ -> true
-
-let enabled () =
-  match Sys.getenv_opt "XNFDB_IVM" with
-  | Some s -> truthy (String.lowercase_ascii (String.trim s))
-  | None -> true
-
 (* Maintenance cost gate: fall back to recompute when the window's delta
    rows exceed this fraction of the cached rows. *)
-let threshold () =
-  match Sys.getenv_opt "XNFDB_IVM_THRESHOLD" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0.0 -> f
-    | _ -> 0.2)
-  | None -> 0.2
+let threshold = 0.2
 
 type stats = {
   mutable fills : int; (* instrumented refills (state built + verified) *)
@@ -762,7 +748,7 @@ let maintain (entry : entry) (st : state) (header : Hetstream.header) :
   let cached_rows =
     List.fold_left (fun acc (_, arr) -> acc + Array.length arr) 0 st.comps
   in
-  if float_of_int !delta_rows > threshold () *. float_of_int (max 1 cached_rows)
+  if float_of_int !delta_rows > threshold *. float_of_int (max 1 cached_rows)
   then raise (Fallback "cost gate");
   incr gen;
   let w = { Delta.wgen = !gen; wdeltas } in

@@ -114,13 +114,6 @@ let txn db = db.txn
 
 (* -- plan-cache plumbing ------------------------------------------------- *)
 
-(** [XNFDB_PLAN_CACHE] knob: default on; "0"/"false"/"off"/"no" disable.
-    Read per call, like the other env knobs, so tests can flip it. *)
-let plan_cache_enabled () =
-  match Sys.getenv_opt "XNFDB_PLAN_CACHE" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 (** Collapse whitespace runs and trim, so formatting differences don't
     split cache entries.  Contents of string literals are preserved
     whitespace and all (a space inside quotes is data). *)
@@ -235,11 +228,10 @@ let counter_sections (db : t) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "== caches (this statement) ==\n";
   Buffer.add_string buf
-    (Printf.sprintf "  plan cache: %d entries, %d hits, %d misses%s\n"
+    (Printf.sprintf "  plan cache: %d entries, %d hits, %d misses\n"
        s.plan_entries
        (s.plan_hits - m.mk_plan_hits)
-       (s.plan_misses - m.mk_plan_misses)
-       (if plan_cache_enabled () then "" else " (disabled)"));
+       (s.plan_misses - m.mk_plan_misses));
   Buffer.add_string buf
     (Printf.sprintf
        "  result cache: %d entries, %d bytes, %d hits, %d misses, %d \
@@ -281,12 +273,11 @@ let counter_sections (db : t) : string =
   Buffer.add_string buf
     (Printf.sprintf
        "  filters built: %d, chunks skipped: %d, rows skipped: %d, filters \
-        dropped: %d%s\n"
+        dropped: %d\n"
        (jt.Bloom.filters_built - m.mk_jf_built)
        (jt.Bloom.chunks_skipped - m.mk_jf_chunks)
        (jt.Bloom.rows_skipped - m.mk_jf_rows)
-       (jt.Bloom.filters_dropped - m.mk_jf_dropped)
-       (if Bloom.enabled () then "" else " (disabled)"));
+       (jt.Bloom.filters_dropped - m.mk_jf_dropped));
   Buffer.contents buf
 
 (* -- query pipeline ---------------------------------------------------- *)
@@ -313,13 +304,10 @@ let compile_ast ?(rewrite = true) ?(share = true) ?join_method db
 (** Compile query text, going through the prepared-plan cache: a repeat
     of the same (normalized) text with the same ablation flags skips
     parse → QGM build → rewrite → join ordering and returns the compiled
-    plan directly.  [cache] defaults to the [XNFDB_PLAN_CACHE] knob. *)
-let compile_query ?rewrite ?share ?join_method ?cache db (sql : string) :
-    Plan.compiled =
-  let use =
-    match cache with Some b -> b | None -> plan_cache_enabled ()
-  in
-  if not use then
+    plan directly unless [cache] (default [true]) is [false]. *)
+let compile_query ?rewrite ?share ?join_method ?(cache = true) db
+    (sql : string) : Plan.compiled =
+  if not cache then
     compile_ast ?rewrite ?share ?join_method db
       (Sqlkit.Parser.parse_query_string sql)
   else begin

@@ -33,13 +33,11 @@ val atomically : t -> (unit -> 'a) -> 'a
 
     Two levels.  (1) A per-database {e prepared-plan cache}: normalized
     query text × ablation flags → compiled plan, so repeat queries skip
-    parse → QGM → rewrite → join ordering ([XNFDB_PLAN_CACHE] knob,
-    default on; invalidated by any DDL).  (2) The process-wide
-    {!Executor.Result_cache} of materialized results, keyed by plan
-    fingerprint × per-table version counters ([XNFDB_RESULT_CACHE_MB]
-    budget; DML invalidates by version drift). *)
-
-val plan_cache_enabled : unit -> bool
+    parse → QGM → rewrite → join ordering (invalidated by any DDL).
+    (2) The process-wide {!Executor.Result_cache} of materialized
+    results, keyed by plan fingerprint × per-table version counters
+    ([XNFDB_RESULT_CACHE_MB] budget; DML invalidates by version
+    drift). *)
 
 val normalize_query_text : string -> string
 (** Whitespace-collapsed, trimmed cache-key form of query text (string
@@ -89,8 +87,8 @@ val compile_query :
   t ->
   string ->
   Plan.compiled
-(** Goes through the prepared-plan cache; [cache] (default: the
-    [XNFDB_PLAN_CACHE] knob) bypasses it when [false]. *)
+(** Goes through the prepared-plan cache; [cache] (default [true])
+    bypasses it when [false]. *)
 
 val query_batches :
   ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?domains:int ->

@@ -43,14 +43,6 @@ let create () =
     stats = { batches = 0; committed = 0; max_batch = 0 };
   }
 
-(** [XNFDB_GROUP_COMMIT]: group commit (default on).  [0] routes every
-    COMMIT through the writer lock individually, exactly the pre-group
-    behavior. *)
-let enabled () =
-  match Sys.getenv_opt "XNFDB_GROUP_COMMIT" with
-  | Some "0" | Some "false" | Some "off" -> false
-  | _ -> true
-
 let stats t = (t.stats.batches, t.stats.committed, t.stats.max_batch)
 
 (** Submit [action] (one session's commit work) and block until it has

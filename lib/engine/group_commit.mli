@@ -7,9 +7,6 @@ type t
 
 val create : unit -> t
 
-val enabled : unit -> bool
-(** [XNFDB_GROUP_COMMIT] knob (default on). *)
-
 val submit : t -> exclusive:((unit -> unit) -> unit) -> (unit -> unit) -> int
 (** [submit t ~exclusive action] queues [action] and blocks until a
     leader has run it inside [exclusive] (which must hold the process

@@ -564,7 +564,7 @@ and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
     let sides =
       lazy
         (let l = keyed left left_keys and r = keyed right right_keys in
-         let l, r = if Bloom.enabled () then band_filter l r else (l, r) in
+         let l, r = band_filter l r in
          (sort l, sort r))
     in
     let test = compile_pred ctx residual in
@@ -1208,15 +1208,14 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
 
 (** Build the table a join probes: for a [Hash_join] its build side
     keyed by the build keys, plus — when the planner's [jfilter] hint
-    is set and [XNFDB_JOINFILTER] allows it — a {!Bloom} sideways
-    filter over the distinct keys; for an [Index_join] under a snapshot
-    the posting lists of its index, rebuilt from the frozen slot
-    array. *)
+    is set — a {!Bloom} sideways filter over the distinct keys; for an
+    [Index_join] under a snapshot the posting lists of its index,
+    rebuilt from the frozen slot array. *)
 and build_join (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
   match node with
   | Plan.Hash_join
       { build; probe; build_keys = [ bk ]; probe_keys = [ pk ]; jfilter; _ } -> (
-    let want_jf = jfilter <> None && Bloom.enabled () in
+    let want_jf = jfilter <> None in
     let tbl =
       (* the columnar mirror tracks the live heap: under a snapshot the
          build must drain the (frozen) row pipeline instead *)
@@ -1302,7 +1301,7 @@ and build_join (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
     in
     drain ();
     let flt =
-      if jfilter <> None && Bloom.enabled () then begin
+      if jfilter <> None then begin
         (* one pass over the finished table: exactly sized, one entry
            per distinct key tuple *)
         let bl = Bloom.create ~expected:(Tuple.Tbl.length tbl) in

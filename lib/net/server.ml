@@ -120,13 +120,18 @@ end
 type config = {
   addr : Unix.sockaddr;
   max_sessions : int;
-  outbox_depth : int;  (** response frames buffered per session *)
-  stream_chunk : int;  (** default stream items per [Stream_chunk] frame *)
   release_on_stop : bool;
       (** release every table's columnar tier (incl. spill files) on
           {!stop} — the daemon owns the data; off when embedding the
           server around a database the host process keeps using *)
 }
+
+(* response frames buffered per session before the serving worker
+   blocks *)
+let outbox_depth = 16
+
+(* stream items per [Stream_chunk] frame when the request names none *)
+let stream_chunk = 512
 
 let getenv_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -145,8 +150,6 @@ let default_config ?addr ?(release_on_stop = false) () =
   {
     addr = (match addr with Some a -> a | None -> default_addr ());
     max_sessions = getenv_int "XNFDB_MAX_SESSIONS" 1024;
-    outbox_depth = getenv_int "XNFDB_OUTBOX_DEPTH" 16;
-    stream_chunk = getenv_int "XNFDB_STREAM_CHUNK" 512;
     release_on_stop;
   }
 
@@ -413,16 +416,14 @@ let stats_text t : string =
        (Mutex.protect t.memo_mu (fun () -> Hashtbl.length t.frame_memo)));
   Buffer.add_string buf
     (Printf.sprintf
-       "  snapshot: %s, %d lock-free reads, %d fallbacks; epochs %d \
-        pinned / %d released (%d stale); undo window %d bytes\n"
-       (if Snapshot.enabled () then "on" else "off")
+       "  snapshot: %d lock-free reads, %d fallbacks; epochs %d pinned / \
+        %d released (%d stale); undo window %d bytes\n"
        c.snap_reads c.snap_fallbacks (Snapshot.pinned ())
        (Snapshot.released ()) (Snapshot.fallbacks ())
        (Snapshot.undo_bytes_all (Db.catalog t.db)));
   Buffer.add_string buf
     (Printf.sprintf
-       "  group commit: %s, %d batches / %d commits, max batch %d\n"
-       (if Engine.Group_commit.enabled () then "on" else "off")
+       "  group commit: %d batches / %d commits, max batch %d\n"
        c.gc_batches c.gc_commits c.gc_max_batch);
   Buffer.add_string buf
     (Printf.sprintf "  lock: readers held %.1f ms, writers waited %.1f ms\n"
@@ -430,7 +431,7 @@ let stats_text t : string =
        (float_of_int c.write_wait_us /. 1e3));
   Buffer.add_string buf
     (Printf.sprintf "  outbox depth %d frames, stream chunk %d items\n"
-       t.config.outbox_depth t.config.stream_chunk);
+       outbox_depth stream_chunk);
   Buffer.add_string buf "== sessions ==\n";
   Mutex.lock t.sessions_mu;
   let sessions = t.sessions in
@@ -487,20 +488,19 @@ let catalog_clean t =
     (fun tb -> Base_table.version tb = Base_table.committed_version tb)
     (Catalog.tables (Db.catalog t.db))
 
-(** Dispatch one read (query or extraction).  [locked] is the
-    historical read-locked path; [snap] runs against a pinned epoch with
-    no lock held.  Knob off: exactly the old behavior.  Knob on: a free
-    lock over a fully-committed catalog serves [locked] under a
-    non-blocking read acquisition (result cache, frame memo and IVM all
-    stay valid); a busy lock — or uncommitted writer state that the old
-    path would have read dirty — serves committed pre-images lock-free;
-    a stale undo window or pending DDL falls back to the blocking
-    lock.  Either way the computed result is returned unencoded: the
-    caller encodes it after the lock or pin is released. *)
+(** Dispatch one read (query or extraction).  [locked] runs under the
+    reader lock; [snap] runs against a pinned epoch with no lock held.
+    A session inside its own transaction takes the blocking lock, so it
+    sees its own uncommitted writes.  Otherwise a free lock over a
+    fully-committed catalog serves [locked] under a non-blocking read
+    acquisition (result cache, frame memo and IVM all stay valid); a
+    busy lock — or another session's uncommitted rows — serves
+    committed pre-images lock-free; a stale undo window or pending DDL
+    falls back to the blocking lock.  Either way the computed result is
+    returned unencoded: the caller encodes it after the lock or pin is
+    released. *)
 let serve_read t sess ~locked ~snap =
-  (* a session inside its own transaction must read its own uncommitted
-     writes — only the locked path can see them *)
-  if (not (Snapshot.enabled ())) || Txn.is_active (Db.txn sess.sdb) then
+  if Txn.is_active (Db.txn sess.sdb) then
     Rwlock.read t.lock locked
   else
     match
@@ -650,7 +650,7 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
     send (Wire.Done report)
   | Wire.Extract { text; chunk; analyze = _ } ->
     Atomic.incr t.c_extracts;
-    let chunk = if chunk > 0 then chunk else t.config.stream_chunk in
+    let chunk = if chunk > 0 then chunk else stream_chunk in
     let key = (text, chunk) in
     let run ?ctx () =
       if Xnf.Xnf_parser.is_xnf_text text then
@@ -713,7 +713,7 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
         [ Wire.Done msg ]
     in
     let replies =
-      if is_commit sql && Engine.Group_commit.enabled () then begin
+      if is_commit sql then begin
         (* concurrent sessions' COMMITs drain in one exclusive section:
            one lock acquisition, one memo clear, one publication burst *)
         let replies = ref [] in
@@ -930,7 +930,7 @@ let accept_all t =
             sdb = Db.session t.db;
             inbuf = "";
             pending = Queue.create ();
-            outbox = Chan.create ~capacity:t.config.outbox_depth;
+            outbox = Chan.create ~capacity:outbox_depth;
             wbuf = "";
             woff = 0;
             inflight = Atomic.make false;

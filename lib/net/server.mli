@@ -6,18 +6,19 @@
     response frames into bounded per-session {!Relcore.Chan} outboxes —
     a full outbox stalls (only) the worker serving that client, which is
     the backpressure.  Locks and snapshot pins cover only computing a
-    result; its frames are encoded and pushed after release.  Sessions share the catalog, result cache, and IVM
-    state but carry their own transaction and prepared plans
-    ({!Engine.Database.session}).  Writes serialize behind a
-    process-wide writer lock at statement granularity, and concurrent
-    COMMITs drain through one group-commit exclusive section
-    ([XNFDB_GROUP_COMMIT]).  Reads prefer the lock: when it is free and
-    every table is committed they take a non-blocking read acquisition;
-    when a writer is busy — or an open transaction's uncommitted rows
-    would be visible — they pin an MVCC-lite snapshot epoch and run
-    lock-free over committed pre-images ([XNFDB_SNAPSHOT]), falling
-    back to the blocking lock when the bounded undo window cannot
-    answer.
+    result; its frames are encoded and pushed after release.  Sessions
+    share the catalog, result cache, and IVM state but carry their own
+    transaction and prepared plans ({!Engine.Database.session}).  Writes
+    serialize behind a process-wide writer lock at statement
+    granularity, and every COMMIT drains through one group-commit
+    exclusive section (a lone committer is a batch of one).  Reads
+    prefer the lock: when it is free and every table is committed they
+    take a non-blocking read acquisition; when a writer is busy — or an
+    open transaction's uncommitted rows would be visible — they pin an
+    MVCC-lite snapshot epoch and run lock-free over committed
+    pre-images, falling back to the blocking lock when the bounded undo
+    window cannot answer.  A session inside its own transaction reads
+    under the blocking lock, so it sees its own writes.
 
     Malformed frames earn an error frame and close that session only.
     {!stop} drains in-flight requests, rolls back every open transaction
@@ -27,12 +28,6 @@
 type config = {
   addr : Unix.sockaddr;
   max_sessions : int;  (** [XNFDB_MAX_SESSIONS], default 1024 *)
-  outbox_depth : int;
-      (** response frames buffered per session before the serving worker
-          blocks; [XNFDB_OUTBOX_DEPTH], default 16 *)
-  stream_chunk : int;
-      (** default stream items per chunk frame; [XNFDB_STREAM_CHUNK],
-          default 512 *)
   release_on_stop : bool;
       (** release every table's columnar tier + spill file on {!stop} *)
 }
@@ -76,14 +71,13 @@ type counters = {
       (** extractions served from the encoded-frame memo (the same view
           shipped twice costs one encoding; any statement clears it) *)
   snap_reads : int;
-      (** reads served lock-free off a pinned snapshot epoch
-          ([XNFDB_SNAPSHOT], default on) *)
+      (** reads served lock-free off a pinned snapshot epoch *)
   snap_fallbacks : int;
       (** snapshot attempts that fell back to the blocking reader lock
           (stale undo window or pending DDL) *)
   gc_batches : int;  (** group-commit exclusive sections taken *)
   gc_commits : int;  (** COMMITs drained across all batches *)
-  gc_max_batch : int;  (** largest single drain ([XNFDB_GROUP_COMMIT]) *)
+  gc_max_batch : int;  (** largest single drain *)
   read_hold_us : int;
       (** total µs readers held the process rwlock (compute only:
           frames are encoded and shipped after release) *)

@@ -9,13 +9,8 @@
    The small-set path stores up to [exact_cap] distinct keys verbatim;
    while it is live, [mem] is exact (no false positives), which is the
    common case for selective build sides.  Bloom bits are always set
-   alongside, so overflowing — directly or via [union_into] — just
-   drops the array and keeps the (already complete) bloom. *)
-
-let enabled () =
-  match Sys.getenv_opt "XNFDB_JOINFILTER" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
+   alongside, so overflowing just drops the array and keeps the
+   (already complete) bloom. *)
 
 let block_bytes = 64
 let block_bits = block_bytes * 8
@@ -112,36 +107,6 @@ let mem t k =
   && k >= t.lo
   && k <= t.hi
   && (if t.exact_n >= 0 then exact_mem t k else test_bloom t k)
-
-let union_into ~into src =
-  if into.nblocks <> src.nblocks then
-    invalid_arg "Bloom.union_into: mismatched geometry";
-  if src.nkeys > 0 then begin
-    if src.lo < into.lo then into.lo <- src.lo;
-    if src.hi > into.hi then into.hi <- src.hi;
-    into.nkeys <- into.nkeys + src.nkeys;
-    (* merge exact sets while both are live; any overflow poisons *)
-    (if src.exact_n < 0 then into.exact_n <- -1
-     else
-       let i = ref 0 in
-       while into.exact_n >= 0 && !i < src.exact_n do
-         let k = src.exact.(!i) in
-         if not (exact_mem into k) then
-           if into.exact_n < exact_cap then begin
-             into.exact.(into.exact_n) <- k;
-             into.exact_n <- into.exact_n + 1
-           end
-           else into.exact_n <- -1;
-         incr i
-       done);
-    let n = Bytes.length into.bits in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set into.bits i
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get into.bits i)
-           lor Char.code (Bytes.unsafe_get src.bits i)))
-    done
-  end
 
 (* ------------------------------------------------ adaptive disabling -- *)
 

@@ -7,16 +7,9 @@
     {e definitely} absent from the build side, so the probe row cannot
     join and may be skipped before materialization; [true] may be a
     false positive, which the hash-table lookup itself resolves —
-    filtering is therefore output-preserving by construction.
-
-    Two filters built with the same [~expected] have identical block
-    geometry and can be OR-merged with {!union_into}. *)
+    filtering is therefore output-preserving by construction. *)
 
 type t
-
-val enabled : unit -> bool
-(** The [XNFDB_JOINFILTER] knob (default on; "0"/"false"/"off"/"no"
-    disable).  Read per call, so it can be flipped mid-process. *)
 
 val create : expected:int -> t
 (** An empty filter sized for [expected] distinct keys (~12 bits/key,
@@ -29,7 +22,7 @@ val mem : t -> int -> bool
     filter answers [false] for every key. *)
 
 val nkeys : t -> int
-(** Number of [add]s folded in (across unions); 0 iff empty. *)
+(** Number of [add]s folded in; 0 iff empty. *)
 
 val range : t -> (int * int) option
 (** Exact [lo, hi] over every added key; [None] when empty. *)
@@ -37,11 +30,6 @@ val range : t -> (int * int) option
 val is_exact : t -> bool
 (** Whether the small-set fast path is still live, making [mem] exact
     (no false positives at all). *)
-
-val union_into : into:t -> t -> unit
-(** OR-merge [src] into [into].  Both must come from {!create} with the
-    same [~expected] (identical geometry); raises [Invalid_argument]
-    otherwise. *)
 
 (** {1 Adaptive disabling} *)
 

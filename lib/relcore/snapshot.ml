@@ -29,14 +29,6 @@ let epochs_released = Atomic.make 0
 let stale_fallbacks = Atomic.make 0
 let epoch_ctr = Atomic.make 0
 
-(** [XNFDB_SNAPSHOT]: snapshot-isolated reads (default on).  [0] turns
-    the server's lock-free read path off entirely; reads then serialize
-    behind the process rwlock exactly as before. *)
-let enabled () =
-  match Sys.getenv_opt "XNFDB_SNAPSHOT" with
-  | Some "0" | Some "false" | Some "off" -> false
-  | _ -> true
-
 let publish tables =
   Mutex.protect publish_mu (fun () ->
       List.iter Base_table.mark_committed tables)

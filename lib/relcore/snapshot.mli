@@ -10,9 +10,6 @@ exception Stale
 val publish_mu : Mutex.t
 (** The global publication lock {!publish} and {!pin} serialize on. *)
 
-val enabled : unit -> bool
-(** [XNFDB_SNAPSHOT] knob (default on). *)
-
 val publish : Base_table.t list -> unit
 (** Mark each table's current version as committed, atomically with
     respect to {!pin}. *)

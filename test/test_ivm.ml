@@ -1,5 +1,5 @@
 (** Incremental CO-view maintenance: the per-table row delta log,
-    transactional publish/discard, the [XNFDB_IVM] knob, and a
+    transactional publish/discard, the recompute fallback, and a
     randomized DML soak over every workload generator.  Correctness bar
     throughout: a maintained cached stream must be byte-identical
     ([Hetstream.equal]) to a cold recomputation, whatever interleaving
@@ -313,9 +313,8 @@ let test_published_stream_immutable () =
   Ivm.reset_stats ();
   bump 5;
   let s2 = XC.extract ~cache:true c in
-  if Ivm.enabled () then
-    Alcotest.(check int) "the update was patched into the held state" 1
-      Ivm.stats.Ivm.patched;
+  Alcotest.(check int) "the update was patched into the held state" 1
+    Ivm.stats.Ivm.patched;
   Alcotest.(check bool) "the re-extraction sees the update" false
     (String.equal bytes1 (H.serialize s2));
   Alcotest.(check bool) "the held stream is unchanged" true
@@ -327,12 +326,10 @@ let test_soak_oo1 () =
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   Ivm.reset_stats ();
   soak ~seed:11 db Workloads.Oo1.parts_graph_query [ "parts"; "conns" ];
-  (* with the knob on, at least some reads must have been served by
-     delta maintenance rather than recompute-and-refill (the ambient
-     environment may have disabled it — then equivalence alone counts) *)
-  if Ivm.enabled () then
-    Alcotest.(check bool) "delta maintenance actually ran" true
-      (Ivm.stats.Ivm.maintained > 0)
+  (* at least some reads must have been served by delta maintenance
+     rather than recompute-and-refill *)
+  Alcotest.(check bool) "delta maintenance actually ran" true
+    (Ivm.stats.Ivm.maintained > 0)
 
 let test_soak_org () =
   let db = Workloads.Org.generate { Workloads.Org.default with n_depts = 8 } in
@@ -365,16 +362,18 @@ let test_soak_parallel_domains () =
   soak ~seed:53 ~domains:4 db Workloads.Oo1.parts_graph_query
     [ "parts"; "conns" ]
 
-let test_soak_ivm_off () =
-  with_env "XNFDB_IVM" "0" @@ fun () ->
-  Alcotest.(check bool) "knob off" false (Ivm.enabled ());
+(* With a zero-capacity delta log every window overflows, so each read
+   after a write falls back to invalidate + recompute: same answers,
+   zero maintenance. *)
+let test_soak_recompute () =
+  with_env "XNFDB_DELTA_LOG" "0" @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   Ivm.reset_stats ();
-  let before = Ivm.stats.Ivm.maintained in
   soak ~seed:11 db Workloads.Oo1.parts_graph_query [ "parts"; "conns" ];
-  (* invalidate-on-write semantics: same answers, zero maintenance *)
-  Alcotest.(check int) "no maintained reads with the knob off" before
-    Ivm.stats.Ivm.maintained
+  Alcotest.(check int) "no maintained reads with the delta log off" 0
+    Ivm.stats.Ivm.maintained;
+  Alcotest.(check bool) "reads fell back to recompute" true
+    (Ivm.stats.Ivm.fallbacks > 0)
 
 let suite =
   [
@@ -397,7 +396,8 @@ let suite =
     Alcotest.test_case "soak: bom recursive fixpoint" `Quick
       test_soak_bom_recursive;
     Alcotest.test_case "soak: 4 domains" `Quick test_soak_parallel_domains;
-    Alcotest.test_case "soak: XNFDB_IVM=0" `Quick test_soak_ivm_off;
+    Alcotest.test_case "soak: recompute (delta log off)" `Quick
+      test_soak_recompute;
     Alcotest.test_case "published streams are immutable" `Quick
       test_published_stream_immutable;
   ]

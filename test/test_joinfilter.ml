@@ -1,18 +1,21 @@
 (** Sideways information passing: the build-side join filter (blocked
     Bloom + exact range + exact small set) is never false-negative — by
-    qcheck property up to max_int/min_int and across unions — and the
-    [XNFDB_JOINFILTER] knob is output-invariant: on and off produce
-    byte-identical results across all four workloads, join methods,
-    domain counts and cache modes.  Also covers the filter counters and
-    explain section, adaptive disabling on useless filters, and the
-    [Cost.pred_selectivity] conjunct-grouping regression (a range pair
-    on one column must cost as one interval, not a product). *)
+    qcheck property up to max_int/min_int — and filtering is
+    output-invariant: filtered plans produce byte-identical results to
+    filter-free references ({!Exec_scalar}, which ignores [jfilter], or
+    the same plan with every hint stripped) across all four workloads,
+    join methods, domain counts and cache modes.  Also covers the
+    filter counters and explain section, adaptive disabling on useless
+    filters, and the [Cost.pred_selectivity] conjunct-grouping
+    regression (a range pair on one column must cost as one interval,
+    not a product). *)
 
 open Helpers
 open Relcore
 module Db = Engine.Database
 module Exec = Executor.Exec
 module Exec_par = Executor.Exec_par
+module Plan = Optimizer.Plan
 module Qgm = Starq.Qgm
 
 (* ------------------------------------------------------ env plumbing -- *)
@@ -24,11 +27,64 @@ let with_env var value f =
     ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
     f
 
-let with_joinfilter flag f =
-  with_env "XNFDB_JOINFILTER" (if flag then "1" else "0") f
-
 let with_colstore flag f =
   with_env "XNFDB_COLSTORE" (if flag then "1" else "0") f
+
+(* The same plan with every [Hash_join.jfilter] hint dropped: the
+   executor then builds no filter anywhere.  [Shared] ids are kept, so
+   common subexpressions still materialize once per context. *)
+let rec strip_plan (p : Plan.t) : Plan.t =
+  match p with
+  | Plan.Scan _ | Plan.Values _ -> p
+  | Plan.Filter (input, pred) -> Plan.Filter (strip_plan input, strip_pred pred)
+  | Plan.Project (input, cols) -> Plan.Project (strip_plan input, cols)
+  | Plan.Nl_join { outer; inner; cond } ->
+    Plan.Nl_join
+      {
+        outer = strip_plan outer;
+        inner = strip_plan inner;
+        cond = strip_pred cond;
+      }
+  | Plan.Hash_join j ->
+    Plan.Hash_join
+      {
+        j with
+        build = strip_plan j.build;
+        probe = strip_plan j.probe;
+        residual = strip_pred j.residual;
+        jfilter = None;
+      }
+  | Plan.Index_join j ->
+    Plan.Index_join
+      { j with outer = strip_plan j.outer; residual = strip_pred j.residual }
+  | Plan.Merge_join j ->
+    Plan.Merge_join
+      {
+        j with
+        left = strip_plan j.left;
+        right = strip_plan j.right;
+        residual = strip_pred j.residual;
+      }
+  | Plan.Distinct input -> Plan.Distinct (strip_plan input)
+  | Plan.Aggregate a -> Plan.Aggregate { a with input = strip_plan a.input }
+  | Plan.Sort (input, specs) -> Plan.Sort (strip_plan input, specs)
+  | Plan.Limit (input, n) -> Plan.Limit (strip_plan input, n)
+  | Plan.Union_all inputs -> Plan.Union_all (List.map strip_plan inputs)
+  | Plan.Shared (id, input) -> Plan.Shared (id, strip_plan input)
+
+and strip_pred (pred : Plan.ppred) : Plan.ppred =
+  match pred with
+  | Plan.P_exists p -> Plan.P_exists (strip_plan p)
+  | Plan.P_in (s, p) -> Plan.P_in (s, strip_plan p)
+  | Plan.P_and (a, b) -> Plan.P_and (strip_pred a, strip_pred b)
+  | Plan.P_or (a, b) -> Plan.P_or (strip_pred a, strip_pred b)
+  | Plan.P_not a -> Plan.P_not (strip_pred a)
+  | Plan.P_true | Plan.P_false | Plan.P_cmp _ | Plan.P_is_null _
+  | Plan.P_is_not_null _ | Plan.P_like _ ->
+    pred
+
+let strip_compiled (c : Plan.compiled) =
+  { c with Plan.plan = strip_plan c.Plan.plan }
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -62,18 +118,6 @@ let test_never_false_negative =
          List.iter (Bloom.add bl) keys;
          List.for_all (Bloom.mem bl) keys))
 
-let test_union_never_false_negative =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"union keeps every key"
-       (QCheck.pair keys_arb keys_arb) (fun (ka, kb) ->
-         (* shared [expected] = shared geometry *)
-         let expected = List.length ka + List.length kb in
-         let a = Bloom.create ~expected and b = Bloom.create ~expected in
-         List.iter (Bloom.add a) ka;
-         List.iter (Bloom.add b) kb;
-         Bloom.union_into ~into:a b;
-         List.for_all (Bloom.mem a) (ka @ kb)))
-
 let test_filter_unit () =
   let bl = Bloom.create ~expected:16 in
   Alcotest.(check bool) "empty filter rejects" false (Bloom.mem bl 42);
@@ -104,12 +148,7 @@ let test_filter_unit () =
           (Printf.sprintf "folded float %h" f)
           want (Bloom.mem fb k)
       | None -> Alcotest.fail (Printf.sprintf "float %h did not fold" f))
-    [ (3.0, true); (0x1p53, true); (-0x1p62, true); (4.0, false) ];
-  (* geometry mismatch is a programming error, not silent corruption *)
-  Alcotest.check_raises "union geometry mismatch"
-    (Invalid_argument "Bloom.union_into: mismatched geometry") (fun () ->
-      Bloom.union_into ~into:(Bloom.create ~expected:64)
-        (Bloom.create ~expected:100_000))
+    [ (3.0, true); (0x1p53, true); (-0x1p62, true); (4.0, false) ]
 
 (* ------------------------- Cost.pred_selectivity conjunct grouping -- *)
 
@@ -205,10 +244,9 @@ let jf_sql =
 let test_counters_and_explain () =
   with_env "XNFDB_CHUNK_ROWS" "64" @@ fun () ->
   with_colstore true @@ fun () ->
-  with_joinfilter true @@ fun () ->
   let db = clustered_db () in
   let c = Db.compile_query ~join_method:`Hash db jf_sql in
-  let expected = with_joinfilter false (fun () -> Exec.run c) in
+  let expected = Exec_scalar.run c in
   (* 8 probe keys in the build band, each matching 3000/8 build rows *)
   check_rows "oracle count" [ row [ vi 3000 ] ] expected;
   let b0, c0, r0, _ = totals () in
@@ -230,13 +268,12 @@ let test_counters_and_explain () =
     (contains ~affix:"== join filters (this statement) ==" ex
     && contains ~affix:"filters built" ex
     && contains ~affix:"jfilter(pass~" ex);
-  (* knob off: no filter is built and no row/chunk is skipped *)
-  with_joinfilter false (fun () ->
-      let ctx = Exec.make_ctx () in
-      check_rows "knob off result" expected (Exec.run ~ctx c);
-      Alcotest.(check int) "no filter built" 0 ctx.Exec.jf_built;
-      Alcotest.(check int) "no chunks skipped" 0 ctx.Exec.jf_chunks_skipped;
-      Alcotest.(check int) "no rows skipped" 0 ctx.Exec.jf_rows_skipped)
+  (* without the hint: no filter is built and no row/chunk is skipped *)
+  let ctx = Exec.make_ctx () in
+  check_rows "unhinted result" expected (Exec.run ~ctx (strip_compiled c));
+  Alcotest.(check int) "no filter built" 0 ctx.Exec.jf_built;
+  Alcotest.(check int) "no chunks skipped" 0 ctx.Exec.jf_chunks_skipped;
+  Alcotest.(check int) "no rows skipped" 0 ctx.Exec.jf_rows_skipped
 
 (* Multi-key (tuple) hash joins carry the same sideways filter: one
    Bloom over the hash of the whole key tuple, probed before the table
@@ -277,14 +314,13 @@ let multi_clustered_db () =
 let test_multi_key_filter () =
   with_env "XNFDB_CHUNK_ROWS" "64" @@ fun () ->
   with_colstore true @@ fun () ->
-  with_joinfilter true @@ fun () ->
   let db = multi_clustered_db () in
   let sql =
     "SELECT COUNT(*) FROM probe_t p, build_t b WHERE b.k1 = p.fk1 AND b.k2 = \
      p.fk2"
   in
   let c = Db.compile_query ~join_method:`Hash db sql in
-  let expected = with_joinfilter false (fun () -> Exec.run c) in
+  let expected = Exec_scalar.run c in
   (* 8 surviving probe keys, each matching 3000/8 build rows *)
   check_rows "oracle count" [ row [ vi 3000 ] ] expected;
   let ctx = Exec.make_ctx () in
@@ -310,12 +346,11 @@ let test_multi_key_filter () =
       Alcotest.(check bool) "parallel skips rows" true
         (ctx.Exec.jf_rows_skipped > 0))
     [ 1; 4 ];
-  (* knob off: no filter, identical rows *)
-  with_joinfilter false (fun () ->
-      let ctx = Exec.make_ctx () in
-      check_rows "knob off result" expected (Exec.run ~ctx c);
-      Alcotest.(check int) "no filter built" 0 ctx.Exec.jf_built;
-      Alcotest.(check int) "no rows skipped" 0 ctx.Exec.jf_rows_skipped)
+  (* without the hint: no filter, identical rows *)
+  let ctx = Exec.make_ctx () in
+  check_rows "unhinted result" expected (Exec.run ~ctx (strip_compiled c));
+  Alcotest.(check int) "no filter built" 0 ctx.Exec.jf_built;
+  Alcotest.(check int) "no rows skipped" 0 ctx.Exec.jf_rows_skipped
 
 (* String join keys ride the probe table's dictionary: build strings
    fold onto probe-side codes, the Bloom works over codes, and a build
@@ -323,7 +358,6 @@ let test_multi_key_filter () =
    Needs the columnar probe (codes live in the colstore). *)
 let test_string_key_filter () =
   with_colstore true @@ fun () ->
-  with_joinfilter true @@ fun () ->
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE probe_t (k STRING, payload INT)");
   ignore (Db.exec db "CREATE TABLE build_t (k STRING, w INT)");
@@ -348,7 +382,7 @@ let test_string_key_filter () =
       else Printf.sprintf "key%d" (i mod 20));
   let sql = "SELECT COUNT(*) FROM probe_t p, build_t b WHERE p.k = b.k" in
   let c = Db.compile_query ~join_method:`Hash db sql in
-  let expected = with_joinfilter false (fun () -> Exec.run c) in
+  let expected = Exec_scalar.run c in
   (* 20 hot probe keys, each matching 2970/20 build rows *)
   check_rows "oracle count" [ row [ vi 2970 ] ] expected;
   let ctx = Exec.make_ctx () in
@@ -365,7 +399,6 @@ let test_string_key_filter () =
 
 let test_adaptive_drop () =
   with_colstore false @@ fun () ->
-  with_joinfilter true @@ fun () ->
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE build_t (k INT)");
   ignore (Db.exec db "CREATE TABLE probe_t (k INT)");
@@ -397,8 +430,7 @@ let test_adaptive_drop () =
   in
   let hits = n_probe - (n_probe / 10) in
   let expected = [ row [ vi (hits * (3200 / 100)) ] ] in
-  with_joinfilter false (fun () ->
-      check_rows "unfiltered oracle" expected (Exec.run c));
+  check_rows "unfiltered oracle" expected (Exec_scalar.run c);
   let ctx = Exec.make_ctx () in
   check_rows "filtered = unfiltered" expected (Exec.run ~ctx c);
   Alcotest.(check int) "filter was built" 1 ctx.Exec.jf_built;
@@ -407,7 +439,7 @@ let test_adaptive_drop () =
   Alcotest.(check bool) "some strays skipped pre-verdict" true
     (ctx.Exec.jf_rows_skipped > 0)
 
-(* ----------------------- knob equivalence: on = off, everywhere ----- *)
+(* --------------- filter equivalence: filtered = filter-free ------- *)
 
 let hetstream_testable : Xnf.Hetstream.t Alcotest.testable =
   Alcotest.testable
@@ -417,15 +449,14 @@ let hetstream_testable : Xnf.Hetstream.t Alcotest.testable =
 
 let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
 
-(* unfiltered baseline, then the filtered path serial and parallel,
-   with the columnar probe path both off and on *)
+(* filter-free scalar baseline, then the filtered path serial and
+   parallel, with the columnar probe path both off and on *)
 let check_sql_equiv ?join_method name db sql =
   let c = Db.compile_query ?join_method db sql in
-  let expected = with_joinfilter false (fun () -> Exec.run c) in
+  let expected = Exec_scalar.run c in
   List.iter
     (fun colstore ->
       with_colstore colstore @@ fun () ->
-      with_joinfilter true @@ fun () ->
       let tag = Printf.sprintf "%s (colstore %b)" name colstore in
       check_rows (tag ^ " serial") expected (Exec.run c);
       List.iter
@@ -461,26 +492,29 @@ let test_sql_equiv_workloads () =
     "SELECT c.cid, o.oid FROM customer c, orders o WHERE c.cid = o.ocid AND \
      c.region = 'EMEA'"
 
+(* baseline: the same compiled query with every join-filter hint
+   stripped (recursive COs plan per fixpoint iteration, so their
+   [plans] is empty and the baseline is the filtered evaluator) *)
 let check_extraction_equiv name db query =
   let c = Xnf.Xnf_compile.compile db query in
   let baseline =
-    with_joinfilter false (fun () -> Xnf.Xnf_compile.extract ~cache:false c)
+    Xnf.Xnf_compile.extract ~cache:false
+      { c with plans = List.map (fun (n, p) -> (n, strip_compiled p)) c.plans }
   in
-  with_joinfilter true (fun () ->
-      Alcotest.check hetstream_testable (name ^ " (serial)") baseline
-        (Xnf.Xnf_compile.extract ~cache:false c);
-      List.iter
-        (fun domains ->
-          Alcotest.check hetstream_testable
-            (Printf.sprintf "%s (@ %d domains)" name domains)
-            baseline
-            (Xnf.Xnf_compile.extract_parallel ~domains ~threshold:1
-               ~morsel_rows:17 ~cache:false c))
-        [ 1; 4 ];
-      Alcotest.check hetstream_testable (name ^ " (cache fill)") baseline
-        (Xnf.Xnf_compile.extract ~cache:true c);
-      Alcotest.check hetstream_testable (name ^ " (cache hit)") baseline
-        (Xnf.Xnf_compile.extract ~cache:true c))
+  Alcotest.check hetstream_testable (name ^ " (serial)") baseline
+    (Xnf.Xnf_compile.extract ~cache:false c);
+  List.iter
+    (fun domains ->
+      Alcotest.check hetstream_testable
+        (Printf.sprintf "%s (@ %d domains)" name domains)
+        baseline
+        (Xnf.Xnf_compile.extract_parallel ~domains ~threshold:1 ~morsel_rows:17
+           ~cache:false c))
+    [ 1; 4 ];
+  Alcotest.check hetstream_testable (name ^ " (cache fill)") baseline
+    (Xnf.Xnf_compile.extract ~cache:true c);
+  Alcotest.check hetstream_testable (name ^ " (cache hit)") baseline
+    (Xnf.Xnf_compile.extract ~cache:true c)
 
 let test_extraction_equiv_workloads () =
   check_extraction_equiv "org deps"
@@ -499,7 +533,6 @@ let test_extraction_equiv_workloads () =
 let suite =
   [
     test_never_false_negative;
-    test_union_never_false_negative;
     Alcotest.test_case "filter unit behaviour" `Quick test_filter_unit;
     Alcotest.test_case "selectivity conjunct grouping" `Quick
       test_selectivity_grouping;
@@ -509,8 +542,8 @@ let suite =
       test_string_key_filter;
     Alcotest.test_case "adaptive drop of useless filters" `Quick
       test_adaptive_drop;
-    Alcotest.test_case "knob equivalence: sql workloads" `Quick
+    Alcotest.test_case "filter equivalence: sql workloads" `Quick
       test_sql_equiv_workloads;
-    Alcotest.test_case "knob equivalence: CO extraction" `Quick
+    Alcotest.test_case "filter equivalence: CO extraction" `Quick
       test_extraction_equiv_workloads;
   ]

@@ -1,8 +1,8 @@
 (** Write-path tests: batched DML victim scans, MVCC-lite snapshot
     reconstruction ([Heap.frozen_at] / [Snapshot]), snapshot-isolated
     reads through the daemon (committed pre-images while a writer's
-    transaction is open), group commit, merge-join skip-scan
-    knob-invariance, and cocache flush coalescing of adjacent DELETEs
+    transaction is open), group commit, merge-join skip-scan against
+    the scalar reference, and cocache flush coalescing of adjacent DELETEs
     and UPDATEs. *)
 
 open Helpers
@@ -240,7 +240,6 @@ let test_flush_coalesces_updates () =
 (* ------------------------------------------- merge-join skip-scan ------- *)
 
 let test_merge_join_skipscan () =
-  with_env "XNFDB_JOINFILTER" "1" @@ fun () ->
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE lhs (k INT, a INT)");
   ignore (Db.exec db "CREATE TABLE rhs (k INT, b INT)");
@@ -262,17 +261,12 @@ let test_merge_join_skipscan () =
   let on_rows = Exec.run ~ctx c in
   Alcotest.(check bool) "band filter pruned rows" true
     (ctx.Exec.jf_rows_skipped > 0);
-  check_rows "batched = scalar with skip-scan on" (Exec_scalar.run c) on_rows;
-  (* knob off: byte-identical rows *)
-  with_env "XNFDB_JOINFILTER" "0" (fun () ->
-      check_rows "knob-off rows identical" on_rows (Exec.run c);
-      check_rows "knob-off scalar identical" on_rows (Exec_scalar.run c))
+  check_rows "batched = scalar with skip-scan on" (Exec_scalar.run c) on_rows
 
 (* ------------------------------------------- daemon: snapshot reads ----- *)
 
 let test_server_snapshot_read () =
   with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
-  with_env "XNFDB_SNAPSHOT" "1" @@ fun () ->
   Test_net.with_server ~setup:Test_net.org_setup (fun addr _db t ->
       let reference = serialize_view (deps_db ()) in
       let writer = Client.connect addr in
@@ -294,13 +288,6 @@ let test_server_snapshot_read () =
           let c = Server.counters t in
           Alcotest.(check bool) "snapshot path engaged" true
             (c.Server.snap_reads >= 1);
-          (* knob off mid-flight: the legacy locked read shows the dirty
-             uncommitted value — pins that [XNFDB_SNAPSHOT=0] is exactly
-             the historical behavior *)
-          with_env "XNFDB_SNAPSHOT" "0" (fun () ->
-              check_rows "knob off reads the legacy dirty state"
-                (rows_of_ints [ [ 200 ] ])
-                (Client.query_rows reader "SELECT sal FROM emp WHERE eno = 10"));
           ignore (Client.exec writer "ROLLBACK");
           check_rows "after rollback everyone agrees"
             (rows_of_ints [ [ 100 ] ])
@@ -321,8 +308,6 @@ let test_server_snapshot_read () =
    reference list. *)
 let test_server_soak () =
   with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
-  with_env "XNFDB_SNAPSHOT" "1" @@ fun () ->
-  with_env "XNFDB_GROUP_COMMIT" "1" @@ fun () ->
   Test_net.with_server ~setup:Test_net.org_setup (fun addr _db t ->
       let refdb = deps_db () in
       let refs_mu = Mutex.create () in
@@ -403,12 +388,10 @@ let test_server_soak () =
       Alcotest.(check bool) "group commit drained the COMMITs" true
         (c.Server.gc_commits >= 8))
 
-(* Knob-off equivalence: with [XNFDB_SNAPSHOT=0] and
-   [XNFDB_GROUP_COMMIT=0] the same autocommit workload produces
-   byte-identical results through the daemon. *)
-let test_server_knobs_off () =
-  with_env "XNFDB_SNAPSHOT" "0" @@ fun () ->
-  with_env "XNFDB_GROUP_COMMIT" "0" @@ fun () ->
+(* Autocommit DML plus an explicit COMMIT and a ROLLBACK through the
+   daemon produce byte-identical results to the same script run
+   embedded; the explicit COMMIT drains through group commit. *)
+let test_server_autocommit () =
   Test_net.with_server ~setup:Test_net.org_setup (fun addr _db t ->
       let refdb = deps_db () in
       let cl = Client.connect addr in
@@ -424,7 +407,6 @@ let test_server_knobs_off () =
               "DELETE FROM projskills WHERE pssno = 34";
               "INSERT INTO emp VALUES (15, 'fred', 75, 2)";
             ];
-          (* explicit COMMIT takes the plain (non-grouped) path *)
           ignore (Client.exec cl "BEGIN");
           ignore (Client.exec cl "UPDATE emp SET sal = sal - 2 WHERE eno = 15");
           ignore (Client.exec cl "COMMIT");
@@ -432,14 +414,12 @@ let test_server_knobs_off () =
           ignore (Client.exec cl "BEGIN");
           ignore (Client.exec cl "UPDATE emp SET sal = 1 WHERE eno = 15");
           ignore (Client.exec cl "ROLLBACK");
-          Alcotest.(check bool) "knob-off daemon byte-identical" true
+          Alcotest.(check bool) "daemon byte-identical" true
             (H.serialize (Client.extract cl "deps_arc")
             = serialize_view refdb);
           let c = Server.counters t in
-          Alcotest.(check int) "no snapshot reads with the knob off" 0
-            c.Server.snap_reads;
-          Alcotest.(check int) "no group commits with the knob off" 0
-            c.Server.gc_commits))
+          Alcotest.(check bool) "the COMMIT took group commit" true
+            (c.Server.gc_commits >= 1)))
 
 let suite =
   [
@@ -458,5 +438,6 @@ let suite =
     Alcotest.test_case "merge-join skip-scan" `Quick test_merge_join_skipscan;
     Alcotest.test_case "daemon: snapshot read" `Quick test_server_snapshot_read;
     Alcotest.test_case "daemon: mixed r/w soak" `Quick test_server_soak;
-    Alcotest.test_case "daemon: knobs off" `Quick test_server_knobs_off;
+    Alcotest.test_case "daemon: autocommit + COMMIT/ROLLBACK" `Quick
+      test_server_autocommit;
   ]
