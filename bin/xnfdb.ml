@@ -6,7 +6,6 @@
                      (--connect ADDR runs them against a daemon)
      demo            preload the paper's Fig. 1 org database, then repl
      serve [FILE..]  run the socket daemon (scripts preload the db)
-     calibrate       measure host cost constants, save a profile
 
    Inside the shell: SQL statements and XNF queries (starting with
    OUT OF) end with ';'.  Meta commands start with '.':
@@ -369,45 +368,6 @@ let serve_cmd =
           serve_daemon ~addr ~demo files)
       $ verbose_flag $ addr $ demo $ files)
 
-let calibrate_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "where to save the profile (default $(b,XNFDB_COST_PROFILE), \
-             else ./xnfdb-cost-profile.txt).")
-  in
-  let doc =
-    "measure this host's cost constants (scan, batch dispatch, hash \
-     build/probe, Bloom test, decode fault, domain fan-out) and save a \
-     profile for $(b,XNFDB_COST_PROFILE)"
-  in
-  Cmd.v (Cmd.info "calibrate" ~doc)
-    Term.(
-      const (fun verbose out ->
-          setup_verbose verbose;
-          let module C = Optimizer.Cost.Calibrate in
-          let prof = C.measure () in
-          print_string (C.render prof);
-          let path =
-            match out with
-            | Some p -> p
-            | None -> (
-              match C.profile_path () with
-              | Some p -> p
-              | None -> "xnfdb-cost-profile.txt")
-          in
-          C.save path prof;
-          Printf.printf "profile saved to %s\n" path;
-          match C.profile_path () with
-          | Some p when p = path ->
-            print_endline "XNFDB_COST_PROFILE already points here; active."
-          | _ ->
-            Printf.printf "activate with: export XNFDB_COST_PROFILE=%s\n" path)
-      $ verbose_flag $ out)
-
 let demo_cmd =
   let doc = "preload the paper's Fig. 1 example database and open the shell" in
   Cmd.v (Cmd.info "demo" ~doc)
@@ -423,6 +383,6 @@ let main_cmd =
   let doc = "composite-object views over relational data (XNF reproduction)" in
   let info = Cmd.info "xnfdb" ~version:"1.0.0" ~doc in
   Cmd.group ~default:Term.(const (fun () -> repl (Db.create ())) $ const ()) info
-    [ repl_cmd; run_cmd; demo_cmd; serve_cmd; calibrate_cmd ]
+    [ repl_cmd; run_cmd; demo_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -284,8 +284,8 @@ let counter_sections (db : t) : string =
 
 (** Compile a query AST down to an executable plan.  [rewrite] and
     [share] expose the ablation switches used by the benchmarks. *)
-let compile_ast ?(rewrite = true) ?(share = true) ?join_method db
-    (q : Ast.query) : Plan.compiled =
+let compile_ast ?(rewrite = true) ?(share = true) db (q : Ast.query) :
+    Plan.compiled =
   let g = Starq.Build.build_query db.catalog q in
   if rewrite then begin
     let stats = Starq.Engine.rewrite_graph g in
@@ -294,7 +294,7 @@ let compile_ast ?(rewrite = true) ?(share = true) ?join_method db
           (String.concat ", "
              (List.map (fun (n, c) -> Printf.sprintf "%s x%d" n c) stats)))
   end;
-  let compiled = Optimizer.Planner.compile ~share ?join_method g in
+  let compiled = Optimizer.Planner.compile ~share g in
   Log.debug (fun m ->
       m "plan (%d nodes):@
 %s" (Plan.count_nodes compiled.Plan.plan)
@@ -305,20 +305,15 @@ let compile_ast ?(rewrite = true) ?(share = true) ?join_method db
     of the same (normalized) text with the same ablation flags skips
     parse → QGM build → rewrite → join ordering and returns the compiled
     plan directly unless [cache] (default [true]) is [false]. *)
-let compile_query ?rewrite ?share ?join_method ?(cache = true) db
-    (sql : string) : Plan.compiled =
+let compile_query ?rewrite ?share ?(cache = true) db (sql : string) :
+    Plan.compiled =
   if not cache then
-    compile_ast ?rewrite ?share ?join_method db
-      (Sqlkit.Parser.parse_query_string sql)
+    compile_ast ?rewrite ?share db (Sqlkit.Parser.parse_query_string sql)
   else begin
     let key =
-      Printf.sprintf "%b|%b|%s|%s"
+      Printf.sprintf "%b|%b|%s"
         (Option.value rewrite ~default:true)
         (Option.value share ~default:true)
-        (match join_method with
-        | None | Some `Auto -> "auto"
-        | Some `Hash -> "hash"
-        | Some `Merge -> "merge")
         (normalize_query_text sql)
     in
     match Hashtbl.find_opt db.plan_cache key with
@@ -328,8 +323,7 @@ let compile_query ?rewrite ?share ?join_method ?(cache = true) db
     | None ->
       db.plan_misses <- db.plan_misses + 1;
       let c =
-        compile_ast ?rewrite ?share ?join_method db
-          (Sqlkit.Parser.parse_query_string sql)
+        compile_ast ?rewrite ?share db (Sqlkit.Parser.parse_query_string sql)
       in
       if Hashtbl.length db.plan_cache >= plan_cache_capacity then
         Hashtbl.reset db.plan_cache;
@@ -429,8 +423,7 @@ let compile_row_ppred db (table : Base_table.t) (pred : Ast.pred) : Plan.ppred =
   let width = Schema.arity (Base_table.schema table) in
   let layout = [ (quant.Qgm.qid, (0, width)) ] in
   let pctx =
-    { Optimizer.Planner.consumers = Hashtbl.create 4; outer = []; share = false;
-      join_method = `Auto }
+    { Optimizer.Planner.consumers = Hashtbl.create 4; outer = []; share = false }
   in
   Optimizer.Planner.compile_pred pctx [ layout ] bp
 
@@ -543,8 +536,8 @@ let exec_update db ~table_name ~sets ~where =
     (fun (rid, tuple) ->
       let row = Array.copy tuple in
       List.iter (fun (i, f) -> row.(i) <- f tuple) setters;
-      Txn.record db.txn (Txn.U_update (table, rid, Array.copy tuple));
-      Base_table.update table rid row)
+      Base_table.update table rid row;
+      Txn.record db.txn (Txn.U_update (table, rid, Array.copy tuple)))
     victims;
   autocommit_publish db table;
   Affected (List.length victims)
@@ -556,8 +549,8 @@ let exec_delete db ~table_name ~where =
   let victims = Executor.Exec.scan_victims ctx table pp in
   List.iter
     (fun (rid, tuple) ->
-      Txn.record db.txn (Txn.U_delete (table, Array.copy tuple));
-      Base_table.delete table rid)
+      Base_table.delete table rid;
+      Txn.record db.txn (Txn.U_delete (table, Array.copy tuple)))
     victims;
   autocommit_publish db table;
   Affected (List.length victims)

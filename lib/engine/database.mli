@@ -70,23 +70,11 @@ val cache_stats : t -> cache_stats
 
 (** {2 Query pipeline} *)
 
-val compile_ast :
-  ?rewrite:bool ->
-  ?share:bool ->
-  ?join_method:Optimizer.Planner.join_method ->
-  t ->
-  Ast.query ->
-  Plan.compiled
+val compile_ast : ?rewrite:bool -> ?share:bool -> t -> Ast.query -> Plan.compiled
 (** [rewrite] and [share] are the benchmark ablation switches. *)
 
 val compile_query :
-  ?rewrite:bool ->
-  ?share:bool ->
-  ?join_method:Optimizer.Planner.join_method ->
-  ?cache:bool ->
-  t ->
-  string ->
-  Plan.compiled
+  ?rewrite:bool -> ?share:bool -> ?cache:bool -> t -> string -> Plan.compiled
 (** Goes through the prepared-plan cache; [cache] (default [true])
     bypasses it when [false]. *)
 

@@ -17,7 +17,9 @@ val begin_txn : t -> unit
 (** Raises when a transaction is already in progress. *)
 
 val record : t -> undo -> unit
-(** Record an undo entry (no-op outside a transaction). *)
+(** Record an undo entry (no-op outside a transaction).  Call it right
+    after the write it undoes: the txn's first entry per table locates
+    the pre-txn delta-log mark from the entries that write appended. *)
 
 val commit : t -> unit
 val rollback : t -> unit

@@ -27,7 +27,7 @@
     matter how the underlying DML interleaved across tables.
 
     Shapes outside {!Optimizer.Plan.maintainable} (aggregation,
-    DISTINCT, merge/nested-loop joins, LIMIT, correlated subplans)
+    DISTINCT, nested-loop joins, LIMIT, correlated subplans)
     raise {!Unmaintainable}; callers fall back to invalidate +
     recompute, so maintenance is never load-bearing for correctness. *)
 
@@ -201,8 +201,7 @@ let rec compile (ctx : ctx) (p : Plan.t) : node =
       in
       Hashtbl.add ctx.cells bid n;
       n)
-  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Distinct _ | Plan.Aggregate _
-  | Plan.Limit _ ->
+  | Plan.Nl_join _ | Plan.Distinct _ | Plan.Aggregate _ | Plan.Limit _ ->
     unmaintainable "unsupported operator"
 
 (* -- mirrors ------------------------------------------------------------ *)

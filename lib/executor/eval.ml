@@ -206,12 +206,6 @@ let compile_pred_pure (p : Plan.ppred) :
 
 (* -- batch entry points -------------------------------------------------- *)
 
-(** Evaluate [s] over every selected row of [b] into a dense array. *)
-let scalar_batch (frames : frames) (b : Batch.t) (s : Plan.scalar) :
-    Value.t array =
-  let f = compile_scalar_fn s in
-  Array.init (Batch.length b) (fun i -> f frames (Batch.get b i))
-
 (** Refine [b]'s selection in place, keeping rows where [test] yields
     [Some true] (SQL semantics: unknown drops the row). *)
 let select_batch (frames : frames) (b : Batch.t)
@@ -231,9 +225,3 @@ let compile_project (cols : Plan.scalar array) : frames -> Batch.t -> Batch.t =
           out.(k) <- fs.(k) frames row
         done;
         out)
-
-(** Project every selected row of [b] through [cols] into a fresh dense
-    batch. *)
-let project_batch (frames : frames) (b : Batch.t) (cols : Plan.scalar array) :
-    Batch.t =
-  compile_project cols frames b

@@ -40,9 +40,6 @@ val compile_pred_pure : Plan.ppred -> (frames -> Tuple.t -> bool option) option
 
 (** {2 Batch entry points} *)
 
-val scalar_batch : frames -> Batch.t -> Plan.scalar -> Value.t array
-(** Evaluate a scalar over every selected row into a dense array. *)
-
 val select_batch :
   frames -> Batch.t -> (frames -> Tuple.t -> bool option) -> unit
 (** Refine the batch's selection vector in place, keeping rows where the
@@ -50,7 +47,3 @@ val select_batch :
 
 val compile_project : Plan.scalar array -> frames -> Batch.t -> Batch.t
 (** Compile a projection once; apply the result per batch. *)
-
-val project_batch : frames -> Batch.t -> Plan.scalar array -> Batch.t
-(** Project every selected row through the columns into a fresh dense
-    batch (the vectorized [Project] operator body). *)

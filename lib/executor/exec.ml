@@ -342,14 +342,12 @@ let open_scan (ctx : ctx) ?keep (t : Base_table.t) : batch_iter =
       end
 
 (** One opened probe's adaptive join-filter test: the first
-    [jf_adaptive_sample] keys are observed, and a filter passing more
-    than [jf_drop_threshold] of them is dropped — the test then passes
+    [Bloom.adaptive_sample] keys are observed, and a filter passing more
+    than [Bloom.drop_threshold] of them is dropped — the test then passes
     everything.  A failed test counts as a skipped probe row. *)
 let jf_adaptive (ctx : ctx) : Bloom.t -> int -> bool =
   let live = ref true and decided = ref false in
   let tested = ref 0 and passed = ref 0 in
-  let sample = Optimizer.Cost.jf_adaptive_sample () in
-  let drop = Optimizer.Cost.jf_drop_threshold () in
   fun bl k ->
     let pass =
       if !decided then (not !live) || Bloom.mem bl k
@@ -357,9 +355,11 @@ let jf_adaptive (ctx : ctx) : Bloom.t -> int -> bool =
         let pass = Bloom.mem bl k in
         incr tested;
         if pass then incr passed;
-        if !tested >= sample then begin
+        if !tested >= Bloom.adaptive_sample then begin
           decided := true;
-          if float_of_int !passed > drop *. float_of_int !tested then begin
+          if
+            float_of_int !passed > Bloom.drop_threshold *. float_of_int !tested
+          then begin
             live := false;
             ctx.jf_dropped <- ctx.jf_dropped + 1;
             if posts_totals ctx then
@@ -497,118 +497,6 @@ and open_plan_raw (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
           true)
   | Plan.Hash_join _ -> open_hash_join ctx frames ~mk_row:Tuple.concat p
   | Plan.Index_join _ -> open_index_join ctx frames ~mk_row:Tuple.concat p
-  | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
-    (* sort both sides on their key values, then merge equal groups *)
-    let keyed plan keys =
-      let kfs = List.map Eval.compile_scalar_fn keys in
-      let rows = Array.of_list (Batch.list_to_rows (materialize ctx frames plan)) in
-      let with_keys =
-        Array.map
-          (fun row ->
-            (Array.of_list (List.map (fun f -> f frames row) kfs), row))
-          rows
-      in
-      (* null keys never join: drop them, as the hash join does *)
-      Array.of_list
-        (List.filter
-           (fun (k, _) -> not (Array.exists Value.is_null k))
-           (Array.to_list with_keys))
-    in
-    (* skip-scan band filter: a row whose key falls outside the other
-       side's [min, max] key range can never find a merge partner, so it
-       is dropped before paying for the sort.  Exact (no false drops)
-       and order-preserving, hence byte-identical output; gated with the
-       other sideways join filters. *)
-    let band_filter l r =
-      if Array.length l = 0 || Array.length r = 0 then (l, r)
-      else begin
-        let range side =
-          let lo = ref (fst side.(0)) and hi = ref (fst side.(0)) in
-          Array.iter
-            (fun (k, _) ->
-              if Tuple.compare k !lo < 0 then lo := k;
-              if Tuple.compare k !hi > 0 then hi := k)
-            side;
-          (!lo, !hi)
-        in
-        let llo, lhi = range l and rlo, rhi = range r in
-        let lo = if Tuple.compare llo rlo > 0 then llo else rlo in
-        let hi = if Tuple.compare lhi rhi < 0 then lhi else rhi in
-        let keep side =
-          let kept =
-            Array.of_list
-              (List.filter
-                 (fun (k, _) ->
-                   Tuple.compare k lo >= 0 && Tuple.compare k hi <= 0)
-                 (Array.to_list side))
-          in
-          let dropped = Array.length side - Array.length kept in
-          if dropped > 0 then jf_rows_skipped ctx dropped;
-          kept
-        in
-        (keep l, keep r)
-      end
-    in
-    (* tied keys sort in input order (an explicit position tiebreaker),
-       so the run order — and with it the output — does not depend on
-       which out-of-band rows the band filter removed *)
-    let sort side =
-      let dec = Array.mapi (fun i (k, row) -> (k, i, row)) side in
-      Array.sort
-        (fun (k1, i1, _) (k2, i2, _) ->
-          let c = Tuple.compare k1 k2 in
-          if c <> 0 then c else Int.compare i1 i2)
-        dec;
-      Array.map (fun (k, _, row) -> (k, row)) dec
-    in
-    let sides =
-      lazy
-        (let l = keyed left left_keys and r = keyed right right_keys in
-         let l, r = band_filter l r in
-         (sort l, sort r))
-    in
-    let test = compile_pred ctx residual in
-    (* current output group: cross product of equal-key runs *)
-    let li = ref 0 and ri = ref 0 in
-    let rec refill () =
-      let l, r = Lazy.force sides in
-      if !li >= Array.length l || !ri >= Array.length r then None
-      else begin
-        let lk, _ = l.(!li) and rk, _ = r.(!ri) in
-        let c = Tuple.compare lk rk in
-        if c < 0 then begin
-          incr li;
-          refill ()
-        end
-        else if c > 0 then begin
-          incr ri;
-          refill ()
-        end
-        else begin
-          (* collect both runs *)
-          let lstart = !li and rstart = !ri in
-          while !li < Array.length l && Tuple.compare (fst l.(!li)) lk = 0 do
-            incr li
-          done;
-          while !ri < Array.length r && Tuple.compare (fst r.(!ri)) rk = 0 do
-            incr ri
-          done;
-          let acc = ref [] in
-          for i = lstart to !li - 1 do
-            for j = rstart to !ri - 1 do
-              acc := Tuple.concat (snd l.(i)) (snd r.(j)) :: !acc
-            done
-          done;
-          Some (List.rev !acc)
-        end
-      end
-    in
-    pack ~capacity:ctx.batch_capacity (fun ~emit ->
-        match refill () with
-        | None -> false
-        | Some group ->
-          List.iter (fun t -> if is_true (test frames t) then emit t) group;
-          true)
   | Plan.Distinct input ->
     let it = open_plan ctx frames input in
     let seen = Tuple.Tbl.create 256 in
@@ -1564,10 +1452,6 @@ let force_shared (ctx : ctx) (p : Plan.t) : unit =
       walk_pred residual
     | Plan.Index_join { outer; residual; _ } ->
       walk outer;
-      walk_pred residual
-    | Plan.Merge_join { left; right; residual; _ } ->
-      walk left;
-      walk right;
       walk_pred residual
     | Plan.Aggregate { input; _ } -> walk input
     | Plan.Union_all is -> List.iter walk is

@@ -12,7 +12,7 @@
     - Whatever the morsels only read is built once on the calling
       domain first ({!Exec.prepare_join}): hash tables with their join
       filters, snapshot posting lists, nested-loop inners.
-    - Blocking operators (Aggregate, Sort, Distinct, Merge_join) run
+    - Blocking operators (Aggregate, Sort, Distinct) run
       serially in {!Exec} over their input, drained in parallel and
       spliced in as a [Values] leaf.
     - Plans with correlated subplan probes or a LIMIT, and pipelines
@@ -44,7 +44,6 @@ let parallelizable (p : Plan.t) : bool =
     | Plan.Nl_join { outer; cond; _ } -> pure cond && go outer
     | Plan.Hash_join { probe; residual; _ } -> pure residual && go probe
     | Plan.Index_join { outer; residual; _ } -> pure residual && go outer
-    | Plan.Merge_join { left; right; _ } -> go left && go right
     | Plan.Aggregate { input; _ } -> go input
     | Plan.Sort (i, _) | Plan.Distinct i -> go i
     | Plan.Union_all is -> List.for_all go is
@@ -148,11 +147,6 @@ let rec drain (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
     blocking ctx p (fun () -> Plan.Sort (spliced ctx ~opts input, specs))
   | Plan.Distinct input ->
     blocking ctx p (fun () -> Plan.Distinct (spliced ctx ~opts input))
-  | Plan.Merge_join m ->
-    blocking ctx p (fun () ->
-        let left = spliced ctx ~opts m.left in
-        let right = spliced ctx ~opts m.right in
-        Plan.Merge_join { m with left; right })
   | Plan.Union_all inputs ->
     timed ctx p (fun () -> List.concat_map (drain ctx ~opts) inputs)
   | _ -> pipeline ctx ~opts p
@@ -188,8 +182,7 @@ let run_batches ?ctx ?domains ?morsel_rows ?threshold (c : Plan.compiled) :
       {
         domains = Option.value domains ~default:(Pool.default_domains ());
         morsel = morsel_rows;
-        threshold =
-          Option.value threshold ~default:(Cost.parallel_threshold_rows ());
+        threshold = Option.value threshold ~default:Cost.parallel_threshold_rows;
       }
     in
     (* tables prepared for this query's morsels are not the caller's *)

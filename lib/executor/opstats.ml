@@ -80,11 +80,6 @@ let rec est_rows (p : Plan.t) : float =
         *. eq_keys (List.length keys))
     in
     Float.max 1.0 (est_rows outer *. inner *. pred_sel residual)
-  | Plan.Merge_join { left; right; left_keys; residual; _ } ->
-    Float.max 1.0
-      (est_rows left *. est_rows right
-      *. eq_keys (List.length left_keys)
-      *. pred_sel residual)
   | Plan.Distinct i -> Float.max 1.0 (est_rows i *. 0.8)
   | Plan.Aggregate { input; keys; _ } ->
     if keys = [] then 1.0 else Float.max 1.0 (Float.sqrt (est_rows input))

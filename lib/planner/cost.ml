@@ -10,332 +10,22 @@ let eq_selectivity = 0.05
 let range_selectivity = 0.3
 let default_selectivity = 0.5
 
-(* -- host calibration ----------------------------------------------------- *)
-
-(** Micro-probe calibration of the cost constants.  Every constant below
-    is expressed in {e tuple units} — multiples of the time one tuple
-    takes through a batch scan loop on this host — so [tuple_cost] stays
-    the numeraire (1.0) and calibration only reshapes the ratios.
-
-    A profile is produced by {!measure} (run via [xnfdb calibrate]),
-    persisted with {!save} as [key value] lines, and picked up when
-    [XNFDB_COST_PROFILE] names the file.  An unset, empty or
-    unreadable profile means the hand-set defaults bit for bit, so
-    existing plans and tests are unchanged unless a profile is
-    explicitly activated. *)
-module Calibrate = struct
-  type profile = {
-    batch_overhead : float;  (** per-batch boundary cost, tuple units *)
-    cold_chunk_penalty : float;
-        (** extra per-row cost of a cold (encoded) chunk, tuple units *)
-    parallel_overhead : float;  (** one pool fan-out, tuple units *)
-    parallel_threshold_rows : int;  (** serial below this many rows *)
-    jf_drop_threshold : float;
-        (** observed join-filter pass rate above which the test is
-            dropped *)
-    jf_adaptive_sample : int;  (** probe rows observed before judging *)
-    host_cores : int;  (** cores seen at calibration time (diagnostic) *)
-    tuple_ns : float;  (** absolute ns per scanned tuple (diagnostic) *)
-  }
-
-  let defaults =
-    {
-      batch_overhead = 4.0;
-      cold_chunk_penalty = 1.5;
-      parallel_overhead = 64.0;
-      parallel_threshold_rows = 2048;
-      jf_drop_threshold = Relcore.Bloom.drop_threshold;
-      jf_adaptive_sample = Relcore.Bloom.adaptive_sample;
-      host_cores = 0;
-      tuple_ns = 0.0;
-    }
-
-  let clamp lo hi v = Float.max lo (Float.min hi v)
-
-  (* best-of-[reps] wall time per element for [f ()] covering [n]
-     elements; min over repetitions rejects scheduler noise *)
-  let time_per ?(reps = 3) n f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9 /. float_of_int (max 1 n)
-
-  let sink = ref 0
-
-  (* scan probe: per-tuple cost of a batch scan loop over a real heap
-     table — the numeraire every other probe is divided by *)
-  let probe_tuple_ns () =
-    let schema =
-      Relcore.Schema.make
-        [
-          Relcore.Schema.column "k" Relcore.Dtype.Tint;
-          Relcore.Schema.column "v" Relcore.Dtype.Tint;
-        ]
-    in
-    let t = Relcore.Base_table.create ~name:"__calib" schema in
-    let n = 32_768 in
-    for i = 0 to n - 1 do
-      ignore
-        (Relcore.Base_table.insert t
-           [| Relcore.Value.Int i; Relcore.Value.Int (i * 7) |])
-    done;
-    let cap = 256 in
-    let arr = Array.make cap [||] in
-    let ns =
-      time_per n (fun () ->
-          let from = ref 0 in
-          let continue = ref true in
-          while !continue do
-            let next, filled =
-              Relcore.Base_table.scan_into t ~from:!from arr ~start:0 ~max:cap
-            in
-            for i = 0 to filled - 1 do
-              match arr.(i).(0) with
-              | Relcore.Value.Int k -> sink := !sink + k
-              | _ -> ()
-            done;
-            from := next;
-            if filled = 0 then continue := false
-          done)
-    in
-    Relcore.Base_table.release t;
-    Float.max 0.1 ns
-
-  (* batch-dispatch probe: cost of allocating one batch and crossing one
-     iterator boundary, amortized over nothing (pure per-batch term) *)
-  let probe_batch_ns () =
-    let k = 20_000 in
-    let cap = 256 in
-    time_per k (fun () ->
-        for _ = 1 to k do
-          let b = Relcore.Batch.create ~capacity:cap () in
-          let it = fun () -> if Relcore.Batch.is_empty b then None else Some b in
-          (match it () with Some _ -> sink := !sink + 1 | None -> ());
-          ignore (Relcore.Batch.length b)
-        done)
-
-  (* hash probe: per-row cost of an int hash-table lookup (the join
-     probe a join filter short-circuits) *)
-  let probe_hash_ns () =
-    let build = 16_384 and probes = 65_536 in
-    let h = Hashtbl.create build in
-    for i = 0 to build - 1 do
-      Hashtbl.replace h (i * 17) i
-    done;
-    time_per probes (fun () ->
-        for i = 0 to probes - 1 do
-          match Hashtbl.find_opt h (i land 0xFFFF) with
-          | Some v -> sink := !sink + v
-          | None -> ()
-        done)
-
-  (* bloom probe: per-row cost of testing a join-filter key *)
-  let probe_bloom_ns () =
-    let n = 16_384 in
-    let f = Relcore.Bloom.create ~expected:n in
-    for i = 0 to n - 1 do
-      Relcore.Bloom.add f (i * 31)
-    done;
-    let probes = 65_536 in
-    time_per probes (fun () ->
-        for i = 0 to probes - 1 do
-          if Relcore.Bloom.mem f i then incr sink
-        done)
-
-  (* decode-fault probe: per-row cost of decoding an encoded cold
-     chunk-column section (what a non-pruned cold chunk pays) *)
-  let probe_decode_ns () =
-    let n = 4096 in
-    let data = Array.init n (fun i -> (i / 7 * 3) + (i land 15)) in
-    let enc =
-      Relcore.Colstore.Encoding.encode_ints data
-        ~null:(fun _ -> false)
-        ~live:(fun _ -> true)
-    in
-    let rounds = 64 in
-    time_per (n * rounds) (fun () ->
-        for _ = 1 to rounds do
-          let vals, _nulls = Relcore.Colstore.Encoding.decode_ints enc ~n in
-          sink := !sink + vals.(n - 1)
-        done)
-
-  (* domain-spawn probe: wall cost of one empty fan-out over the shared
-     pool (task enqueue + wake + await) *)
-  let probe_fanout_ns () =
-    let cores = Domain.recommended_domain_count () in
-    let d = min 2 (max 1 cores) in
-    if d <= 1 then 0.0
-    else begin
-      (* warm the pool so the first-spawn cost is not billed to every
-         fan-out *)
-      Relcore.Pool.run ~domains:d (fun _ -> ());
-      let k = 50 in
-      time_per k (fun () ->
-          for _ = 1 to k do
-            Relcore.Pool.run ~domains:d (fun _ -> ())
-          done)
-    end
-
-  let measure () =
-    let tuple_ns = probe_tuple_ns () in
-    let batch_ns = probe_batch_ns () in
-    let hash_ns = probe_hash_ns () in
-    let bloom_ns = probe_bloom_ns () in
-    let decode_ns = probe_decode_ns () in
-    let fanout_ns = probe_fanout_ns () in
-    let batch_overhead = clamp 0.5 64.0 (batch_ns /. tuple_ns) in
-    let cold_chunk_penalty = clamp 0.1 16.0 (decode_ns /. tuple_ns) in
-    let parallel_overhead =
-      if fanout_ns <= 0.0 then defaults.parallel_overhead
-      else clamp 8.0 1.0e7 (fanout_ns /. tuple_ns)
-    in
-    (* fan out once the divisible per-tuple work at dop 2 repays the
-       fan-out cost twice over *)
-    let parallel_threshold_rows =
-      int_of_float (clamp 512.0 1.0e6 (4.0 *. parallel_overhead))
-    in
-    (* a filter earns its keep while the expected savings of a dropped
-       row — skipping materialization (~1 tuple) and the hash probe —
-       outweigh the per-row test: pass_rate < 1 - test/save *)
-    let jf_drop_threshold =
-      clamp 0.5 0.95 (1.0 -. (bloom_ns /. Float.max bloom_ns (tuple_ns +. hash_ns)))
-    in
-    {
-      batch_overhead;
-      cold_chunk_penalty;
-      parallel_overhead;
-      parallel_threshold_rows;
-      jf_drop_threshold;
-      jf_adaptive_sample = defaults.jf_adaptive_sample;
-      host_cores = Domain.recommended_domain_count ();
-      tuple_ns;
-    }
-
-  (* -- persistence: one [key value] pair per line, '#' comments -------- *)
-
-  let render (p : profile) : string =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "# xnfdb cost profile (tuple units; see Cost.Calibrate)\n";
-    let f k v = Buffer.add_string b (Printf.sprintf "%s %.17g\n" k v) in
-    let i k v = Buffer.add_string b (Printf.sprintf "%s %d\n" k v) in
-    f "batch_overhead" p.batch_overhead;
-    f "cold_chunk_penalty" p.cold_chunk_penalty;
-    f "parallel_overhead" p.parallel_overhead;
-    i "parallel_threshold_rows" p.parallel_threshold_rows;
-    f "jf_drop_threshold" p.jf_drop_threshold;
-    i "jf_adaptive_sample" p.jf_adaptive_sample;
-    i "host_cores" p.host_cores;
-    f "tuple_ns" p.tuple_ns;
-    Buffer.contents b
-
-  let save path (p : profile) =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (render p))
-
-  let parse (text : string) : profile =
-    let p = ref defaults in
-    String.split_on_char '\n' text
-    |> List.iter (fun line ->
-           let line = String.trim line in
-           if line <> "" && line.[0] <> '#' then
-             match String.index_opt line ' ' with
-             | None -> ()
-             | Some sp ->
-               let key = String.sub line 0 sp in
-               let v = String.trim (String.sub line sp (String.length line - sp)) in
-               let ff dflt = Option.value (float_of_string_opt v) ~default:dflt in
-               let ii dflt = Option.value (int_of_string_opt v) ~default:dflt in
-               let c = !p in
-               p :=
-                 (match key with
-                 | "batch_overhead" -> { c with batch_overhead = ff c.batch_overhead }
-                 | "cold_chunk_penalty" ->
-                   { c with cold_chunk_penalty = ff c.cold_chunk_penalty }
-                 | "parallel_overhead" ->
-                   { c with parallel_overhead = ff c.parallel_overhead }
-                 | "parallel_threshold_rows" ->
-                   { c with parallel_threshold_rows = ii c.parallel_threshold_rows }
-                 | "jf_drop_threshold" ->
-                   { c with jf_drop_threshold = ff c.jf_drop_threshold }
-                 | "jf_adaptive_sample" ->
-                   { c with jf_adaptive_sample = ii c.jf_adaptive_sample }
-                 | "host_cores" -> { c with host_cores = ii c.host_cores }
-                 | "tuple_ns" -> { c with tuple_ns = ff c.tuple_ns }
-                 | _ -> c));
-    !p
-
-  let load path : (profile, string) result =
-    match
-      In_channel.with_open_bin path (fun ic -> In_channel.input_all ic)
-    with
-    | text -> Ok (parse text)
-    | exception Sys_error e -> Error e
-
-  (* -- activation ------------------------------------------------------ *)
-
-  (* empty value = unset: putenv cannot remove a variable, so tests
-     (and users) clear the knob by setting it to "" *)
-  let profile_path () =
-    match Sys.getenv_opt "XNFDB_COST_PROFILE" with
-    | Some "" | None -> None
-    | Some p -> Some p
-
-  (* memoized on the profile knob so tests can flip it mid-process; a
-     missing/unreadable profile warns once and falls back to the
-     defaults *)
-  let cache : (string option * profile) option Atomic.t = Atomic.make None
-
-  let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-
-  let active () : profile =
-    let key = profile_path () in
-    match Atomic.get cache with
-    | Some (k, p) when k = key -> p
-    | _ ->
-      let p =
-        match key with
-        | None -> defaults
-        | Some path -> begin
-          match load path with
-          | Ok p -> p
-          | Error e ->
-            if not (Hashtbl.mem warned path) then begin
-              Hashtbl.replace warned path ();
-              Printf.eprintf
-                "xnfdb: cost profile %s unreadable (%s); using defaults\n%!"
-                path e
-            end;
-            defaults
-        end
-      in
-      Atomic.set cache (Some (key, p));
-      p
-end
-
 (* -- batched streaming cost ---------------------------------------------- *)
 
 (** Cost of evaluating one tuple inside a batch loop — the normalized
-    unit every calibrated constant is expressed in. *)
+    unit the other cost constants are expressed in. *)
 let tuple_cost = 1.0
 
 (** Fixed cost of moving one batch across an operator boundary: batch
     allocation, iterator dispatch, selection-vector setup.  With
     tuple-at-a-time execution this was paid {e per row}; batching
-    amortizes it over [Relcore.Batch.default_capacity] rows.
-    Calibrated per host (see {!Calibrate}). *)
-let batch_overhead () = (Calibrate.active ()).Calibrate.batch_overhead
+    amortizes it over [Relcore.Batch.default_capacity] rows. *)
+let batch_overhead = 4.0
 
 (** Cost of streaming [rows] tuples through one operator hop under
     batch-at-a-time execution: a per-tuple term plus a per-batch term
     for however many batches the rows occupy. *)
 let stream_cost (rows : float) : float =
-  let batch_overhead = batch_overhead () in
   if rows <= 0.0 then batch_overhead
   else
     let batches =
@@ -349,7 +39,7 @@ let stream_cost (rows : float) : float =
 (** Extra per-row cost of scanning a spilled (cold) colstore chunk
     relative to a hot one: the section copy out of the mmap plus the
     decode-on-the-fly predicate kernels. *)
-let cold_chunk_penalty () = (Calibrate.active ()).Calibrate.cold_chunk_penalty
+let cold_chunk_penalty = 1.5
 
 (** Multiplier on the cost of scanning [t]'s rows, reflecting how much
     of the table currently sits in encoded cold chunks.  1.0 whenever
@@ -359,55 +49,22 @@ let scan_access_factor (t : Relcore.Base_table.t) : float =
   if not (Relcore.Colstore.enabled ()) then 1.0
   else
     1.0
-    +. (cold_chunk_penalty ()
+    +. (cold_chunk_penalty
        *. Relcore.Colstore.cold_fraction t.Relcore.Base_table.colstore)
 
-(* -- parallel streaming cost --------------------------------------------- *)
+(* -- degree of parallelism ------------------------------------------------ *)
 
 (** Below this many input rows a parallel plan fragment is not worth its
     scheduling overhead (channel traffic, morsel dispatch, worker
     wake-up): the executor falls back to the serial path. *)
-let parallel_threshold_rows () =
-  (Calibrate.active ()).Calibrate.parallel_threshold_rows
-
-(** Fixed cost of fanning a fragment out over the domain pool: task
-    enqueue, channel setup, deterministic re-merge.  Calibrated from
-    the measured empty fan-out round-trip. *)
-let parallel_overhead () = (Calibrate.active ()).Calibrate.parallel_overhead
-
-(* -- sideways join-filter economics ---------------------------------------- *)
-
-(** Probe rows to observe before judging a filter's usefulness. *)
-let jf_adaptive_sample () = (Calibrate.active ()).Calibrate.jf_adaptive_sample
-
-(** Observed pass-rate above which the per-row join-filter test is
-    disabled; calibrated from the measured Bloom-test vs hash-probe
-    cost ratio. *)
-let jf_drop_threshold () = (Calibrate.active ()).Calibrate.jf_drop_threshold
+let parallel_threshold_rows = 2048
 
 (** Degree of parallelism for a fragment of [rows] input rows given
     [domains] available workers: serial under the threshold, and never
     more workers than there are threshold-sized chunks of work. *)
-let choose_dop ?threshold ~domains ~rows () =
-  let threshold =
-    match threshold with Some t -> t | None -> parallel_threshold_rows ()
-  in
+let choose_dop ?(threshold = parallel_threshold_rows) ~domains ~rows () =
   if domains <= 1 || rows < threshold then 1
   else min domains (max 1 (rows / threshold))
-
-(** {!stream_cost} under a degree of parallelism: per-tuple work divides
-    across workers, per-batch overhead does not (every batch still
-    crosses the merge queue), plus the fan-out fixed cost. *)
-let parallel_stream_cost ~domains (rows : float) : float =
-  let dop = choose_dop ~domains ~rows:(int_of_float rows) () in
-  if dop <= 1 then stream_cost rows
-  else
-    let batches =
-      Float.ceil (rows /. Float.of_int (Relcore.Batch.default_capacity ()))
-    in
-    (rows *. tuple_cost /. Float.of_int dop)
-    +. (batches *. batch_overhead ())
-    +. parallel_overhead ()
 
 (** Trace a body expression to a base-table column when the expression
     is a bare column reference whose quantifier (resolved by [resolve])

@@ -60,14 +60,6 @@ and t =
       keys : scalar list; (* over outer tuples *)
       residual : ppred; (* over concat (outer, inner row) *)
     }
-  | Merge_join of {
-      left : t;
-      right : t;
-      left_keys : scalar list;
-      right_keys : scalar list;
-      residual : ppred; (* over concat (left, right) *)
-    }
-      (** sort-merge equi-join; the operator sorts both inputs itself *)
   | Distinct of t
   | Aggregate of { input : t; keys : scalar list; aggs : agg_spec list }
       (** output layout: keys then aggregates *)
@@ -148,13 +140,6 @@ let node_line = function
       (match residual with
       | P_true -> ""
       | r -> " residual " ^ ppred_to_string r)
-  | Merge_join { left_keys; right_keys; residual; _ } ->
-    Printf.sprintf "MergeJoin left[%s] = right[%s]%s"
-      (String.concat ", " (List.map scalar_to_string left_keys))
-      (String.concat ", " (List.map scalar_to_string right_keys))
-      (match residual with
-      | P_true -> ""
-      | r -> " residual " ^ ppred_to_string r)
   | Distinct _ -> "Distinct"
   | Aggregate { keys; aggs; _ } ->
     Printf.sprintf "Aggregate keys=[%s] aggs=[%s]"
@@ -191,7 +176,6 @@ let children = function
   | Nl_join { outer; inner; _ } -> [ outer; inner ]
   | Hash_join { build; probe; _ } -> [ probe; build ]
   | Index_join { outer; _ } -> [ outer ]
-  | Merge_join { left; right; _ } -> [ left; right ]
   | Aggregate { input; _ } -> [ input ]
   | Union_all inputs -> inputs
 
@@ -301,18 +285,6 @@ let fingerprint (plan : t) : string =
       add ")(";
       plan_fp outer;
       add ")"
-    | Merge_join { left; right; left_keys; right_keys; residual } ->
-      add "mj[";
-      scalars left_keys;
-      add "=";
-      scalars right_keys;
-      add "](";
-      pred residual;
-      add ")(";
-      plan_fp left;
-      add ",";
-      plan_fp right;
-      add ")"
     | Distinct input ->
       add "distinct(";
       plan_fp input;
@@ -402,10 +374,6 @@ let tables (plan : t) : Base_table.t list =
       visit table;
       plan_t outer;
       pred residual
-    | Merge_join { left; right; residual; _ } ->
-      plan_t left;
-      plan_t right;
-      pred residual
     | Aggregate { input; _ } -> plan_t input
     | Union_all inputs -> List.iter plan_t inputs
   in
@@ -431,7 +399,6 @@ let rec count_nodes p =
   | Nl_join { outer; inner; _ } -> 1 + count_nodes outer + count_nodes inner
   | Hash_join { build; probe; _ } -> 1 + count_nodes build + count_nodes probe
   | Index_join { outer; _ } -> 1 + count_nodes outer
-  | Merge_join { left; right; _ } -> 1 + count_nodes left + count_nodes right
   | Aggregate { input; _ } -> 1 + count_nodes input
   | Union_all inputs -> List.fold_left (fun a i -> a + count_nodes i) 1 inputs
 
@@ -441,7 +408,7 @@ let rec count_nodes p =
     plan.  Structural only: the supported shape is scans, pure
     filters/projections, hash/index equi-joins, sorts, unions and shared
     subtrees.  Operators whose incremental semantics we do not carry
-    (nested-loop and merge joins, aggregation, DISTINCT, LIMIT),
+    (nested-loop joins, aggregation, DISTINCT, LIMIT),
     correlated predicate subplans ([P_exists]/[P_in]) and parameter
     references force the caller back to invalidate + recompute. *)
 let maintainable (plan : t) : bool =
@@ -474,6 +441,6 @@ let maintainable (plan : t) : bool =
     | Sort (input, _) -> go input
     | Union_all inputs -> List.for_all go inputs
     | Shared (_, input) -> go input
-    | Nl_join _ | Merge_join _ | Distinct _ | Aggregate _ | Limit _ -> false
+    | Nl_join _ | Distinct _ | Aggregate _ | Limit _ -> false
   in
   go plan

@@ -13,13 +13,10 @@ module Ast = Sqlkit.Ast
 
 type layout = (int * (int * int)) list (* qid -> (offset, width) *)
 
-type join_method = [ `Auto | `Hash | `Merge ]
-
 type ctx = {
   consumers : (int, (Qgm.box * Qgm.quant) list) Hashtbl.t;
   outer : layout list; (* correlation frames, innermost first *)
   share : bool; (* enable common-subexpression sharing *)
-  join_method : join_method; (* equi-join operator preference *)
 }
 
 let box_width (b : Qgm.box) = Array.length b.Qgm.head
@@ -241,7 +238,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
                      ~build_card))
               infinity pairs
           in
-          if est < Cost.jf_drop_threshold () then Some { Plan.jf_pass_est = est }
+          if est < Bloom.drop_threshold then Some { Plan.jf_pass_est = est }
           else None
       in
       let plan =
@@ -273,7 +270,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
             | _ -> None
           in
           match index_candidate with
-          | Some (t, idx, _cols) when ctx.join_method <> `Merge ->
+          | Some (t, idx, _cols) ->
             let keys =
               List.map
                 (fun (a, _) -> compile_scalar (resolver probe_frames) a)
@@ -289,7 +286,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
                 keys;
                 residual = conj concat_frames (inner_only @ residual);
               }
-          | _ ->
+          | None ->
             let inner = with_inner_filter (compile_box ctx q.Qgm.over) in
             let probe_keys =
               List.map
@@ -301,25 +298,15 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
                 (fun (_, b) -> compile_scalar (resolver build_frames) b)
                 eq_pairs
             in
-            if ctx.join_method = `Merge then
-              Plan.Merge_join
-                {
-                  left = acc;
-                  right = inner;
-                  left_keys = probe_keys;
-                  right_keys = build_keys;
-                  residual = residual_pred;
-                }
-            else
-              Plan.Hash_join
-                {
-                  build = inner;
-                  probe = acc;
-                  build_keys;
-                  probe_keys;
-                  residual = residual_pred;
-                  jfilter = jfilter_hint ();
-                }
+            Plan.Hash_join
+              {
+                build = inner;
+                probe = acc;
+                build_keys;
+                probe_keys;
+                residual = residual_pred;
+                jfilter = jfilter_hint ();
+              }
         end
       in
       layout := concat_layout;
@@ -483,11 +470,8 @@ let schema_of_box (box : Qgm.box) : Schema.t =
        (Array.to_list box.Qgm.head))
 
 (** Compile a rewritten QGM graph into an executable plan. *)
-let compile ?(share = true) ?(join_method = `Auto) (g : Qgm.graph) :
-    Plan.compiled =
-  let ctx =
-    { consumers = Qgm.consumers [ g.Qgm.top ]; outer = []; share; join_method }
-  in
+let compile ?(share = true) (g : Qgm.graph) : Plan.compiled =
+  let ctx = { consumers = Qgm.consumers [ g.Qgm.top ]; outer = []; share } in
   let plan = compile_box ctx g.Qgm.top in
   let plan =
     match g.Qgm.order_by with [] -> plan | specs -> Plan.Sort (plan, specs)
@@ -518,11 +502,11 @@ let compile ?(share = true) ?(join_method = `Auto) (g : Qgm.graph) :
     multi-table queries): consumers are computed across all roots so
     shared derivations become [Shared] nodes materialized once per
     execution context. *)
-let compile_many ?(share = true) ?(join_method = `Auto)
-    (roots : (string * Qgm.box) list) : (string * Plan.compiled) list =
+let compile_many ?(share = true) (roots : (string * Qgm.box) list) :
+    (string * Plan.compiled) list =
   let consumers = Qgm.consumers (List.map snd roots) in
   (* an output box referenced by several roots is also shared *)
-  let ctx = { consumers; outer = []; share; join_method } in
+  let ctx = { consumers; outer = []; share } in
   List.map
     (fun (name, box) ->
       (name, { Plan.plan = compile_box ctx box; out_schema = schema_of_box box }))

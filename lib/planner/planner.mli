@@ -1,6 +1,6 @@
 (** Plan optimization: QGM → QEP (the "Plan Optimization and Plan
     Refinement" stage of Fig. 2).  Join orders from {!Join_order};
-    access methods: index > hash > merge > nested loop; boxes with
+    access methods: index > hash > nested loop; boxes with
     multiple consumers and no correlated references become [Shared]
     (CSE) nodes — the mechanism behind XNF's cross-output sharing. *)
 
@@ -10,13 +10,10 @@ module Qgm = Starq.Qgm
 type layout = (int * (int * int)) list
 (** qid -> (offset, width) within the current tuple. *)
 
-type join_method = [ `Auto | `Hash | `Merge ]
-
 type ctx = {
   consumers : (int, (Qgm.box * Qgm.quant) list) Hashtbl.t;
   outer : layout list; (* correlation frames, innermost first *)
   share : bool;
-  join_method : join_method;
 }
 
 val resolver : layout list -> int -> int -> Plan.scalar
@@ -29,13 +26,10 @@ val compile_box : ctx -> Qgm.box -> Plan.t
 
 val schema_of_box : Qgm.box -> Schema.t
 
-val compile : ?share:bool -> ?join_method:join_method -> Qgm.graph -> Plan.compiled
+val compile : ?share:bool -> Qgm.graph -> Plan.compiled
 
 val compile_many :
-  ?share:bool ->
-  ?join_method:join_method ->
-  (string * Qgm.box) list ->
-  (string * Plan.compiled) list
+  ?share:bool -> (string * Qgm.box) list -> (string * Plan.compiled) list
 (** Compile several graphs that may physically share boxes (XNF
     multi-table queries): consumers are computed across all roots so
     shared derivations become [Shared] nodes materialized once per

@@ -51,9 +51,6 @@ let deltas_since t v = Heap.deltas_since t.heap v
 let delta_mark t = Heap.delta_mark t.heap
 let delta_rewind t mark = Heap.delta_rewind t.heap mark
 
-let find_index t idx_name =
-  List.find_opt (fun i -> String.equal i.Index.name idx_name) t.indexes
-
 (** Find an index whose key is exactly the given column positions (in
     order). *)
 let index_on t positions =
@@ -121,15 +118,6 @@ let slot_count t = Heap.capacity t.heap
 
 let iter_range t ~lo ~hi f = Heap.iter_range t.heap ~lo ~hi f
 let to_list t = Heap.to_list t.heap
-
-(** Rids whose tuples match [key] on the primary key, via the pkey index. *)
-let pk_lookup t key =
-  match t.primary_key with
-  | None -> Errors.catalog_error "table %S has no primary key" t.name
-  | Some positions ->
-    (match index_on t positions with
-    | Some idx -> Index.lookup idx key
-    | None -> assert false)
 
 (** Remove every row and reset slot allocation: a refilled table scans
     in insertion order exactly like a fresh one, which the fixpoint

@@ -55,8 +55,6 @@ val deltas_since : t -> int -> (int * Heap.delta_op) list option
 val delta_mark : t -> int
 val delta_rewind : t -> int -> unit
 
-val find_index : t -> string -> Index.t option
-
 val index_on : t -> int array -> Index.t option
 (** The index whose key is exactly the given column positions. *)
 
@@ -99,7 +97,6 @@ val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> int
 
 val to_list : t -> (Heap.rid * Tuple.t) list
 
-val pk_lookup : t -> Tuple.t -> Heap.rid list
 val truncate : t -> unit
 
 val release : t -> unit

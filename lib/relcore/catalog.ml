@@ -46,7 +46,6 @@ let add_view cat view =
   Hashtbl.add cat.views key view
 
 let find_view_opt cat name = Hashtbl.find_opt cat.views (normalize name)
-let mem_view cat name = Hashtbl.mem cat.views (normalize name)
 
 let drop_view cat name =
   let key = normalize name in

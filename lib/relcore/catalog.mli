@@ -21,7 +21,6 @@ val drop_table : t -> string -> unit
 
 val add_view : t -> view_def -> unit
 val find_view_opt : t -> string -> view_def option
-val mem_view : t -> string -> bool
 val drop_view : t -> string -> unit
 
 val tables : t -> Base_table.t list

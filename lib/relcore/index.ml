@@ -59,8 +59,6 @@ let lookup idx key =
     done;
     !acc
 
-let lookup_tuple idx tuple = lookup idx (key_of idx tuple)
-
 let mem idx key =
   match Tuple.Tbl.find_opt idx.entries key with
   | Some p -> p.n > 0

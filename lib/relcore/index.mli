@@ -34,8 +34,6 @@ val iter_postings : t -> (Tuple.t -> int -> Heap.rid -> unit) -> unit
 val lookup : t -> Tuple.t -> Heap.rid list
 (** Descending-rid list (allocates; prefer {!iter} on hot paths). *)
 
-val lookup_tuple : t -> Tuple.t -> Heap.rid list
-
 val mem : t -> Tuple.t -> bool
 (** Any rid under this key?  Allocation-free unique-violation probe. *)
 

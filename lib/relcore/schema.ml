@@ -54,10 +54,6 @@ let concat ?(rename_dups_with = "r_") a b =
   in
   make (columns a @ cols_b)
 
-(** Schema for a projection given (name, type) pairs. *)
-let of_pairs pairs =
-  make (List.map (fun (n, ty) -> column n ty) pairs)
-
 let equal a b =
   arity a = arity b
   && Array.for_all2

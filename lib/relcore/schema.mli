@@ -32,8 +32,6 @@ val concat : ?rename_dups_with:string -> t -> t -> t
 (** Concatenate two schemas (join outputs); duplicate right-hand names
     are prefixed (default ["r_"]). *)
 
-val of_pairs : (string * Dtype.t) list -> t
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -118,7 +118,3 @@ let as_float = function
 let as_string = function
   | Str s -> s
   | v -> Errors.type_error "expected STRING, got %s" (to_string v)
-
-let as_bool = function
-  | Bool b -> b
-  | v -> Errors.type_error "expected BOOL, got %s" (to_string v)

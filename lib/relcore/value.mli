@@ -47,4 +47,3 @@ val pp : Format.formatter -> t -> unit
 val as_int : t -> int
 val as_float : t -> float
 val as_string : t -> string
-val as_bool : t -> bool

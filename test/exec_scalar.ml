@@ -171,76 +171,6 @@ let rec open_plan (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : iter =
       end
     in
     next
-  | Plan.Merge_join { left; right; left_keys; right_keys; residual } ->
-    let keyed plan keys =
-      lazy
-        (let rows = Array.of_list (drain (open_plan ctx frames plan)) in
-         let with_keys =
-           Array.map
-             (fun row ->
-               (Array.of_list (List.map (Eval.scalar frames row) keys), row))
-             rows
-         in
-         let with_keys =
-           Array.of_list
-             (List.filter
-                (fun (k, _) -> not (Array.exists Value.is_null k))
-                (Array.to_list with_keys))
-         in
-         (* tied keys stay in input order (position tiebreaker), matching
-            the batched executor's run order *)
-         let dec = Array.mapi (fun i (k, row) -> (k, i, row)) with_keys in
-         Array.sort
-           (fun (k1, i1, _) (k2, i2, _) ->
-             let c = Tuple.compare k1 k2 in
-             if c <> 0 then c else Int.compare i1 i2)
-           dec;
-         Array.map (fun (k, _, row) -> (k, row)) dec)
-    in
-    let ls = keyed left left_keys and rs = keyed right right_keys in
-    let li = ref 0 and ri = ref 0 in
-    let group = ref [] in
-    let rec refill () =
-      let l = Lazy.force ls and r = Lazy.force rs in
-      if !li >= Array.length l || !ri >= Array.length r then false
-      else begin
-        let lk, _ = l.(!li) and rk, _ = r.(!ri) in
-        let c = Tuple.compare lk rk in
-        if c < 0 then begin
-          incr li;
-          refill ()
-        end
-        else if c > 0 then begin
-          incr ri;
-          refill ()
-        end
-        else begin
-          let lstart = !li and rstart = !ri in
-          while !li < Array.length l && Tuple.compare (fst l.(!li)) lk = 0 do
-            incr li
-          done;
-          while !ri < Array.length r && Tuple.compare (fst r.(!ri)) rk = 0 do
-            incr ri
-          done;
-          let acc = ref [] in
-          for i = lstart to !li - 1 do
-            for j = rstart to !ri - 1 do
-              acc := Tuple.concat (snd l.(i)) (snd r.(j)) :: !acc
-            done
-          done;
-          group := List.rev !acc;
-          true
-        end
-      end
-    in
-    let rec next () =
-      match !group with
-      | t :: rest ->
-        group := rest;
-        if eval_pred ctx frames t residual = Some true then Some t else next ()
-      | [] -> if refill () then next () else None
-    in
-    next
   | Plan.Distinct input ->
     let it = open_plan ctx frames input in
     let seen = Tuple.Tbl.create 256 in

@@ -1,17 +1,14 @@
-(** EXPLAIN ANALYZE attribution and cost-model calibration.
+(** EXPLAIN ANALYZE attribution.
 
     Covers the per-operator accumulator (rows-in/out invariants on the
     serial and the 4-domain executor), byte-identity of query results
-    with analysis armed vs off across the four workload databases, the
-    calibration profile's save/load round trip, and an empty
-    [XNFDB_COST_PROFILE] restoring the hand-set constants (and hence
-    today's plans) bit for bit. *)
+    with analysis armed vs off across the four workload databases, and
+    the EXPLAIN (ANALYZE) report text with its per-statement counter
+    sections. *)
 
 open Relcore
 module Db = Engine.Database
 module Plan = Optimizer.Plan
-module Cost = Optimizer.Cost
-module Calibrate = Optimizer.Cost.Calibrate
 module Opstats = Executor.Opstats
 
 let contains (s : string) (affix : string) : bool =
@@ -168,145 +165,6 @@ let test_explain_per_statement_counters () =
       (has "chunks scanned: 0")
   | _ -> Alcotest.fail "EXPLAIN should return Done"
 
-(* -- calibration --------------------------------------------------------- *)
-
-let weird_profile =
-  {
-    Calibrate.batch_overhead = 7.53;
-    cold_chunk_penalty = 2.25;
-    parallel_overhead = 99.5;
-    parallel_threshold_rows = 4096;
-    jf_drop_threshold = 0.625;
-    jf_adaptive_sample = 1024;
-    host_cores = 7;
-    tuple_ns = 3.14159265358979;
-  }
-
-(* the "== plan ==" section of an EXPLAIN report: QGM box ids are fresh
-   per compile, so plan-identity comparisons must not include them *)
-let plan_section (explain : string) : string =
-  let tag = "== plan ==" in
-  let n = String.length explain and m = String.length tag in
-  let rec find i =
-    if i + m > n then Alcotest.fail "no plan section"
-    else if String.sub explain i m = tag then i
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop =
-    let rec find2 i =
-      if i + 2 > n then n
-      else if String.sub explain i 2 = "==" then i
-      else find2 (i + 1)
-    in
-    find2 (start + m)
-  in
-  String.sub explain start (stop - start)
-
-let with_env pairs f =
-  let old = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) pairs in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (k, v) -> Unix.putenv k (Option.value v ~default:""))
-        old)
-    f
-
-let test_profile_roundtrip () =
-  let path = Filename.temp_file "xnfdb-profile" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Calibrate.save path weird_profile;
-      match Calibrate.load path with
-      | Ok p ->
-        Alcotest.(check bool) "round trip exact" true (p = weird_profile)
-      | Error e -> Alcotest.fail ("load failed: " ^ e));
-  match Calibrate.load "/nonexistent/xnfdb-profile" with
-  | Ok _ -> Alcotest.fail "loading a missing file should fail"
-  | Error _ -> ()
-
-let test_calibration_knobs () =
-  (* baseline: no profile — the hand-set constants *)
-  with_env [ ("XNFDB_COST_PROFILE", "") ]
-    (fun () ->
-      let db = Helpers.org_db () in
-      let baseline_explain = Db.explain db org_join_sql in
-      Alcotest.(check (float 0.0)) "default batch_overhead" 4.0
-        (Cost.batch_overhead ());
-      let path = Filename.temp_file "xnfdb-profile" ".txt" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Calibrate.save path weird_profile;
-          with_env [ ("XNFDB_COST_PROFILE", path) ] (fun () ->
-              (* profile in force *)
-              Alcotest.(check (float 0.0)) "calibrated batch_overhead" 7.53
-                (Cost.batch_overhead ());
-              Alcotest.(check int) "calibrated threshold" 4096
-                (Cost.parallel_threshold_rows ());
-              Alcotest.(check (float 0.0)) "calibrated jf drop" 0.625
-                (Cost.jf_drop_threshold ());
-              (* clearing the profile restores the defaults bit for
-                 bit *)
-              with_env [ ("XNFDB_COST_PROFILE", "") ] (fun () ->
-                  Alcotest.(check (float 0.0)) "escape batch_overhead" 4.0
-                    (Cost.batch_overhead ());
-                  Alcotest.(check (float 0.0)) "escape jf drop"
-                    Bloom.drop_threshold
-                    (Cost.jf_drop_threshold ());
-                  Alcotest.(check int) "escape jf sample"
-                    Bloom.adaptive_sample
-                    (Cost.jf_adaptive_sample ());
-                  let off_explain = Db.explain db org_join_sql in
-                  Alcotest.(check string) "plans unchanged with \
-                                           XNFDB_COST_PROFILE empty"
-                    (plan_section baseline_explain)
-                    (plan_section off_explain)))))
-
-let test_measure_sanity () =
-  let p = Calibrate.measure () in
-  let in_range lo hi v = v >= lo && v <= hi in
-  Alcotest.(check bool) "batch_overhead clamp" true
-    (in_range 0.5 64.0 p.Calibrate.batch_overhead);
-  Alcotest.(check bool) "cold_chunk_penalty clamp" true
-    (in_range 0.1 16.0 p.Calibrate.cold_chunk_penalty);
-  Alcotest.(check bool) "parallel_overhead clamp" true
-    (in_range 8.0 1e7 p.Calibrate.parallel_overhead);
-  Alcotest.(check bool) "parallel_threshold clamp" true
-    (p.Calibrate.parallel_threshold_rows >= 512
-    && p.Calibrate.parallel_threshold_rows <= 1_000_000);
-  Alcotest.(check bool) "jf_drop clamp" true
-    (in_range 0.5 0.95 p.Calibrate.jf_drop_threshold);
-  Alcotest.(check bool) "tuple_ns positive" true (p.Calibrate.tuple_ns > 0.0);
-  Alcotest.(check bool) "cores recorded" true (p.Calibrate.host_cores >= 1)
-
-(* a calibrated profile may reshape plans, never results: the four
-   workloads return the same rows under the default constants and under
-   a profile far from them *)
-let test_calibrated_plans_keep_results () =
-  let path = Filename.temp_file "xnfdb-profile" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Calibrate.save path weird_profile;
-      List.iter
-        (fun (name, db, sql) ->
-          let rows () =
-            Db.invalidate_plans db;
-            List.sort compare (Db.query_rows ~cache:false db sql)
-          in
-          let default =
-            with_env [ ("XNFDB_COST_PROFILE", "") ] rows
-          in
-          let calibrated =
-            with_env [ ("XNFDB_COST_PROFILE", path) ] rows
-          in
-          Helpers.check_rows (name ^ ": calibrated = default") default
-            calibrated)
-        (workload_cases ()))
-
 let suite =
   [
     Alcotest.test_case "serial attribution" `Quick test_serial_attribution;
@@ -317,9 +175,4 @@ let suite =
     Alcotest.test_case "explain analyze text" `Quick test_explain_analyze_text;
     Alcotest.test_case "per-statement explain counters" `Quick
       test_explain_per_statement_counters;
-    Alcotest.test_case "profile round trip" `Quick test_profile_roundtrip;
-    Alcotest.test_case "calibration knobs" `Quick test_calibration_knobs;
-    Alcotest.test_case "measure sanity" `Quick test_measure_sanity;
-    Alcotest.test_case "calibrated plans keep results" `Quick
-      test_calibrated_plans_keep_results;
   ]

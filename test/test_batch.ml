@@ -114,16 +114,13 @@ let test_empty_batch () =
 
 (* --------------------------------- batched ≡ scalar (ordered) property -- *)
 
-let check_equiv ?(join_method = `Auto) name db sql =
-  let c = Db.compile_query ~join_method db sql in
+let check_equiv name db sql =
+  let c = Db.compile_query db sql in
   check_rows name (Exec_scalar.run c) (Exec.run c)
 
 let test_equiv_oo1 () =
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 500 } in
   check_equiv "index-join traversal" db
-    "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
-     5000";
-  check_equiv ~join_method:`Hash "hash-join traversal" db
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
   check_equiv "scan + filter" db
@@ -143,7 +140,7 @@ let test_equiv_bom () =
      AND p.level < 2";
   check_equiv "qty rollup" db
     "SELECT parent, COUNT(*), SUM(qty) FROM contains GROUP BY parent";
-  check_equiv ~join_method:`Hash "two-column hash key" db
+  check_equiv "two-column hash key" db
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
   check_equiv "projection arithmetic" db
@@ -154,7 +151,7 @@ let test_equiv_org () =
   check_equiv "equi-join ordered" db
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno ORDER BY \
      d.dno, e.eno";
-  check_equiv ~join_method:`Merge "merge join" db
+  check_equiv "equi-join unordered" db
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
   check_equiv "correlated exists" db
     "SELECT d.dno FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE \

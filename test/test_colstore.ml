@@ -90,23 +90,20 @@ let test_join_huge_int_keys () =
         max_int (max_int - 1);
       Printf.sprintf "INSERT INTO big_b VALUES (%d), (42), (7)" max_int;
     ];
-  let check_jm jm name =
-    let c =
-      Db.compile_query ~join_method:jm db
-        "SELECT a.tag FROM big_a a, big_b b WHERE a.k = b.k ORDER BY a.tag"
-    in
-    check_rows name [ row [ vs "small" ]; row [ vs "top" ] ] (Exec.run c)
+  let c =
+    Db.compile_query db
+      "SELECT a.tag FROM big_a a, big_b b WHERE a.k = b.k ORDER BY a.tag"
   in
-  check_jm `Hash "hash join at max_int";
-  check_jm `Merge "merge join at max_int";
+  check_rows "equi-join at max_int"
+    [ row [ vs "small" ]; row [ vs "top" ] ]
+    (Exec.run c);
   (* a float key equal to a huge int must probe correctly: 2^60 is
      exactly representable *)
   ignore (Db.exec db "CREATE TABLE big_f (f FLOAT)");
   ignore (Db.exec db "INSERT INTO big_f VALUES (1152921504606846976.0)");
   ignore (Db.exec db (Printf.sprintf "INSERT INTO big_b VALUES (%d)" (1 lsl 60)));
   let c =
-    Db.compile_query ~join_method:`Hash db
-      "SELECT b.k FROM big_b b, big_f f WHERE b.k = f.f"
+    Db.compile_query db "SELECT b.k FROM big_b b, big_f f WHERE b.k = f.f"
   in
   check_rows "int = integral-float probe" [ row [ vi (1 lsl 60) ] ] (Exec.run c)
 
@@ -401,8 +398,8 @@ let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
 
 (* row-store baseline with the knob off, then the columnar path serial
    and parallel, all compared ordered *)
-let check_sql_equiv ?join_method name db sql =
-  let c = Db.compile_query ?join_method db sql in
+let check_sql_equiv name db sql =
+  let c = Db.compile_query db sql in
   let expected = with_colstore false (fun () -> Exec.run c) in
   with_colstore true (fun () ->
       check_rows (name ^ " (serial)") expected (Exec.run c);
@@ -417,20 +414,20 @@ let test_sql_equiv_workloads () =
   let oo1 = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 } in
   check_sql_equiv "oo1 scan+filter" oo1
     "SELECT cto, clength FROM conns WHERE clength < 500";
-  check_sql_equiv ~join_method:`Hash "oo1 hash join" oo1
+  check_sql_equiv "oo1 hash join" oo1
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
   check_sql_equiv "oo1 aggregate" oo1
     "SELECT cfrom, COUNT(*), MIN(clength) FROM conns GROUP BY cfrom";
   let bom = Workloads.Bom.generate Workloads.Bom.default in
-  check_sql_equiv ~join_method:`Hash "bom two-column hash key" bom
+  check_sql_equiv "bom two-column hash key" bom
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
   check_sql_equiv "bom filter+join" bom
     "SELECT p.pid, c.child FROM part p, contains c WHERE p.pid = c.parent \
      AND p.level < 2";
   let org = Workloads.Org.generate Workloads.Org.default in
-  check_sql_equiv ~join_method:`Merge "org merge join" org
+  check_sql_equiv "org equi-join" org
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
   check_sql_equiv "org subquery" org
     "SELECT eno FROM emp WHERE edno IN (SELECT dno FROM dept WHERE loc = \

@@ -57,14 +57,6 @@ let rec strip_plan (p : Plan.t) : Plan.t =
   | Plan.Index_join j ->
     Plan.Index_join
       { j with outer = strip_plan j.outer; residual = strip_pred j.residual }
-  | Plan.Merge_join j ->
-    Plan.Merge_join
-      {
-        j with
-        left = strip_plan j.left;
-        right = strip_plan j.right;
-        residual = strip_pred j.residual;
-      }
   | Plan.Distinct input -> Plan.Distinct (strip_plan input)
   | Plan.Aggregate a -> Plan.Aggregate { a with input = strip_plan a.input }
   | Plan.Sort (input, specs) -> Plan.Sort (strip_plan input, specs)
@@ -245,7 +237,7 @@ let test_counters_and_explain () =
   with_env "XNFDB_CHUNK_ROWS" "64" @@ fun () ->
   with_colstore true @@ fun () ->
   let db = clustered_db () in
-  let c = Db.compile_query ~join_method:`Hash db jf_sql in
+  let c = Db.compile_query db jf_sql in
   let expected = Exec_scalar.run c in
   (* 8 probe keys in the build band, each matching 3000/8 build rows *)
   check_rows "oracle count" [ row [ vi 3000 ] ] expected;
@@ -319,7 +311,7 @@ let test_multi_key_filter () =
     "SELECT COUNT(*) FROM probe_t p, build_t b WHERE b.k1 = p.fk1 AND b.k2 = \
      p.fk2"
   in
-  let c = Db.compile_query ~join_method:`Hash db sql in
+  let c = Db.compile_query db sql in
   let expected = Exec_scalar.run c in
   (* 8 surviving probe keys, each matching 3000/8 build rows *)
   check_rows "oracle count" [ row [ vi 3000 ] ] expected;
@@ -381,7 +373,7 @@ let test_string_key_filter () =
       if i mod 100 = 99 then Printf.sprintf "stranger%d" i
       else Printf.sprintf "key%d" (i mod 20));
   let sql = "SELECT COUNT(*) FROM probe_t p, build_t b WHERE p.k = b.k" in
-  let c = Db.compile_query ~join_method:`Hash db sql in
+  let c = Db.compile_query db sql in
   let expected = Exec_scalar.run c in
   (* 20 hot probe keys, each matching 2970/20 build rows *)
   check_rows "oracle count" [ row [ vi 2970 ] ] expected;
@@ -425,7 +417,7 @@ let test_adaptive_drop () =
   fill "probe_t" n_probe (fun i ->
       if i mod 10 = 9 then 1_000_000 + i else i mod 100);
   let c =
-    Db.compile_query ~join_method:`Hash db
+    Db.compile_query db
       "SELECT COUNT(*) FROM build_t b, probe_t p WHERE b.k = p.k"
   in
   let hits = n_probe - (n_probe / 10) in
@@ -451,8 +443,8 @@ let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
 
 (* filter-free scalar baseline, then the filtered path serial and
    parallel, with the columnar probe path both off and on *)
-let check_sql_equiv ?join_method name db sql =
-  let c = Db.compile_query ?join_method db sql in
+let check_sql_equiv name db sql =
+  let c = Db.compile_query db sql in
   let expected = Exec_scalar.run c in
   List.iter
     (fun colstore ->
@@ -469,26 +461,26 @@ let check_sql_equiv ?join_method name db sql =
 
 let test_sql_equiv_workloads () =
   let oo1 = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 } in
-  check_sql_equiv ~join_method:`Hash "oo1 hash join" oo1
+  check_sql_equiv "oo1 hash join" oo1
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
-  check_sql_equiv ~join_method:`Hash "oo1 selective build" oo1
+  check_sql_equiv "oo1 selective build" oo1
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.pid < 40";
   let bom = Workloads.Bom.generate Workloads.Bom.default in
-  check_sql_equiv ~join_method:`Hash "bom two-column hash key" bom
+  check_sql_equiv "bom two-column hash key" bom
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
-  check_sql_equiv ~join_method:`Hash "bom filter+join" bom
+  check_sql_equiv "bom filter+join" bom
     "SELECT p.pid, c.child FROM part p, contains c WHERE p.pid = c.parent \
      AND p.level < 2";
   let org = Workloads.Org.generate Workloads.Org.default in
-  check_sql_equiv ~join_method:`Merge "org merge join" org
+  check_sql_equiv "org equi-join" org
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
   check_sql_equiv "org subquery" org
     "SELECT eno FROM emp WHERE edno IN (SELECT dno FROM dept WHERE loc = \
      'ARC')";
   let shop = Workloads.Shop.generate Workloads.Shop.default in
-  check_sql_equiv ~join_method:`Hash "shop string filter join" shop
+  check_sql_equiv "shop string filter join" shop
     "SELECT c.cid, o.oid FROM customer c, orders o WHERE c.cid = o.ocid AND \
      c.region = 'EMEA'"
 

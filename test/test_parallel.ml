@@ -81,8 +81,8 @@ let test_chan () =
    test-sized tables *)
 let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
 
-let check_equiv ?(join_method = `Auto) name db sql =
-  let c = Db.compile_query ~join_method db sql in
+let check_equiv name db sql =
+  let c = Db.compile_query db sql in
   let expected = Exec.run c in
   List.iter
     (fun domains ->
@@ -95,9 +95,6 @@ let check_equiv ?(join_method = `Auto) name db sql =
 let test_equiv_oo1 () =
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 500 } in
   check_equiv "index-join traversal" db
-    "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
-     5000";
-  check_equiv ~join_method:`Hash "hash-join traversal" db
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
   check_equiv "scan + filter" db
@@ -117,7 +114,7 @@ let test_equiv_bom () =
      AND p.level < 2";
   check_equiv "sum rollup (splice fallback)" db
     "SELECT parent, COUNT(*), SUM(qty) FROM contains GROUP BY parent";
-  check_equiv ~join_method:`Hash "two-column hash key" db
+  check_equiv "two-column hash key" db
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
   check_equiv "projection arithmetic" db
@@ -128,7 +125,7 @@ let test_equiv_org () =
   check_equiv "equi-join ordered" db
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno ORDER BY \
      d.dno, e.eno";
-  check_equiv ~join_method:`Merge "merge join" db
+  check_equiv "equi-join unordered" db
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
   check_equiv "correlated exists (sequential fallback)" db
     "SELECT d.dno FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE \
@@ -217,7 +214,7 @@ let test_morsel_stress () =
       done)
     queries
 
-(* ------------------------------------------- scheduling / cost model -- *)
+(* ------------------------------------------------------- scheduling -- *)
 
 let test_dop_choice () =
   let dop = Optimizer.Cost.choose_dop ~domains:8 ~rows:100 () in
@@ -225,13 +222,7 @@ let test_dop_choice () =
   let dop = Optimizer.Cost.choose_dop ~domains:8 ~rows:1_000_000 () in
   Alcotest.(check int) "large inputs use all domains" 8 dop;
   let dop = Optimizer.Cost.choose_dop ~domains:8 ~rows:3 ~threshold:1 () in
-  Alcotest.(check int) "never more workers than chunks" 3 dop;
-  Alcotest.(check bool) "parallel cost beats serial on big streams" true
-    (Optimizer.Cost.parallel_stream_cost ~domains:4 1.0e6
-    < Optimizer.Cost.stream_cost 1.0e6);
-  Alcotest.(check bool) "tiny streams do not pay the fan-out" true
-    (Optimizer.Cost.parallel_stream_cost ~domains:4 10.0
-    = Optimizer.Cost.stream_cost 10.0)
+  Alcotest.(check int) "never more workers than chunks" 3 dop
 
 let test_parallelizable () =
   let db = org_db () in
@@ -267,20 +258,18 @@ let test_snapshot_equiv () =
   let cases =
     [
       ( "scan + filter",
-        `Auto,
         "SELECT cfrom, cto, clength FROM conns WHERE clength < 500",
         "Filter" );
       ( "hash join",
-        `Auto,
         "SELECT p.pid, c.cto FROM parts p, conns c WHERE p.build = c.clength",
         "HashJoin" );
-      ("index join", `Auto, traversal, "IndexJoin");
+      ("index join", traversal, "IndexJoin");
     ]
   in
   let compiled =
     List.map
-      (fun (name, join_method, sql, op) ->
-        let c = Db.compile_query ~join_method db sql in
+      (fun (name, sql, op) ->
+        let c = Db.compile_query db sql in
         Alcotest.(check bool)
           (name ^ ": plan uses " ^ op)
           true
@@ -328,7 +317,7 @@ let suite =
     Alcotest.test_case "extraction byte-identical" `Quick
       test_extraction_equiv;
     Alcotest.test_case "randomized morsel stress" `Quick test_morsel_stress;
-    Alcotest.test_case "dop choice + parallel cost" `Quick test_dop_choice;
+    Alcotest.test_case "dop choice" `Quick test_dop_choice;
     Alcotest.test_case "parallelizable predicate" `Quick test_parallelizable;
     Alcotest.test_case "parallel = sequential under a snapshot" `Quick
       test_snapshot_equiv;

@@ -23,7 +23,6 @@ let rec plan_has pred (p : Plan.t) =
   | Plan.Hash_join { build; probe; _ } ->
     plan_has pred build || plan_has pred probe
   | Plan.Index_join { outer; _ } -> plan_has pred outer
-  | Plan.Merge_join { left; right; _ } -> plan_has pred left || plan_has pred right
   | Plan.Aggregate { input; _ } -> plan_has pred input
   | Plan.Union_all is -> List.exists (plan_has pred) is
 
@@ -97,9 +96,6 @@ let test_shared_nodes_in_multi_output () =
             walk build;
             walk probe
           | Plan.Index_join { outer; _ } -> walk outer
-          | Plan.Merge_join { left; right; _ } ->
-            walk left;
-            walk right
           | Plan.Aggregate { input; _ } -> walk input
           | Plan.Union_all is -> List.iter walk is
         in
@@ -195,28 +191,7 @@ let suite =
     Alcotest.test_case "explain structure" `Quick test_explain_structure;
   ]
 
-let test_merge_join_forced () =
-  let db = org_db () in
-  let p =
-    (Db.compile_query ~join_method:`Merge db
-       "SELECT e.eno FROM emp e, dept d WHERE e.edno = d.dno")
-      .Plan.plan
-  in
-  Alcotest.(check bool) "merge join chosen" true
-    (plan_has (function Plan.Merge_join _ -> true | _ -> false) p)
-
-let test_merge_join_same_results () =
-  let db = Workloads.Org.generate { Workloads.Org.default with n_depts = 15 } in
-  let sql =
-    "SELECT e.eno, d.dname, es.essno FROM emp e, dept d, empskills es WHERE \
-     e.edno = d.dno AND es.eseno = e.eno AND d.loc = 'ARC' ORDER BY e.eno, \
-     es.essno"
-  in
-  let hash = Executor.Exec.run (Db.compile_query ~join_method:`Hash db sql) in
-  let merge = Executor.Exec.run (Db.compile_query ~join_method:`Merge db sql) in
-  check_rows "hash = merge" hash merge
-
-let test_merge_join_duplicate_keys () =
+let test_equi_join_duplicate_keys () =
   let db = Db.create () in
   ignore
     (Db.exec_script db
@@ -226,11 +201,10 @@ let test_merge_join_duplicate_keys () =
   let sql =
     "SELECT l.v, r.w FROM l, r WHERE l.k = r.k ORDER BY l.v, r.w"
   in
-  let merge = Executor.Exec.run (Db.compile_query ~join_method:`Merge db sql) in
   (* 2x2 cross product for k=1; nulls never join *)
   check_rows_unordered "duplicate-key groups"
     (rows_of_ints [ [ 10; 100 ]; [ 10; 101 ]; [ 11; 100 ]; [ 11; 101 ] ])
-    merge
+    (Executor.Exec.run (Db.compile_query db sql))
 
 let test_stats_ndv () =
   let db = org_db () in
@@ -255,11 +229,8 @@ let test_ndv_selectivity_in_cost () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "merge join forced" `Quick test_merge_join_forced;
-      Alcotest.test_case "merge = hash results" `Quick
-        test_merge_join_same_results;
-      Alcotest.test_case "merge join duplicate keys" `Quick
-        test_merge_join_duplicate_keys;
+      Alcotest.test_case "equi-join duplicate keys" `Quick
+        test_equi_join_duplicate_keys;
       Alcotest.test_case "stats ndv" `Quick test_stats_ndv;
       Alcotest.test_case "ndv-based cost" `Quick test_ndv_selectivity_in_cost;
     ]

@@ -307,34 +307,6 @@ let suite =
       prop_persist_roundtrip;
     ]
 
-(** Hash and merge join must produce identical multisets on randomized
-    databases. *)
-let prop_join_methods_agree =
-  QCheck.Test.make ~name:"hash join = merge join (results)" ~count:20
-    org_params_arb
-    (fun params ->
-      let db = Workloads.Org.generate params in
-      let queries =
-        [
-          "SELECT e.eno, d.dname FROM emp e, dept d WHERE e.edno = d.dno";
-          "SELECT e.eno, es.essno FROM emp e, empskills es, dept d WHERE \
-           e.edno = d.dno AND es.eseno = e.eno AND d.loc = 'ARC'";
-          "SELECT d.dno, COUNT(*) FROM dept d, proj p WHERE p.pdno = d.dno \
-           GROUP BY d.dno";
-        ]
-      in
-      List.for_all
-        (fun sql ->
-          let run jm =
-            Executor.Exec.run
-              (Engine.Database.compile_query ~join_method:jm db sql)
-            |> List.sort Tuple.compare
-          in
-          run `Hash = run `Merge)
-        queries)
-
-let suite = suite @ List.map QCheck_alcotest.to_alcotest [ prop_join_methods_agree ]
-
 (** The parser must never crash with anything but a [Db_error] on
     arbitrary input. *)
 let prop_parser_total =

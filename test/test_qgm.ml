@@ -117,8 +117,6 @@ let test_rewrite_ablation_flag () =
     | Optimizer.Plan.Hash_join { build; probe; _ } ->
       has_exists build || has_exists probe
     | Optimizer.Plan.Index_join { outer; _ } -> has_exists outer
-    | Optimizer.Plan.Merge_join { left; right; _ } ->
-      has_exists left || has_exists right
     | Optimizer.Plan.Aggregate { input; _ } -> has_exists input
     | Optimizer.Plan.Union_all is -> List.exists has_exists is
   and pred_has = function

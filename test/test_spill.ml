@@ -298,8 +298,8 @@ let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
 
 (* row-store baseline (colstore off) vs the columnar path over a store
    whose chunks live partly in the spill file, serial and parallel *)
-let check_sql_equiv ?join_method name db sql =
-  let c = Db.compile_query ?join_method db sql in
+let check_sql_equiv name db sql =
+  let c = Db.compile_query db sql in
   let expected = with_colstore false (fun () -> Exec.run c) in
   with_colstore true (fun () ->
       check_rows (name ^ " (serial)") expected (Exec.run c);
@@ -338,10 +338,7 @@ let test_equiv_oo1_spilled () =
   Alcotest.(check bool) "conns spilled" true (Colstore.cold_chunks conns_cs > 0);
   check_sql_equiv "oo1 scan+filter" db
     "SELECT cto, clength FROM conns WHERE clength < 500";
-  check_sql_equiv ~join_method:`Hash "oo1 hash join" db
-    "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
-     5000";
-  check_sql_equiv ~join_method:`Merge "oo1 merge join" db
+  check_sql_equiv "oo1 hash join" db
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
   check_sql_equiv "oo1 aggregate" db
@@ -351,7 +348,7 @@ let test_equiv_oo1_spilled () =
 let test_equiv_other_workloads () =
   with_spill_env @@ fun () ->
   let bom = Workloads.Bom.generate Workloads.Bom.default in
-  check_sql_equiv ~join_method:`Hash "bom two-column hash key" bom
+  check_sql_equiv "bom two-column hash key" bom
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
   check_sql_equiv "bom filter+join" bom
@@ -359,7 +356,7 @@ let test_equiv_other_workloads () =
      AND p.level < 2";
   check_extraction_equiv "bom assembly" bom Workloads.Bom.assembly_query;
   let org = Workloads.Org.generate Workloads.Org.default in
-  check_sql_equiv ~join_method:`Merge "org merge join" org
+  check_sql_equiv "org equi-join" org
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
   check_sql_equiv "org subquery" org
     "SELECT eno FROM emp WHERE edno IN (SELECT dno FROM dept WHERE loc = \
