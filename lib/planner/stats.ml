@@ -1,30 +1,51 @@
-(** Table statistics for the cost model: per-column distinct-value
-    counts (NDV), computed on demand and cached until the table's
-    version counter moves (any DML — an UPDATE that rewrites values
-    without changing the row count still invalidates, which a
-    cardinality-keyed cache would miss).  Keys use {!Base_table.tid}, so
-    same-named tables in different databases never collide. *)
+(** Table statistics for the cost model.
+
+    Per-column distinct-value counts (NDV) come from one of two places.
+    A column that is the whole key of an index reads that index's
+    distinct-key count ({!Index.cardinality}), which DML maintains at
+    O(1) per row and which counts NULL as one key, as the scan does.
+    Any other column is counted by a full scan, cached until the
+    table's version counter moves (any DML, including an UPDATE that
+    keeps the row count).  Cache entries are held weakly by their
+    table: a dropped table, a discarded database or a recursive CO's
+    per-compile delta tables take their entries with them. *)
 
 open Relcore
 
 type entry = { at_version : int; ndv : int }
 
-let cache : (int * int, entry) Hashtbl.t = Hashtbl.create 64
+(* keyed by the table itself, weakly, so an entry dies with its table;
+   physical equality, hashed by the process-unique tid *)
+module Tables = Ephemeron.K1.Make (struct
+  type t = Base_table.t
 
-(* the cache is process-global and plan compilation now runs from
+  let equal = ( == )
+  let hash t = Hashtbl.hash (Base_table.tid t)
+end)
+
+(* per table: column -> entry *)
+let cache : (int, entry) Hashtbl.t Tables.t = Tables.create 16
+
+(* the cache is process-global and plan compilation runs from
    concurrent server sessions (snapshot readers plan outside the big
    lock), so every access goes through this mutex *)
 let cache_mu = Mutex.create ()
 
-(** Number of distinct values in column [col] of [table]. *)
-let column_ndv (table : Base_table.t) (col : int) : int =
-  let key = (Base_table.tid table, col) in
+let scan_ndv (table : Base_table.t) (col : int) : int =
   let version = Base_table.version table in
-  let hit =
+  let cols, hit =
     Mutex.protect cache_mu (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some e when e.at_version = version -> Some e.ndv
-        | _ -> None)
+        let cols =
+          match Tables.find_opt cache table with
+          | Some cols -> cols
+          | None ->
+            let cols = Hashtbl.create 4 in
+            Tables.replace cache table cols;
+            cols
+        in
+        match Hashtbl.find_opt cols col with
+        | Some e when e.at_version = version -> (cols, Some e.ndv)
+        | _ -> (cols, None))
   in
   match hit with
   | Some ndv -> ndv
@@ -36,8 +57,19 @@ let column_ndv (table : Base_table.t) (col : int) : int =
       table;
     let ndv = Hashtbl.length seen in
     Mutex.protect cache_mu (fun () ->
-        Hashtbl.replace cache key { at_version = version; ndv });
+        Hashtbl.replace cols col { at_version = version; ndv });
     ndv
+
+(** Number of distinct values in column [col] of [table]: the key count
+    of an index on exactly that column, else the cached scan. *)
+let column_ndv (table : Base_table.t) (col : int) : int =
+  match Base_table.index_on table [| col |] with
+  | Some idx -> Index.cardinality idx
+  | None -> scan_ndv table col
+
+(** Tables with live scan-cache entries. *)
+let cached_tables () =
+  Mutex.protect cache_mu (fun () -> (Tables.stats_alive cache).num_bindings)
 
 (** Selectivity of an equality against a constant on this column. *)
 let eq_const_selectivity table col =
@@ -73,4 +105,3 @@ let null_fraction (table : Base_table.t) (col : int) : float option =
         (float_of_int (Colstore.col_null_count table.Base_table.colstore col)
         /. float_of_int card)
 
-let reset () = Mutex.protect cache_mu (fun () -> Hashtbl.reset cache)

@@ -1,11 +1,17 @@
-(** Table statistics for the cost model: per-column distinct-value
-    counts (NDV), computed on demand and cached until the table's
-    version counter moves (any DML invalidates, including UPDATEs that
-    keep the row count). *)
+(** Table statistics for the cost model.  Per-column distinct-value
+    counts (NDV) read an index's maintained distinct-key count when the
+    column is the whole key of an index, and otherwise a full scan
+    cached until the table's version counter moves (any DML
+    invalidates, including UPDATEs that keep the row count).  Scan
+    cache entries die with their table. *)
 
 open Relcore
 
 val column_ndv : Base_table.t -> int -> int
+(** Distinct values in a column, NULL counted once.  O(1) when an index
+    has exactly this column as its key; otherwise O(rows) on the first
+    call after any DML to the table. *)
+
 val eq_const_selectivity : Base_table.t -> int -> float
 
 val eq_join_selectivity : Base_table.t -> int -> Base_table.t -> int -> float
@@ -21,4 +27,5 @@ val null_fraction : Base_table.t -> int -> float option
     counts.  [None] when [XNFDB_COLSTORE] is off or the table is
     empty. *)
 
-val reset : unit -> unit
+val cached_tables : unit -> int
+(** Tables that currently hold scan-cache entries (live ones only). *)

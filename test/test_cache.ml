@@ -116,6 +116,32 @@ let test_stats_rekey_on_version () =
   Alcotest.(check int) "ndv recomputed after update" 3
     (Optimizer.Stats.column_ndv t 1)
 
+(* every recursive-CO compile plans over fresh delta tables; their scan
+   NDV entries must die with those tables instead of piling up in the
+   process-global cache *)
+let test_stats_entries_die_with_tables () =
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  Gc.full_major ();
+  let before = Optimizer.Stats.cached_tables () in
+  (* a compiled recursive CO references its delta tables, so holding
+     the 50 compilations holds their 100 tables and their entries *)
+  let held =
+    List.init 50 (fun _ ->
+        let c = Xnf.Xnf_compile.compile ~cache:false db Workloads.Bom.assembly_query in
+        ignore (Xnf.Xnf_compile.extract ~cache:false c);
+        c)
+  in
+  Gc.full_major ();
+  let peak = Optimizer.Stats.cached_tables () in
+  ignore (Sys.opaque_identity held);
+  Alcotest.(check bool) "delta tables were costed by scan" true (peak >= before + 50);
+  Gc.full_major ();
+  let after = Optimizer.Stats.cached_tables () in
+  (* what may stay: the BOM's own [part] and [contains], and the delta
+     tables (two per compile) of the skeletons the recursive evaluator
+     memoises (8); 50 leaked compiles would leave 100 *)
+  Alcotest.(check bool) "entries bounded after 50 compiles" true (after - before <= 20)
+
 (* ---- index postings --------------------------------------------------- *)
 
 let test_index_probe_semantics () =
@@ -296,6 +322,8 @@ let suite =
       test_plan_cache_ddl_invalidation;
     Alcotest.test_case "stats rekey on version" `Quick
       test_stats_rekey_on_version;
+    Alcotest.test_case "stats entries die with their tables" `Quick
+      test_stats_entries_die_with_tables;
     Alcotest.test_case "index probe semantics" `Quick
       test_index_probe_semantics;
     Alcotest.test_case "result cache lru" `Quick test_result_cache_lru;

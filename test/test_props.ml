@@ -418,3 +418,111 @@ let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_composition_agrees_with_extraction; prop_path_agrees_with_navigation ]
+
+(** Planner NDV: a column that is the whole key of an index reads the
+    index's maintained key count, any other column a version-keyed scan.
+    Both must equal a fresh distinct count (NULL once) after every step
+    of a DML history, including inside a transaction that is rolled
+    back and after a truncate. *)
+type ndv_op =
+  | N_ins of int * int option * string option * int option
+  | N_set_id of int * int (* unique primary key *)
+  | N_set_a of int * int option (* non-unique int index, rows id >= k *)
+  | N_set_s of int * string option (* non-unique string index *)
+  | N_set_u of int * int option (* unindexed *)
+  | N_del of int
+  | N_del_a of int option
+  | N_rollback of ndv_op list
+  | N_truncate
+
+let ndv_sql_int = function None -> "NULL" | Some i -> string_of_int i
+let ndv_sql_str = function None -> "NULL" | Some s -> Printf.sprintf "'%s'" s
+
+let ndv_sql = function
+  | N_ins (id, a, s, u) ->
+    Printf.sprintf "INSERT INTO p VALUES (%d, %s, %s, %s)" id (ndv_sql_int a)
+      (ndv_sql_str s) (ndv_sql_int u)
+  | N_set_id (k, v) -> Printf.sprintf "UPDATE p SET id = %d WHERE id = %d" v k
+  | N_set_a (k, v) -> Printf.sprintf "UPDATE p SET a = %s WHERE id >= %d" (ndv_sql_int v) k
+  | N_set_s (k, v) -> Printf.sprintf "UPDATE p SET s = %s WHERE id = %d" (ndv_sql_str v) k
+  | N_set_u (k, v) -> Printf.sprintf "UPDATE p SET u = %s WHERE id <= %d" (ndv_sql_int v) k
+  | N_del k -> Printf.sprintf "DELETE FROM p WHERE id = %d" k
+  | N_del_a None -> "DELETE FROM p WHERE a IS NULL"
+  | N_del_a (Some a) -> Printf.sprintf "DELETE FROM p WHERE a = %d" a
+  | N_rollback _ | N_truncate -> invalid_arg "ndv_sql"
+
+let ndv_ops_gen =
+  QCheck.Gen.(
+    let id = int_range 0 15 in
+    let a = opt ~ratio:0.8 (int_range 0 4) in
+    let s = opt ~ratio:0.8 (oneofl [ "x"; "y"; "z"; "" ]) in
+    let u = opt ~ratio:0.8 (int_range 0 5) in
+    let dml =
+      frequency
+        [
+          (6, map (fun (i, (a, s, u)) -> N_ins (i, a, s, u)) (pair id (triple a s u)));
+          (1, map2 (fun k v -> N_set_id (k, v)) id id);
+          (2, map2 (fun k v -> N_set_a (k, v)) id a);
+          (2, map2 (fun k v -> N_set_s (k, v)) id s);
+          (2, map2 (fun k v -> N_set_u (k, v)) id u);
+          (2, map (fun k -> N_del k) id);
+          (1, map (fun v -> N_del_a v) a);
+        ]
+    in
+    list_size (int_range 0 40)
+      (frequency
+         [
+           (12, dml);
+           (1, map (fun ops -> N_rollback ops) (list_size (int_range 1 6) dml));
+           (1, return N_truncate);
+         ]))
+
+let rec ndv_print = function
+  | N_rollback ops -> "BEGIN; " ^ String.concat "; " (List.map ndv_print ops) ^ "; ROLLBACK"
+  | N_truncate -> "(Base_table.truncate p)"
+  | op -> ndv_sql op
+
+let prop_index_ndv_matches_scan =
+  QCheck.Test.make ~name:"index NDV = scan NDV under DML" ~count:200
+    (QCheck.make ~print:(fun ops -> String.concat ";\n" (List.map ndv_print ops)) ndv_ops_gen)
+    (fun ops ->
+      let db = Engine.Database.create () in
+      ignore
+        (Engine.Database.exec_script db
+           "CREATE TABLE p (id INT NOT NULL, a INT, s STRING, u INT, PRIMARY KEY (id));\n\
+            CREATE INDEX p_a ON p (a); CREATE INDEX p_s ON p (s)");
+      let t = Engine.Database.find_table db "p" in
+      let agrees () =
+        List.for_all
+          (fun col ->
+            let scan =
+              Base_table.fold (fun acc _ tup -> tup.(col) :: acc) [] t
+              |> List.sort_uniq Value.compare |> List.length
+            in
+            Optimizer.Stats.column_ndv t col = scan)
+          [ 0; 1; 2; 3 ]
+      in
+      let exec op =
+        try ignore (Engine.Database.exec db (ndv_sql op))
+        with Errors.Db_error (Errors.Constraint_error, _) -> () (* duplicate key *)
+      in
+      (* indexed columns really take the index path; [u] the scan *)
+      List.for_all (fun c -> Base_table.index_on t [| c |] <> None) [ 0; 1; 2 ]
+      && Base_table.index_on t [| 3 |] = None
+      && List.for_all
+           (fun op ->
+             match op with
+             | N_truncate ->
+               Base_table.truncate t;
+               agrees ()
+             | N_rollback body ->
+               ignore (Engine.Database.exec db "BEGIN");
+               let inside = List.for_all (fun op -> exec op; agrees ()) body in
+               ignore (Engine.Database.exec db "ROLLBACK");
+               inside && agrees ()
+             | op ->
+               exec op;
+               agrees ())
+           ops)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_index_ndv_matches_scan ]
