@@ -282,11 +282,7 @@ let serve_daemon ~addr ~demo files =
   let db = Db.create () in
   if demo then load_demo db;
   run_scripts db files;
-  let config =
-    Net.Server.default_config
-      ?addr:(Option.map parse_addr addr)
-      ~release_on_stop:true ()
-  in
+  let config = Net.Server.default_config ?addr:(Option.map parse_addr addr) () in
   let t = Net.Server.create ~config db in
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle (fun _ -> Net.Server.stop t));

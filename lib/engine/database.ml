@@ -25,12 +25,6 @@ type marks = {
   mk_cs_scanned : int;
   mk_cs_skipped : int;
   mk_cs_materialized : int;
-  mk_cs_encoded : int;
-  mk_cs_decoded : int;
-  mk_cs_faulted : int;
-  mk_cs_evicted : int;
-  mk_cs_bytes_spilled : int;
-  mk_cs_bytes_faulted : int;
   mk_jf_built : int;
   mk_jf_chunks : int;
   mk_jf_rows : int;
@@ -64,12 +58,6 @@ let zero_marks =
     mk_cs_scanned = 0;
     mk_cs_skipped = 0;
     mk_cs_materialized = 0;
-    mk_cs_encoded = 0;
-    mk_cs_decoded = 0;
-    mk_cs_faulted = 0;
-    mk_cs_evicted = 0;
-    mk_cs_bytes_spilled = 0;
-    mk_cs_bytes_faulted = 0;
     mk_jf_built = 0;
     mk_jf_chunks = 0;
     mk_jf_rows = 0;
@@ -93,7 +81,7 @@ let create () =
   }
 
 (** A session-scoped handle onto the same database: shares the catalog
-    (tables, views, indexes, columnar tiers — and through it the
+    (tables, views, indexes, columnar mirrors — and through it the
     process-wide result cache and IVM state), but carries its own
     transaction and its own prepared-plan/plugin caches.  This is what
     each server connection gets: one client's open txn or prepared
@@ -201,12 +189,6 @@ let take_marks (db : t) : marks =
     mk_cs_scanned = ct.Colstore.chunks_scanned;
     mk_cs_skipped = ct.Colstore.chunks_skipped;
     mk_cs_materialized = ct.Colstore.rows_materialized;
-    mk_cs_encoded = ct.Colstore.chunks_encoded;
-    mk_cs_decoded = ct.Colstore.chunks_decoded;
-    mk_cs_faulted = ct.Colstore.chunks_faulted;
-    mk_cs_evicted = ct.Colstore.chunks_evicted;
-    mk_cs_bytes_spilled = ct.Colstore.bytes_spilled;
-    mk_cs_bytes_faulted = ct.Colstore.bytes_faulted;
     mk_jf_built = jt.Bloom.filters_built;
     mk_jf_chunks = jt.Bloom.chunks_skipped;
     mk_jf_rows = jt.Bloom.rows_skipped;
@@ -220,8 +202,8 @@ let take_marks (db : t) : marks =
 let mark_statement (db : t) : unit = db.marks <- take_marks db
 
 (** The cache/colstore/join-filter report for the current statement
-    window.  Counters are deltas since {!mark_statement}; entry counts,
-    byte totals and the spill budget are gauges and shown as-is. *)
+    window.  Counters are deltas since {!mark_statement}; entry counts
+    and byte totals are gauges and shown as-is. *)
 let counter_sections (db : t) : string =
   let m = db.marks in
   let s = cache_stats db in
@@ -250,24 +232,6 @@ let counter_sections (db : t) : string =
        (ct.Colstore.chunks_skipped - m.mk_cs_skipped)
        (ct.Colstore.rows_materialized - m.mk_cs_materialized)
        (if Colstore.enabled () then "" else " (disabled)"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  chunks encoded: %d, decoded: %d, faulted: %d, evicted: %d\n"
-       (ct.Colstore.chunks_encoded - m.mk_cs_encoded)
-       (ct.Colstore.chunks_decoded - m.mk_cs_decoded)
-       (ct.Colstore.chunks_faulted - m.mk_cs_faulted)
-       (ct.Colstore.chunks_evicted - m.mk_cs_evicted));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  spill: budget %s, resident %d bytes, spilled %d bytes (this \
-        statement: %d spilled, %d faulted)\n"
-       (let b = Colstore.budget_bytes () in
-        if b = 0 then "off"
-        else Printf.sprintf "%d MB/table" (b / (1024 * 1024)))
-       (Colstore.global_resident_bytes ())
-       (Colstore.global_spilled_bytes ())
-       (ct.Colstore.bytes_spilled - m.mk_cs_bytes_spilled)
-       (ct.Colstore.bytes_faulted - m.mk_cs_bytes_faulted));
   let jt = Bloom.totals in
   Buffer.add_string buf "== join filters (this statement) ==\n";
   Buffer.add_string buf
@@ -613,12 +577,6 @@ let rec exec_stmt db (stmt : Ast.stmt) : result =
     | None -> exec_delete db ~table_name ~where
   end
   | Ast.Drop_table name ->
-    (* release the columnar tier state (chunk arrays + spill mapping)
-       before unhooking the table, so reusing the Database doesn't
-       accumulate dead mmap segments *)
-    (match Catalog.find_table_opt db.catalog name with
-    | Some t -> Base_table.release t
-    | None -> ());
     Catalog.drop_table db.catalog name;
     invalidate_plans db;
     Done (Printf.sprintf "table %s dropped" name)

@@ -17,7 +17,7 @@ val create : unit -> t
 
 val session : t -> t
 (** A session-scoped handle onto the same database: shares the catalog
-    (tables, views, indexes, columnar tiers) but has its own transaction
+    (tables, views, indexes, columnar mirrors) but has its own transaction
     and its own prepared-plan/plugin caches — what each server
     connection gets.  DDL executed through one session invalidates only
     that session's plan caches; the server layer broadcasts the

@@ -111,8 +111,7 @@ let of_plan ?(require_atoms = true) (p : Plan.t) : t option =
 
 (** The column position behind a single-column [Tint] join key, if the
     key is a bare column of one.  Per-chunk data comes from
-    {!Relcore.Colstore.key_chunk} (tier-aware: hot arrays or a decoded
-    cold section). *)
+    {!Relcore.Colstore.key_chunk} (the chunk's own int array). *)
 let int_key (cs : t) (key : Plan.scalar) : int option =
   match key with
   | Plan.P_col i when Colstore.int_key_col cs.store i -> Some i

@@ -87,8 +87,6 @@ type ctx = {
   mutable chunks_scanned : int; (* colstore chunks whose rows were visited *)
   mutable chunks_skipped : int; (* colstore chunks zone-pruned wholesale *)
   mutable rows_materialized : int; (* heap tuples fetched by columnar scans *)
-  mutable chunks_faulted : int; (* cold colstore chunks read from the spill file *)
-  mutable bytes_faulted : int; (* encoded bytes copied back by those reads *)
   mutable jf_built : int; (* sideways join filters built *)
   mutable jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
   mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)
@@ -121,8 +119,6 @@ let make_ctx ?batch_capacity ?result_cache ?snapshot () =
     chunks_scanned = 0;
     chunks_skipped = 0;
     rows_materialized = 0;
-    chunks_faulted = 0;
-    bytes_faulted = 0;
     jf_built = 0;
     jf_chunks_skipped = 0;
     jf_rows_skipped = 0;
@@ -142,29 +138,14 @@ let posts_totals (ctx : ctx) =
 let chunk_skipped (ctx : ctx) =
   ctx.chunks_skipped <- ctx.chunks_skipped + 1;
   if posts_totals ctx then
-    Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0 ()
+    Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0
 
 let chunk_scanned (ctx : ctx) ~live ~materialized =
   ctx.chunks_scanned <- ctx.chunks_scanned + 1;
   ctx.rows_scanned <- ctx.rows_scanned + live;
   ctx.rows_materialized <- ctx.rows_materialized + materialized;
   if posts_totals ctx then
-    Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized ()
-
-(* Fold a scan's fault counters into the ctx (and the process totals),
-   then re-arm the per-scan record.  Scan-side fault accounting flows
-   only through caller-owned [scan_stats] (see Colstore), so this is
-   the single point where it reaches shared state. *)
-let flush_faults (ctx : ctx) (sst : Colstore.scan_stats) =
-  if sst.Colstore.faulted > 0 || sst.Colstore.fbytes > 0 then begin
-    ctx.chunks_faulted <- ctx.chunks_faulted + sst.Colstore.faulted;
-    ctx.bytes_faulted <- ctx.bytes_faulted + sst.Colstore.fbytes;
-    if posts_totals ctx then
-      Colstore.add_totals ~faulted:sst.Colstore.faulted
-        ~fbytes:sst.Colstore.fbytes ~scanned:0 ~skipped:0 ~materialized:0 ();
-    sst.Colstore.faulted <- 0;
-    sst.Colstore.fbytes <- 0
-  end
+    Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized
 
 let jf_built (ctx : ctx) =
   ctx.jf_built <- ctx.jf_built + 1;
@@ -723,7 +704,6 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
   let katoms = cs.Colscan.katoms in
   let test = Option.map (compile_pred ctx) cs.Colscan.residual in
   let sel = Array.make (Colstore.chunk_rows store) 0 in
-  let sst = Colstore.scan_stats () in
   (* snapshotted: queries never mutate their own base tables here *)
   let c0, c1 = chunk_range ctx table store in
   let chunk = ref c0 in
@@ -734,12 +714,9 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
         incr chunk;
         if Colstore.prune_chunk store katoms c then chunk_skipped ctx
         else begin
-          Colstore.pin store c;
-          let n = Colstore.select_chunk ~stats:sst store katoms c sel in
-          Colstore.unpin store c;
+          let n = Colstore.select_chunk store katoms c sel in
           chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
             ~materialized:n;
-          flush_faults ctx sst;
           (match test with
           | None ->
             for i = 0 to n - 1 do
@@ -867,8 +844,6 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       let katoms = cs.Colscan.katoms in
       let test = Option.map (compile_pred ctx) cs.Colscan.residual in
       let sel = Array.make (Colstore.chunk_rows store) 0 in
-      let rdr = Colstore.reader store in
-      let sst = Colstore.scan_stats () in
       let c0, c1 = chunk_range ctx ptable store in
       let chunk = ref c0 in
       (* build-side key range as zone-prunable atoms over the probe's key
@@ -898,16 +873,13 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
               match Lazy.force jf_atoms with
               | Some ja when Colstore.prune_chunk store ja c ->
                 (* every key in the chunk is outside the build's range —
-                   pruned before the chunk is decoded or faulted in *)
+                   pruned before the chunk's arrays are read *)
                 jf_chunk_skipped ctx
               | _ ->
-                Colstore.pin store c;
-                let n = Colstore.select_chunk ~stats:sst store katoms c sel in
+                let n = Colstore.select_chunk store katoms c sel in
                 let mat = ref 0 in
                 (if n > 0 then begin
-                   let data, knulls, kbase =
-                     Colstore.key_chunk ~stats:sst store rdr ki c
-                   in
+                   let data, knulls, kbase = Colstore.key_chunk store ki c in
                    match Lazy.force table, test with
                    | (J_key (T_int itbl, flt) | J_codes (itbl, flt)), None ->
                      for j = 0 to n - 1 do
@@ -973,10 +945,8 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
                      done
                    | (J_tuple _ | J_postings _), _ -> assert false
                  end);
-                Colstore.unpin store c;
                 chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
-                  ~materialized:!mat;
-                flush_faults ctx sst
+                  ~materialized:!mat
             end;
             true
           end)
@@ -1243,19 +1213,14 @@ and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
       let katoms = cs.Colscan.katoms in
       let test = Option.map (compile_pred ctx) cs.Colscan.residual in
       let sel = Array.make (Colstore.chunk_rows store) 0 in
-      let rdr = Colstore.reader store in
-      let sst = Colstore.scan_stats () in
       let itbl = Itbl.create 256 in
       for c = 0 to Colstore.n_chunks store - 1 do
         if Colstore.prune_chunk store katoms c then chunk_skipped ctx
         else begin
-          Colstore.pin store c;
-          let n = Colstore.select_chunk ~stats:sst store katoms c sel in
+          let n = Colstore.select_chunk store katoms c sel in
           let mat = ref 0 in
           (if n > 0 then begin
-             let data, knulls, kbase =
-               Colstore.key_chunk ~stats:sst store rdr ki c
-             in
+             let data, knulls, kbase = Colstore.key_chunk store ki c in
              for j = 0 to n - 1 do
                let s = Array.unsafe_get sel j in
                let l = s - kbase in
@@ -1276,10 +1241,8 @@ and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
                end
              done
            end);
-          Colstore.unpin store c;
           chunk_scanned ctx ~live:(Colstore.live_in_chunk store c)
-            ~materialized:!mat;
-          flush_faults ctx sst
+            ~materialized:!mat
         end
       done;
       Some (T_int itbl))
@@ -1490,8 +1453,6 @@ let sibling_ctx (ctx : ctx) : ctx =
     chunks_scanned = 0;
     chunks_skipped = 0;
     rows_materialized = 0;
-    chunks_faulted = 0;
-    bytes_faulted = 0;
     jf_built = 0;
     jf_chunks_skipped = 0;
     jf_rows_skipped = 0;
@@ -1511,16 +1472,13 @@ let absorb ~(into : ctx) (w : ctx) =
   into.chunks_scanned <- into.chunks_scanned + w.chunks_scanned;
   into.chunks_skipped <- into.chunks_skipped + w.chunks_skipped;
   into.rows_materialized <- into.rows_materialized + w.rows_materialized;
-  into.chunks_faulted <- into.chunks_faulted + w.chunks_faulted;
-  into.bytes_faulted <- into.bytes_faulted + w.bytes_faulted;
   into.jf_built <- into.jf_built + w.jf_built;
   into.jf_chunks_skipped <- into.jf_chunks_skipped + w.jf_chunks_skipped;
   into.jf_rows_skipped <- into.jf_rows_skipped + w.jf_rows_skipped;
   into.jf_dropped <- into.jf_dropped + w.jf_dropped;
   if posts_totals into then begin
-    Colstore.add_totals ~faulted:w.chunks_faulted ~fbytes:w.bytes_faulted
-      ~scanned:w.chunks_scanned ~skipped:w.chunks_skipped
-      ~materialized:w.rows_materialized ();
+    Colstore.add_totals ~scanned:w.chunks_scanned ~skipped:w.chunks_skipped
+      ~materialized:w.rows_materialized;
     Bloom.add_totals ~built:w.jf_built ~chunks:w.jf_chunks_skipped
       ~rows:w.jf_rows_skipped ~dropped:w.jf_dropped
   end;
@@ -1565,15 +1523,11 @@ let scan_victims (ctx : ctx) (table : Base_table.t) (pp : Plan.ppred) :
     let katoms = cs.Colscan.katoms in
     let test = Option.map (compile_pred ctx) cs.Colscan.residual in
     let sel = Array.make (Colstore.chunk_rows store) 0 in
-    let sst = Colstore.scan_stats () in
     for c = 0 to Colstore.n_chunks store - 1 do
       if Colstore.prune_chunk store katoms c then chunk_skipped ctx
       else begin
-        Colstore.pin store c;
-        let n = Colstore.select_chunk ~stats:sst store katoms c sel in
-        Colstore.unpin store c;
+        let n = Colstore.select_chunk store katoms c sel in
         chunk_scanned ctx ~live:(Colstore.live_in_chunk store c) ~materialized:n;
-        flush_faults ctx sst;
         (* slots ascend within and across chunks, so consing yields the
            descending-rid victim list directly *)
         for i = 0 to n - 1 do

@@ -32,8 +32,6 @@ type ctx = {
   mutable chunks_scanned : int; (* colstore chunks whose rows were visited *)
   mutable chunks_skipped : int; (* colstore chunks zone-pruned wholesale *)
   mutable rows_materialized : int; (* heap tuples fetched by columnar scans *)
-  mutable chunks_faulted : int; (* cold colstore chunks read from the spill file *)
-  mutable bytes_faulted : int; (* encoded bytes copied back by those reads *)
   mutable jf_built : int; (* sideways join filters built *)
   mutable jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
   mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)

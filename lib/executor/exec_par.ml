@@ -105,10 +105,7 @@ let pipeline (ctx : Exec.ctx) ~opts (p : Plan.t) : Batch.t list =
         else size
     in
     let n = (slots + size - 1) / size in
-    let rows =
-      int_of_float
-        (float_of_int (Base_table.cardinality t) *. Cost.scan_access_factor t)
-    in
+    let rows = Base_table.cardinality t in
     let dop =
       if Pool.in_worker () || n <= 1 then 1
       else

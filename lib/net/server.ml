@@ -10,7 +10,7 @@
     worker serving it once the outbox fills — that stall {e is} the
     backpressure — while the loop keeps serving everyone else.
 
-    Sessions share the catalog (tables, columnar tiers, result cache,
+    Sessions share the catalog (tables, columnar mirrors, result cache,
     IVM state) but each gets its own {!Engine.Database.session}: open
     transaction and prepared plans are per-connection.  Writes take a
     process-wide writer lock at statement granularity; queries and
@@ -21,8 +21,8 @@
 
     A malformed frame earns an error frame and closes that session; the
     daemon survives.  {!stop} (wired to SIGINT by the CLI) drains
-    in-flight requests, commits nothing — open transactions are rolled
-    back — and can release every table's columnar tier and spill file. *)
+    in-flight requests and commits nothing — open transactions are
+    rolled back. *)
 
 open Relcore
 module Db = Engine.Database
@@ -120,10 +120,6 @@ end
 type config = {
   addr : Unix.sockaddr;
   max_sessions : int;
-  release_on_stop : bool;
-      (** release every table's columnar tier (incl. spill files) on
-          {!stop} — the daemon owns the data; off when embedding the
-          server around a database the host process keeps using *)
 }
 
 (* response frames buffered per session before the serving worker
@@ -146,11 +142,10 @@ let default_addr () =
     Unix.ADDR_UNIX
       (Option.value (Sys.getenv_opt "XNFDB_SOCKET") ~default:"/tmp/xnfdb.sock")
 
-let default_config ?addr ?(release_on_stop = false) () =
+let default_config ?addr () =
   {
     addr = (match addr with Some a -> a | None -> default_addr ());
     max_sessions = getenv_int "XNFDB_MAX_SESSIONS" 1024;
-    release_on_stop;
   }
 
 (* -- sessions ------------------------------------------------------------ *)
@@ -992,9 +987,8 @@ let drain_wake t =
   go ()
 
 (** Run the daemon.  Blocks until {!stop}: then stops accepting, lets
-    in-flight requests finish, flushes what can be flushed, rolls back
-    every open transaction, and (per config) releases the columnar
-    tiers and spill files of every table. *)
+    in-flight requests finish, flushes what can be flushed, and rolls
+    back every open transaction. *)
 let serve t =
   (* warm the pool up front so the first burst of sessions is not
      serialized behind lazy worker spawning *)
@@ -1061,8 +1055,6 @@ let serve t =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (* every deferred teardown rollback must land before we hand the
-     database back (or release its storage) *)
+     database back *)
   List.iter Pool.await t.cleanup;
-  t.cleanup <- [];
-  if t.config.release_on_stop then
-    List.iter Base_table.release (Catalog.tables (Db.catalog t.db))
+  t.cleanup <- []

@@ -21,22 +21,19 @@
     under the blocking lock, so it sees its own writes.
 
     Malformed frames earn an error frame and close that session only.
-    {!stop} drains in-flight requests, rolls back every open transaction
-    (commits nothing), and per config releases each table's columnar
-    tier and spill file via {!Relcore.Base_table.release}. *)
+    {!stop} drains in-flight requests and rolls back every open
+    transaction (commits nothing). *)
 
 type config = {
   addr : Unix.sockaddr;
   max_sessions : int;  (** [XNFDB_MAX_SESSIONS], default 1024 *)
-  release_on_stop : bool;
-      (** release every table's columnar tier + spill file on {!stop} *)
 }
 
 val default_addr : unit -> Unix.sockaddr
 (** [XNFDB_PORT] (TCP on loopback) if set, else [XNFDB_SOCKET]
     (default [/tmp/xnfdb.sock]). *)
 
-val default_config : ?addr:Unix.sockaddr -> ?release_on_stop:bool -> unit -> config
+val default_config : ?addr:Unix.sockaddr -> unit -> config
 
 type t
 

@@ -34,24 +34,6 @@ let stream_cost (rows : float) : float =
     in
     (rows *. tuple_cost) +. (batches *. batch_overhead)
 
-(* -- cold-chunk access cost ---------------------------------------------- *)
-
-(** Extra per-row cost of scanning a spilled (cold) colstore chunk
-    relative to a hot one: the section copy out of the mmap plus the
-    decode-on-the-fly predicate kernels. *)
-let cold_chunk_penalty = 1.5
-
-(** Multiplier on the cost of scanning [t]'s rows, reflecting how much
-    of the table currently sits in encoded cold chunks.  1.0 whenever
-    the colstore (or spilling) is off, so default plans are
-    unchanged. *)
-let scan_access_factor (t : Relcore.Base_table.t) : float =
-  if not (Relcore.Colstore.enabled ()) then 1.0
-  else
-    1.0
-    +. (cold_chunk_penalty
-       *. Relcore.Colstore.cold_fraction t.Relcore.Base_table.colstore)
-
 (* -- degree of parallelism ------------------------------------------------ *)
 
 (** Below this many input rows a parallel plan fragment is not worth its

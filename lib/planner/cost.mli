@@ -21,15 +21,6 @@ val stream_cost : float -> float
     plus a per-batch term for however many [Relcore.Batch] units the
     rows occupy. *)
 
-val cold_chunk_penalty : float
-(** Extra per-row cost of scanning a spilled (cold) colstore chunk
-    relative to a hot one. *)
-
-val scan_access_factor : Relcore.Base_table.t -> float
-(** Multiplier on the cost of scanning the table's rows:
-    [1 + cold_chunk_penalty * cold_fraction].  1.0 when the colstore or
-    spilling is off, so default plans are unchanged. *)
-
 val parallel_threshold_rows : int
 (** Input-row count below which a fragment runs serially (scheduling a
     parallel fan-out would cost more than it saves). *)

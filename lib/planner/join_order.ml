@@ -44,20 +44,9 @@ let order_dp (inp : input) : int list =
   (* best.(mask) = (cost, order as reversed index list) *)
   let best = Array.make (full + 1) None in
   for i = 0 to n - 1 do
-    (* singleton seed: the extra cost of reading the quantifier's base
-       table out of spilled cold chunks (each table's plain scan cost
-       is already charged when the DP extends its mask, so only the
-       cold-access surcharge goes here).  0.0 with nothing cold, so
-       default plans are exactly as before; a mostly-spilled table
-       becomes a worse driver than an equally large resident one. *)
-    let access =
-      match inp.quants.(i).Qgm.over.Qgm.kind with
-      | Qgm.Base t ->
-        Cost.stream_cost (inp.cards.(i) *. Cost.scan_access_factor t)
-        -. Cost.stream_cost inp.cards.(i)
-      | _ -> 0.0
-    in
-    best.(1 lsl i) <- Some (access, [ i ])
+    (* singleton seed: each table's scan cost is charged when the DP
+       extends its mask *)
+    best.(1 lsl i) <- Some (0.0, [ i ])
   done;
   for mask = 1 to full do
     match best.(mask) with

@@ -127,8 +127,3 @@ let truncate t =
   Heap.clear t.heap;
   Colstore.clear t.colstore;
   List.iter Index.clear t.indexes
-
-(** Release the columnar mirror's tier state and spill file (DDL drop).
-    Idempotent — the colstore also finalises itself on GC, this just
-    reclaims eagerly. *)
-let release t = Colstore.release t.colstore

@@ -98,7 +98,3 @@ val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> int
 val to_list : t -> (Heap.rid * Tuple.t) list
 
 val truncate : t -> unit
-
-val release : t -> unit
-(** Release the columnar mirror's chunk arrays and spill file (DDL
-    drop); idempotent.  The table must not be used afterwards. *)

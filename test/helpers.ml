@@ -25,6 +25,27 @@ let vnull = Value.Null
 
 let rows_of_ints rows = List.map (fun r -> row (List.map vi r)) rows
 
+(** Run [f] with environment variable [var] set to [value].  OCaml has
+    no unsetenv, so an unset variable is restored to "": not an integer
+    and not a disabling value, so every [XNFDB_*] knob falls back to its
+    default. *)
+let with_env var value f =
+  let old = Sys.getenv_opt var in
+  Unix.putenv var value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
+    f
+
+(** Run [f] with the columnar scan path on or off ([XNFDB_COLSTORE]). *)
+let with_colstore flag f =
+  with_env "XNFDB_COLSTORE" (if flag then "1" else "0") f
+
+(** Whether [affix] occurs in [s]. *)
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  n = 0 || go 0
+
 (** The paper's running example database (Fig. 1): departments,
     employees, projects, skills, and the two M:N mapping tables.
     Instance follows the paper's instance graph: two ARC departments

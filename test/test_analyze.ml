@@ -11,11 +11,6 @@ module Db = Engine.Database
 module Plan = Optimizer.Plan
 module Opstats = Executor.Opstats
 
-let contains (s : string) (affix : string) : bool =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  m = 0 || go 0
-
 (* run [sql] with the per-operator accumulator armed *)
 let run_analyzed ?domains db sql =
   let c = Db.compile_query db sql in
@@ -73,7 +68,7 @@ let test_serial_attribution () =
   Helpers.check_rows "analyzed rows unchanged" plain rows;
   check_invariants "serial" acc rows;
   let rendered = Opstats.render acc in
-  Alcotest.(check bool) "render mentions est=" true (contains rendered "est=")
+  Alcotest.(check bool) "render mentions est=" true (Helpers.contains ~affix:"est=" rendered)
 
 let test_parallel_attribution () =
   let db =
@@ -141,7 +136,7 @@ let test_explain_analyze_text () =
   let db = Helpers.org_db () in
   match Db.exec db ("EXPLAIN ANALYZE " ^ org_join_sql) with
   | Db.Done report ->
-    let has affix = contains report affix in
+    let has affix = Helpers.contains ~affix report in
     Alcotest.(check bool) "plan section" true (has "== plan (analyzed) ==");
     Alcotest.(check bool) "actual rows" true (has "act=");
     Alcotest.(check bool) "q-error" true (has "q=");
@@ -157,7 +152,7 @@ let test_explain_per_statement_counters () =
   ignore (Db.query_rows db "SELECT eno FROM emp WHERE sal > 0");
   match Db.exec db "EXPLAIN SELECT dno FROM dept WHERE loc = 'ARC'" with
   | Db.Done report ->
-    let has affix = contains report affix in
+    let has affix = Helpers.contains ~affix report in
     Alcotest.(check bool) "delta colstore section" true
       (has "== colstore (this statement) ==");
     (* EXPLAIN compiles but never executes: its own window scans nothing *)

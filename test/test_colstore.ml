@@ -3,8 +3,10 @@
     strings, zone pruning counters, planner statistics, the exact
     Int/Float compare-hash boundary, and the knob-equivalence property:
     [XNFDB_COLSTORE=1] and [=0] produce byte-identical results across
-    all four workloads, join methods, domain counts and cache modes —
-    including after INSERT/UPDATE/DELETE and ROLLBACK. *)
+    all four workloads, domain counts and cache modes —
+    including after INSERT/UPDATE/DELETE and ROLLBACK, and for plans
+    held across DROP TABLE.  [spill_suite] reruns the equivalence
+    checks at 16-row chunks. *)
 
 open Helpers
 open Relcore
@@ -12,26 +14,6 @@ module Db = Engine.Database
 module Exec = Executor.Exec
 module Exec_par = Executor.Exec_par
 module Qgm = Starq.Qgm
-
-(* ------------------------------------------------------ env plumbing -- *)
-
-(* OCaml has no unsetenv; restoring to "" is fine for both knobs (not a
-   disabling value for XNFDB_COLSTORE, not an integer for
-   XNFDB_CHUNK_ROWS, so both fall back to their defaults). *)
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
-    f
-
-let with_colstore flag f =
-  with_env "XNFDB_COLSTORE" (if flag then "1" else "0") f
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
 
 (* ------------------------------------- Int/Float boundary (Value.t) -- *)
 
@@ -410,34 +392,43 @@ let check_sql_equiv name db sql =
             expected (par_run ~domains c))
         [ 1; 4 ])
 
-let test_sql_equiv_workloads () =
-  let oo1 = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 } in
-  check_sql_equiv "oo1 scan+filter" oo1
+let sql_equiv_oo1 sfx oo1 =
+  check_sql_equiv ("oo1 scan+filter" ^ sfx) oo1
     "SELECT cto, clength FROM conns WHERE clength < 500";
-  check_sql_equiv "oo1 hash join" oo1
+  check_sql_equiv ("oo1 hash join" ^ sfx) oo1
     "SELECT c.cto FROM parts p, conns c WHERE p.pid = c.cfrom AND p.build < \
      5000";
-  check_sql_equiv "oo1 aggregate" oo1
-    "SELECT cfrom, COUNT(*), MIN(clength) FROM conns GROUP BY cfrom";
-  let bom = Workloads.Bom.generate Workloads.Bom.default in
-  check_sql_equiv "bom two-column hash key" bom
+  check_sql_equiv ("oo1 aggregate" ^ sfx) oo1
+    "SELECT cfrom, COUNT(*), MIN(clength) FROM conns GROUP BY cfrom"
+
+let sql_equiv_bom sfx bom =
+  check_sql_equiv ("bom two-column hash key" ^ sfx) bom
     "SELECT a.pid, b.pid FROM part a, part b WHERE a.level = b.level AND \
      a.pname = b.pname";
-  check_sql_equiv "bom filter+join" bom
+  check_sql_equiv ("bom filter+join" ^ sfx) bom
     "SELECT p.pid, c.child FROM part p, contains c WHERE p.pid = c.parent \
-     AND p.level < 2";
-  let org = Workloads.Org.generate Workloads.Org.default in
-  check_sql_equiv "org equi-join" org
+     AND p.level < 2"
+
+let sql_equiv_org sfx org =
+  check_sql_equiv ("org equi-join" ^ sfx) org
     "SELECT d.dno, e.eno FROM dept d, emp e WHERE d.dno = e.edno";
-  check_sql_equiv "org subquery" org
+  check_sql_equiv ("org subquery" ^ sfx) org
     "SELECT eno FROM emp WHERE edno IN (SELECT dno FROM dept WHERE loc = \
-     'ARC')";
-  let shop = Workloads.Shop.generate Workloads.Shop.default in
-  check_sql_equiv "shop string filter join" shop
+     'ARC')"
+
+let sql_equiv_shop sfx shop =
+  check_sql_equiv ("shop string filter join" ^ sfx) shop
     "SELECT c.cid, o.oid FROM customer c, orders o WHERE c.cid = o.ocid AND \
      c.region = 'EMEA'";
-  check_sql_equiv "shop float filter" shop
+  check_sql_equiv ("shop float filter" ^ sfx) shop
     "SELECT oid, total FROM orders WHERE total > 100.5 ORDER BY oid"
+
+let test_sql_equiv_workloads () =
+  sql_equiv_oo1 ""
+    (Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 });
+  sql_equiv_bom "" (Workloads.Bom.generate Workloads.Bom.default);
+  sql_equiv_org "" (Workloads.Org.generate Workloads.Org.default);
+  sql_equiv_shop "" (Workloads.Shop.generate Workloads.Shop.default)
 
 let check_extraction_equiv name db query =
   let c = Xnf.Xnf_compile.compile db query in
@@ -476,9 +467,10 @@ let test_extraction_equiv_workloads () =
     (Workloads.Shop.generate Workloads.Shop.default)
     (Workloads.Shop.region_query "EMEA")
 
-let test_equiv_after_dml_and_rollback () =
+let test_equiv_after_dml_and_rollback sfx =
   let db = org_db () in
   let verify tag =
+    let tag = tag ^ sfx in
     check_sql_equiv (tag ^ ": join") db
       "SELECT d.dno, e.eno, e.sal FROM dept d, emp e WHERE d.dno = e.edno \
        ORDER BY d.dno, e.eno";
@@ -499,6 +491,43 @@ let test_equiv_after_dml_and_rollback () =
   ignore (Db.exec db "ROLLBACK");
   verify "after rollback"
 
+(* A compiled plan keeps its table objects, so it still reads a table
+   after DROP TABLE unhooks it from the catalog.  Both storage paths
+   must go on answering from the same rows. *)
+let test_held_plans_across_drop () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE a (k INT, v INT)");
+  ignore (Db.exec db "CREATE TABLE b (k INT, w INT)");
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun table ->
+      for base = 0 to 29 do
+        Buffer.clear buf;
+        Buffer.add_string buf (Printf.sprintf "INSERT INTO %s VALUES " table);
+        for i = 0 to 99 do
+          let k = (base * 100) + i in
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf (Printf.sprintf "(%d, %d)" k (k * 2))
+        done;
+        ignore (Db.exec db (Buffer.contents buf))
+      done)
+    [ "a"; "b" ];
+  let join =
+    Db.compile_query db "SELECT a.v, b.w FROM a, b WHERE a.k = b.k"
+  in
+  let filter = Db.compile_query db "SELECT v FROM a WHERE k < 5" in
+  ignore (Db.exec db "DROP TABLE a");
+  ignore (Db.exec db "DROP TABLE b");
+  let expected_join = with_colstore false (fun () -> Exec.run join) in
+  let expected_filter = with_colstore false (fun () -> Exec.run filter) in
+  Alcotest.(check int) "row store: join keeps every row" 3000
+    (List.length expected_join);
+  Alcotest.(check int) "row store: filter keeps every row" 5
+    (List.length expected_filter);
+  with_colstore true (fun () ->
+      check_rows "held join after drop" expected_join (Exec.run join);
+      check_rows "held filter after drop" expected_filter (Exec.run filter))
+
 let suite =
   [
     Alcotest.test_case "int/float compare-hash boundary" `Quick
@@ -515,6 +544,53 @@ let suite =
       test_sql_equiv_workloads;
     Alcotest.test_case "knob equivalence: CO extraction" `Quick
       test_extraction_equiv_workloads;
-    Alcotest.test_case "knob equivalence: dml + rollback" `Quick
-      test_equiv_after_dml_and_rollback;
+    Alcotest.test_case "knob equivalence: dml + rollback" `Quick (fun () ->
+        test_equiv_after_dml_and_rollback "");
+    Alcotest.test_case "knob equivalence: plans held across drop table"
+      `Quick test_held_plans_across_drop;
+  ]
+
+(* ------------------------------ knob equivalence over many chunks -- *)
+
+(* The equivalence checks again over databases built at 16-row chunks,
+   so scans, joins and morsels cross hundreds of chunk boundaries.
+   Registered as the suite [spill]: the suite and case names date from
+   when these cases also ran under a spill budget. *)
+let at_16_row_chunks body () =
+  with_env "XNFDB_CHUNK_ROWS" "16" (fun () -> body " @ 16-row chunks")
+
+let test_many_chunks_oo1 sfx =
+  let db =
+    Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 20_000 }
+  in
+  let conns =
+    (Catalog.find_table (Db.catalog db) "conns").Base_table.colstore
+  in
+  Alcotest.(check bool) "conns spans many chunks" true
+    (Colstore.n_chunks conns > 1000);
+  sql_equiv_oo1 sfx db;
+  check_extraction_equiv ("oo1 parts graph" ^ sfx) db
+    Workloads.Oo1.parts_graph_query
+
+let test_many_chunks_bom_org_shop sfx =
+  let bom = Workloads.Bom.generate Workloads.Bom.default in
+  sql_equiv_bom sfx bom;
+  check_extraction_equiv ("bom assembly" ^ sfx) bom
+    Workloads.Bom.assembly_query;
+  let org = Workloads.Org.generate Workloads.Org.default in
+  sql_equiv_org sfx org;
+  check_extraction_equiv ("org deps" ^ sfx) org Workloads.Org.deps_arc_query;
+  let shop = Workloads.Shop.generate Workloads.Shop.default in
+  sql_equiv_shop sfx shop;
+  check_extraction_equiv ("shop region" ^ sfx) shop
+    (Workloads.Shop.region_query "EMEA")
+
+let spill_suite =
+  [
+    Alcotest.test_case "spill equivalence: oo1 at spilling scale" `Quick
+      (at_16_row_chunks test_many_chunks_oo1);
+    Alcotest.test_case "spill equivalence: bom/org/shop" `Quick
+      (at_16_row_chunks test_many_chunks_bom_org_shop);
+    Alcotest.test_case "spill equivalence: dml + rollback" `Quick
+      (at_16_row_chunks test_equiv_after_dml_and_rollback);
   ]

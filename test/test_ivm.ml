@@ -17,13 +17,6 @@ module Schema = Relcore.Schema
 module Dtype = Relcore.Dtype
 module Value = Relcore.Value
 
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
-    f
-
 (* ---- delta log -------------------------------------------------------- *)
 
 let two_int_table () =

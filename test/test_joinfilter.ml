@@ -18,17 +18,7 @@ module Exec_par = Executor.Exec_par
 module Plan = Optimizer.Plan
 module Qgm = Starq.Qgm
 
-(* ------------------------------------------------------ env plumbing -- *)
-
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
-    f
-
-let with_colstore flag f =
-  with_env "XNFDB_COLSTORE" (if flag then "1" else "0") f
+(* ------------------------------------------------- unfiltered plans -- *)
 
 (* The same plan with every [Hash_join.jfilter] hint dropped: the
    executor then builds no filter anywhere.  [Shared] ids are kept, so
@@ -77,11 +67,6 @@ and strip_pred (pred : Plan.ppred) : Plan.ppred =
 
 let strip_compiled (c : Plan.compiled) =
   { c with Plan.plan = strip_plan c.Plan.plan }
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
 
 (* -------------------------------------------- filter unit properties -- *)
 

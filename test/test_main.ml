@@ -8,7 +8,7 @@ let () =
       ("executor", Test_executor.suite);
       ("batch", Test_batch.suite);
       ("colstore", Test_colstore.suite);
-      ("spill", Test_spill.suite);
+      ("spill", Test_colstore.spill_suite);
       ("joinfilter", Test_joinfilter.suite);
       ("parallel", Test_parallel.suite);
       ("engine", Test_engine.suite);

@@ -14,13 +14,6 @@ let exec_rows db sql =
   | Db.Rows (schema, rows) -> (schema, rows)
   | _ -> Alcotest.failf "%s: expected rows" sql
 
-let contains text needle =
-  let nl = String.length needle and tl = String.length text in
-  let rec go i =
-    i + nl <= tl && (String.sub text i nl = needle || go (i + 1))
-  in
-  go 0
-
 let deps_arc_view = "CREATE VIEW deps_arc AS " ^ Workloads.Org.deps_arc_query
 
 (** [org_db] plus the paper's deps_arc XNF view, for extraction. *)
@@ -520,7 +513,7 @@ let test_stats_and_counters () =
             (fun needle ->
               Alcotest.(check bool)
                 (Printf.sprintf "stats mentions %S" needle)
-                true (contains text needle))
+                true (contains ~affix:needle text))
             [ "server"; "sessions"; "lock: readers held" ];
           let c = Server.counters t in
           Alcotest.(check bool)
@@ -669,11 +662,6 @@ let test_memo_race () =
 
 (* -- daemon: EXPLAIN ANALYZE over the wire -------------------------------- *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let test_analyze_over_wire () =
   with_server ~setup:org_setup (fun addr _db _t ->
       let cl = Client.connect addr in
@@ -688,7 +676,7 @@ let test_analyze_over_wire () =
               Alcotest.(check bool)
                 ("query report has " ^ affix)
                 true
-                (contains report affix))
+                (contains ~affix report))
             [ "== plan (analyzed) =="; "act="; "rows returned:" ];
           let xreport = Client.extract_analyze cl "deps_arc" in
           List.iter
@@ -696,7 +684,7 @@ let test_analyze_over_wire () =
               Alcotest.(check bool)
                 ("extract report has " ^ affix)
                 true
-                (contains xreport affix))
+                (contains ~affix xreport))
             [ "== plans (analyzed) =="; "act="; "stream items:" ];
           (* the connection still answers plain requests afterwards *)
           check_rows "post-analyze query"

@@ -242,11 +242,6 @@ let test_parallelizable () =
 
 (* ------------------------------------ parallel under a snapshot -- *)
 
-let contains s affix =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  go 0
-
 (* morsel workers read the pinned epoch exactly like the serial
    executor: commits after the pin stay invisible to both *)
 let test_snapshot_equiv () =
@@ -273,7 +268,7 @@ let test_snapshot_equiv () =
         Alcotest.(check bool)
           (name ^ ": plan uses " ^ op)
           true
-          (contains (Optimizer.Plan.explain c.Optimizer.Plan.plan) op);
+          (contains ~affix:op (Optimizer.Plan.explain c.Optimizer.Plan.plan));
         (name, c))
       cases
   in

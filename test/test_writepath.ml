@@ -13,13 +13,6 @@ module Client = Net.Client
 module Server = Net.Server
 module Ws = Cocache.Workspace
 
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
-    f
-
 let deps_arc_view = "CREATE VIEW deps_arc AS " ^ Workloads.Org.deps_arc_query
 
 let deps_db () =
@@ -275,9 +268,9 @@ let test_server_snapshot_read () =
             (H.serialize (Client.extract reader "deps_arc") = reference);
           let text = Client.stats reader in
           Alcotest.(check bool) "stats mention snapshot" true
-            (Test_net.contains text "snapshot");
+            (contains ~affix:"snapshot" text);
           Alcotest.(check bool) "stats mention group commit" true
-            (Test_net.contains text "group commit")))
+            (contains ~affix:"group commit" text)))
 
 (* Randomized soak: one writer races DML (committed and rolled back)
    against extracting readers; every stream a reader ever observes must

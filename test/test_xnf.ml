@@ -211,13 +211,8 @@ let test_nary_relationship () =
 let test_explain () =
   let db = org_db () in
   let text = Xnf.Xnf_compile.explain db deps_arc_text in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions XNF operator" true (contains text "XNF operator");
-  Alcotest.(check bool) "has shared CSE nodes" true (contains text "Shared")
+  Alcotest.(check bool) "mentions XNF operator" true (contains ~affix:"XNF operator" text);
+  Alcotest.(check bool) "has shared CSE nodes" true (contains ~affix:"Shared" text)
 
 let test_rel_against_unknown_component () =
   let db = org_db () in
