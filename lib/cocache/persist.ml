@@ -137,11 +137,23 @@ let load (path : string) : Workspace.t =
     || String.sub data 0 (String.length magic) <> magic
   then Errors.execution_error "not an XNF cache file: %s" path;
   let r = { H.data; pos = String.length magic } in
-  let body_len = H.read_int r in
-  let body = String.sub data r.H.pos body_len in
-  r.H.pos <- r.H.pos + body_len;
-  let ws = Workspace.of_stream (H.deserialize body) in
-  let n_ops = H.read_int r in
-  let ops = List.init n_ops (fun _ -> read_op r) in
+  (* A file cut short or overwritten surfaces as an out-of-bounds read
+     deep in the stream reader; funnel every such slip into a typed
+     error, and insist the ops section ends the file. *)
+  let stream, ops =
+    try
+      let body_len = H.read_int r in
+      let body = String.sub data r.H.pos body_len in
+      r.H.pos <- r.H.pos + body_len;
+      let stream = H.deserialize body in
+      let n_ops = H.read_int r in
+      (stream, List.init n_ops (fun _ -> read_op r))
+    with Invalid_argument _ | Failure _ ->
+      Errors.execution_error "corrupt cache file (truncated): %s" path
+  in
+  if r.H.pos <> String.length data then
+    Errors.execution_error "corrupt cache file (%d trailing bytes): %s"
+      (String.length data - r.H.pos) path;
+  let ws = Workspace.of_stream stream in
   ws.Workspace.pending <- List.rev ops;
   ws

@@ -55,6 +55,27 @@ let find_comp (h : header) name =
   | Some c -> c
   | None -> Errors.semantic_error "unknown CO component %S" name
 
+(** A node component's TAKE column list applied to its full rows: the
+    shipped schema and the row projection.  Object identity stays with
+    the full row; only delivery is projected. *)
+let take_projection (full : Schema.t) (take_cols : string list option) :
+    Schema.t * (Tuple.t -> Tuple.t) =
+  match take_cols with
+  | None -> (full, Fun.id)
+  | Some cols ->
+    let idxs = Array.of_list (List.map (Schema.find full) cols) in
+    let schema =
+      Schema.make
+        (Array.to_list
+           (Array.map
+              (fun i ->
+                let col = Schema.column_at full i in
+                Schema.column ~nullable:col.Schema.nullable col.Schema.name
+                  col.Schema.dtype)
+              idxs))
+    in
+    (schema, fun row -> Tuple.project row idxs)
+
 (** Stream statistics (used by tests and benches). *)
 let counts (s : t) : (string * int) list =
   let tbl = Array.map (fun c -> (c.comp_name, ref 0)) s.header.components in

@@ -41,6 +41,13 @@ type header = {
 type t = { header : header; items : item list }
 
 val find_comp : header -> string -> comp_info
+
+val take_projection :
+  Schema.t -> string list option -> Schema.t * (Tuple.t -> Tuple.t)
+(** A node component's TAKE column list applied to its full rows: the
+    shipped schema and the row projection ([None]: the rows as they
+    are).  Raises {!Relcore.Errors.Db_error} on an unknown column. *)
+
 val counts : t -> (string * int) list
 val total_items : t -> int
 

@@ -65,18 +65,9 @@ let compile_ast ?(share = true) ?(nf_rewrite = true) (db : Db.t)
         (fun i (n : Xnf_rewrite.node_output) ->
           let plan = List.assoc n.Xnf_rewrite.no_name plans in
           (* TAKE column projection applies to the shipped rows *)
-          let schema =
-            match n.Xnf_rewrite.no_take_cols with
-            | None -> plan.Plan.out_schema
-            | Some cols ->
-              Schema.make
-                (List.map
-                   (fun c ->
-                     let i = Schema.find plan.Plan.out_schema c in
-                     let col = Schema.column_at plan.Plan.out_schema i in
-                     Schema.column ~nullable:col.Schema.nullable col.Schema.name
-                       col.Schema.dtype)
-                   cols)
+          let schema, _ =
+            Hetstream.take_projection plan.Plan.out_schema
+              n.Xnf_rewrite.no_take_cols
           in
           {
             Hetstream.comp_no = i;
@@ -157,7 +148,9 @@ let compile ?share ?nf_rewrite ?(cache = true) (db : Db.t) (text : string) :
     object sharing) and resolve connection partner ids.  [batches_of] is
     called once per needed output (node outputs always; relationship
     outputs only when in TAKE); its batches are consumed in place,
-    without flattening to row lists. *)
+    without flattening to row lists.  Partner spans are probed in place
+    ({!Tid_map.find_span}) and connections deduped on unboxed id tuples,
+    so a relationship row allocates only when it yields a new item. *)
 let assemble (c : compiled) (batches_of : string -> Batch.t list) : Hetstream.t =
   let id_counter = ref 0 in
   let fresh () =
@@ -165,9 +158,7 @@ let assemble (c : compiled) (batches_of : string -> Batch.t list) : Hetstream.t 
     !id_counter
   in
   (* per-node value -> id maps *)
-  let id_maps : (string, Hetstream.tuple_id Tuple.Tbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  let id_maps : (string, Tid_map.t) Hashtbl.t = Hashtbl.create 8 in
   let items = ref [] in
   let emit item = items := item :: !items in
   (* nodes in derivation order *)
@@ -176,75 +167,61 @@ let assemble (c : compiled) (batches_of : string -> Batch.t list) : Hetstream.t 
       let name = n.Xnf_rewrite.no_name in
       let info = Hetstream.find_comp c.header name in
       let plan = List.assoc name c.plans in
-      let project =
-        match n.Xnf_rewrite.no_take_cols with
-        | None -> Fun.id
-        | Some cols ->
-          let idxs =
-            Array.of_list
-              (List.map (Schema.find plan.Plan.out_schema) cols)
-          in
-          fun row -> Tuple.project row idxs
+      let _, project =
+        Hetstream.take_projection plan.Plan.out_schema
+          n.Xnf_rewrite.no_take_cols
       in
-      let map = Tuple.Tbl.create 256 in
+      (* sized for the row count up front: no rehashing while filling *)
+      let batches = batches_of name in
+      let map = Tid_map.create (Batch.list_length batches) in
       Hashtbl.replace id_maps name map;
       Batch.list_iter
         (fun row ->
-          if not (Tuple.Tbl.mem map row) then begin
+          if Tid_map.find map row = Tid_map.absent then begin
             let id = fresh () in
-            Tuple.Tbl.add map row id;
+            Tid_map.add map row id;
             if info.Hetstream.in_take then
               emit
                 (Hetstream.Row
                    { comp = info.Hetstream.comp_no; id; values = project row })
           end)
-        (batches_of name))
+        batches)
     c.rewritten.Xnf_rewrite.node_outputs;
-  (* relationships: split each joined row into partner tuples, map to ids *)
+  (* relationships: probe each joined row's partner spans for their ids *)
   List.iter
     (fun (ro : Xnf_rewrite.rel_output) ->
       let name = ro.Xnf_rewrite.ro_name in
       let info = Hetstream.find_comp c.header name in
       if info.Hetstream.in_take then begin
-        let parent_span = ro.Xnf_rewrite.ro_parent_span in
-        let child_spans = ro.Xnf_rewrite.ro_child_spans in
-        let attr_off, attr_w = ro.Xnf_rewrite.ro_attr_span in
-        let lookup comp (off, w) row =
-          let part = Array.sub row off w in
-          match Tuple.Tbl.find_opt (Hashtbl.find id_maps comp) part with
-          | Some id -> id
-          | None ->
-            Errors.execution_error
-              "connection references a %s tuple missing from its component"
-              comp
+        let children, resolve =
+          Tid_map.partners (Hashtbl.find id_maps)
+            (ro.Xnf_rewrite.ro_parent, ro.Xnf_rewrite.ro_parent_span)
+            ro.Xnf_rewrite.ro_child_spans ~missing:(fun comp ->
+              Errors.execution_error
+                "connection references a %s tuple missing from its component"
+                comp)
         in
-        let seen = Tuple.Tbl.create 256 in
+        let attr_off, attr_w = ro.Xnf_rewrite.ro_attr_span in
+        (* a connection is a set-level fact: dedupe on the id tuple *)
+        let batches = batches_of name in
+        let seen =
+          Tid_map.Conns.create ~children:(Array.length children)
+            (Batch.list_length batches)
+        in
         Batch.list_iter
           (fun row ->
-            let parent = lookup ro.Xnf_rewrite.ro_parent parent_span row in
-            let children =
-              Array.of_list
-                (List.map (fun (ch, span) -> lookup ch span row) child_spans)
-            in
-            (* a connection is a set-level fact: dedupe *)
-            let key =
-              Array.of_list
-                (Value.Int parent
-                :: Array.to_list (Array.map (fun i -> Value.Int i) children))
-            in
-            if not (Tuple.Tbl.mem seen key) then begin
-              Tuple.Tbl.add seen key ();
+            let parent = resolve row in
+            if Tid_map.Conns.add seen parent children = 1 then
               emit
                 (Hetstream.Conn
                    {
                      rel = info.Hetstream.comp_no;
                      id = fresh ();
                      parent;
-                     children;
+                     children = Array.copy children;
                      attrs = Array.sub row attr_off attr_w;
-                   })
-            end)
-          (batches_of name)
+                   }))
+          batches
       end)
     c.rewritten.Xnf_rewrite.rel_outputs;
   { Hetstream.header = c.header; items = List.rev !items }

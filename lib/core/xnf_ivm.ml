@@ -61,19 +61,32 @@ let reset_stats () =
 
 (* -- registry ----------------------------------------------------------- *)
 
-(* One tuple-id map cell per distinct component row: the id it was
-   assigned and how many stream rows carry that exact value. *)
-type cell = { mutable cid : int; mutable ccnt : int }
-
+(* A node component's ids are contiguous, [ns_first_id] onward: one per
+   distinct row (cell), and [ns_counts] says how many component rows
+   carry each cell's value. *)
 type node_state = {
   ns_name : string;
   ns_comp : Hetstream.comp_info;
   ns_project : Tuple.t -> Tuple.t;
-  ns_map : cell Tuple.Tbl.t; (* full (pre-projection) row -> cell *)
+  ns_map : Tid_map.t; (* full (pre-projection) row -> id *)
+  mutable ns_counts : int array; (* [id - ns_first_id] -> multiplicity *)
   mutable ns_first_id : int;
   mutable ns_ncells : int; (* distinct rows = ids assigned to this comp *)
   mutable ns_items : Hetstream.item array; (* [||] unless in TAKE *)
 }
+
+let count_of ns id = ns.ns_counts.(id - ns.ns_first_id)
+
+(* Record the multiplicity of the cell with id [id], growing the array
+   as cells are appended. *)
+let set_count ns id c =
+  let k = id - ns.ns_first_id in
+  if k >= Array.length ns.ns_counts then begin
+    let grown = Array.make (max 16 (2 * (k + 1))) 0 in
+    Array.blit ns.ns_counts 0 grown 0 (Array.length ns.ns_counts);
+    ns.ns_counts <- grown
+  end;
+  ns.ns_counts.(k) <- c
 
 type rel_state = {
   rs_name : string;
@@ -81,7 +94,7 @@ type rel_state = {
   rs_ro : Xnf_rewrite.rel_output;
   (* one slot per component row, [None] for deduplicated duplicates *)
   mutable rs_items : Hetstream.item option array;
-  rs_keys : int ref Tuple.Tbl.t; (* [parent; children...] id multiset *)
+  rs_keys : Tid_map.Conns.t; (* [parent; children...] id multiset *)
   mutable rs_start_id : int; (* id cursor on entry to this comp *)
   mutable rs_nemit : int; (* ids this comp consumed *)
 }
@@ -164,6 +177,15 @@ let rebuild_items (st : state) (last_changed : int) : Hetstream.item list =
   done;
   st.tails.(0)
 
+(* Partner-id resolution against the mirrored node maps (see
+   {!Tid_map.partners}). *)
+let partners (st : state) (ro : Xnf_rewrite.rel_output) ~missing =
+  Tid_map.partners ~missing
+    (fun comp ->
+      (List.find (fun ns -> String.equal ns.ns_name comp) st.nstates).ns_map)
+    (ro.Xnf_rewrite.ro_parent, ro.Xnf_rewrite.ro_parent_span)
+    ro.Xnf_rewrite.ro_child_spans
+
 (* Exactly [Xnf_compile.assemble], but driven from the maintained
    per-component [(prov, row)] arrays (prov-sorted = batch order) and
    recording the id maps and emitted items so later windows can patch
@@ -176,16 +198,17 @@ let assemble_tracked (st : state) (header : Hetstream.header) : Hetstream.t =
   in
   List.iter
     (fun ns ->
-      Tuple.Tbl.reset ns.ns_map;
+      Tid_map.clear ns.ns_map;
       ns.ns_first_id <- !id_counter + 1;
       let buf = ref [] in
       Array.iter
         (fun ((_, row) : Delta.prov * Tuple.t) ->
-          match Tuple.Tbl.find_opt ns.ns_map row with
-          | Some cell -> cell.ccnt <- cell.ccnt + 1
-          | None ->
+          let id = Tid_map.find ns.ns_map row in
+          if id <> Tid_map.absent then set_count ns id (count_of ns id + 1)
+          else begin
             let id = fresh () in
-            Tuple.Tbl.add ns.ns_map row { cid = id; ccnt = 1 };
+            Tid_map.add ns.ns_map row id;
+            set_count ns id 1;
             if ns.ns_comp.Hetstream.in_take then begin
               let item =
                 Hetstream.Row
@@ -196,54 +219,37 @@ let assemble_tracked (st : state) (header : Hetstream.header) : Hetstream.t =
                   }
               in
               buf := item :: !buf
-            end)
+            end
+          end)
         (List.assoc ns.ns_name st.comps);
-      ns.ns_ncells <- Tuple.Tbl.length ns.ns_map;
+      ns.ns_ncells <- Tid_map.length ns.ns_map;
       ns.ns_items <- Array.of_list (List.rev !buf))
     st.nstates;
-  let id_of comp part =
-    let ns = List.find (fun ns -> String.equal ns.ns_name comp) st.nstates in
-    match Tuple.Tbl.find_opt ns.ns_map part with
-    | Some cell -> cell.cid
-    | None ->
-      Errors.execution_error
-        "connection references a %s tuple missing from its component" comp
-  in
   List.iter
     (fun rs ->
       let ro = rs.rs_ro in
-      let parent_span = ro.Xnf_rewrite.ro_parent_span in
-      let child_spans = ro.Xnf_rewrite.ro_child_spans in
       let attr_off, attr_w = ro.Xnf_rewrite.ro_attr_span in
-      Tuple.Tbl.reset rs.rs_keys;
+      let children, resolve =
+        partners st ro ~missing:(fun comp ->
+            Errors.execution_error
+              "connection references a %s tuple missing from its component"
+              comp)
+      in
+      Tid_map.Conns.clear rs.rs_keys;
       rs.rs_start_id <- !id_counter;
       rs.rs_items <-
         Array.map
           (fun ((_, row) : Delta.prov * Tuple.t) ->
-            let sub (off, w) = Array.sub row off w in
-            let parent = id_of ro.Xnf_rewrite.ro_parent (sub parent_span) in
-            let children =
-              Array.of_list
-                (List.map (fun (ch, span) -> id_of ch (sub span)) child_spans)
-            in
-            let key =
-              Array.of_list
-                (Value.Int parent
-                :: Array.to_list (Array.map (fun i -> Value.Int i) children))
-            in
-            match Tuple.Tbl.find_opt rs.rs_keys key with
-            | Some c ->
-              incr c;
-              None
-            | None ->
-              Tuple.Tbl.add rs.rs_keys key (ref 1);
+            let parent = resolve row in
+            if Tid_map.Conns.add rs.rs_keys parent children > 1 then None
+            else
               Some
                 (Hetstream.Conn
                    {
                      rel = rs.rs_comp.Hetstream.comp_no;
                      id = fresh ();
                      parent;
-                     children;
+                     children = Array.copy children;
                      attrs = Array.sub row attr_off attr_w;
                    }))
           (List.assoc rs.rs_name st.comps);
@@ -332,20 +338,16 @@ let instrument (entry : entry) ~(header : Hetstream.header)
         let name = n.Xnf_rewrite.no_name in
         let info = Hetstream.find_comp header name in
         let plan = List.assoc name plans in
-        let project =
-          match n.Xnf_rewrite.no_take_cols with
-          | None -> Fun.id
-          | Some cols ->
-            let idxs =
-              Array.of_list (List.map (Schema.find plan.Plan.out_schema) cols)
-            in
-            fun row -> Tuple.project row idxs
+        let _, project =
+          Hetstream.take_projection plan.Plan.out_schema
+            n.Xnf_rewrite.no_take_cols
         in
         {
           ns_name = name;
           ns_comp = info;
           ns_project = project;
-          ns_map = Tuple.Tbl.create 256;
+          ns_map = Tid_map.create 256;
+          ns_counts = [||];
           ns_first_id = 0;
           ns_ncells = 0;
           ns_items = [||];
@@ -363,7 +365,10 @@ let instrument (entry : entry) ~(header : Hetstream.header)
               rs_comp = info;
               rs_ro = ro;
               rs_items = [||];
-              rs_keys = Tuple.Tbl.create 256;
+              rs_keys =
+                Tid_map.Conns.create
+                  ~children:(List.length ro.Xnf_rewrite.ro_child_spans)
+                  256;
               rs_start_id = 0;
               rs_nemit = 0;
             }
@@ -442,24 +447,23 @@ let patch_items (st : state) (header : Hetstream.header)
       (* replacements: clean one-to-one id transfers only *)
       List.iter
         (fun (o, nw) ->
-          (match Tuple.Tbl.find_opt ns.ns_map o with
-          | Some cell when cell.ccnt = 1 -> ()
-          | _ -> raise Slow);
-          if Tuple.Tbl.mem ns.ns_map nw then raise Slow;
+          let id = Tid_map.find ns.ns_map o in
+          if id = Tid_map.absent || count_of ns id <> 1 then raise Slow;
+          if Tid_map.find ns.ns_map nw <> Tid_map.absent then raise Slow;
           if List.exists (fun (o', _) -> Tuple.equal o' nw) reps then
             raise Slow)
         reps;
       List.iter
         (fun (o, nw) ->
-          let cell = Tuple.Tbl.find ns.ns_map o in
-          Tuple.Tbl.remove ns.ns_map o;
-          Tuple.Tbl.add ns.ns_map nw cell;
+          let id = Tid_map.find ns.ns_map o in
+          Tid_map.remove ns.ns_map o;
+          Tid_map.add ns.ns_map nw id;
           if ns.ns_comp.Hetstream.in_take then begin
-            ns.ns_items.(cell.cid - ns.ns_first_id) <-
+            ns.ns_items.(id - ns.ns_first_id) <-
               Hetstream.Row
                 {
                   comp = ns.ns_comp.Hetstream.comp_no;
-                  id = cell.cid;
+                  id;
                   values = ns.ns_project nw;
                 };
             dirty := true
@@ -471,9 +475,9 @@ let patch_items (st : state) (header : Hetstream.header)
         let cids =
           List.map
             (fun o ->
-              match Tuple.Tbl.find_opt ns.ns_map o with
-              | Some cell when cell.ccnt = 1 -> cell.cid
-              | _ -> raise Slow)
+              let id = Tid_map.find ns.ns_map o in
+              if id = Tid_map.absent || count_of ns id <> 1 then raise Slow;
+              id)
             rems
         in
         let k = List.length cids in
@@ -482,7 +486,7 @@ let patch_items (st : state) (header : Hetstream.header)
         List.iteri
           (fun t cid -> if cid <> hi - k + 1 + t then raise Slow)
           sorted;
-        List.iter (fun o -> Tuple.Tbl.remove ns.ns_map o) rems;
+        List.iter (fun o -> Tid_map.remove ns.ns_map o) rems;
         ns.ns_ncells <- ns.ns_ncells - k;
         if ns.ns_comp.Hetstream.in_take then begin
           ns.ns_items <- Array.sub ns.ns_items 0 (Array.length ns.ns_items - k);
@@ -503,10 +507,11 @@ let patch_items (st : state) (header : Hetstream.header)
         let extra =
           List.map
             (fun (_, r) ->
-              if Tuple.Tbl.mem ns.ns_map r then raise Slow;
+              if Tid_map.find ns.ns_map r <> Tid_map.absent then raise Slow;
               ns.ns_ncells <- ns.ns_ncells + 1;
               let id = ns.ns_first_id + ns.ns_ncells - 1 in
-              Tuple.Tbl.add ns.ns_map r { cid = id; ccnt = 1 };
+              Tid_map.add ns.ns_map r id;
+              set_count ns id 1;
               (id, r))
             adds
         in
@@ -537,12 +542,6 @@ let patch_items (st : state) (header : Hetstream.header)
     incr next_id;
     !next_id
   in
-  let id_of comp part =
-    let ns = List.find (fun ns -> String.equal ns.ns_name comp) st.nstates in
-    match Tuple.Tbl.find_opt ns.ns_map part with
-    | Some cell -> cell.cid
-    | None -> raise Slow
-  in
   List.iteri
     (fun ri rs ->
       let dirty = ref false in
@@ -550,21 +549,14 @@ let patch_items (st : state) (header : Hetstream.header)
       let start = !next_id in
       let ro = rs.rs_ro in
       let attr_off, attr_w = ro.Xnf_rewrite.ro_attr_span in
-      let key_of row =
-        let sub (off, w) = Array.sub row off w in
-        let parent =
-          id_of ro.Xnf_rewrite.ro_parent (sub ro.Xnf_rewrite.ro_parent_span)
-        in
-        let children =
-          List.map
-            (fun (ch, span) -> id_of ch (sub span))
-            ro.Xnf_rewrite.ro_child_spans
-        in
-        (parent, children)
-      in
-      let key_tuple parent children =
-        Array.of_list
-          (Value.Int parent :: List.map (fun i -> Value.Int i) children)
+      (* [resolve row] answers the parent id and leaves the child ids in
+         [children] (scratch, overwritten per call) *)
+      let children, resolve = partners st ro ~missing:(fun _ -> raise Slow) in
+      (* does [row] still resolve to this connection's partners? *)
+      let same_partners row c_parent c_children =
+        resolve row = c_parent
+        && Array.length children = Array.length c_children
+        && Array.for_all2 Int.equal children c_children
       in
       let all_reps =
         List.for_all
@@ -596,16 +588,7 @@ let patch_items (st : state) (header : Hetstream.header)
             match rs.rs_items.(jdx) with
             | Some (Hetstream.Conn c) ->
               let row = snd new_arr.(jdx) in
-              let parent, children = key_of row in
-              if
-                parent <> c.parent
-                || List.length children <> Array.length c.children
-                || not
-                     (List.for_all2
-                        (fun a b -> a = b)
-                        children
-                        (Array.to_list c.children))
-              then raise Slow;
+              if not (same_partners row c.parent c.children) then raise Slow;
               let attrs = Array.sub row attr_off attr_w in
               if not (Tuple.equal attrs c.attrs) then begin
                 if !out == rs.rs_items then out := Array.copy rs.rs_items;
@@ -648,16 +631,7 @@ let patch_items (st : state) (header : Hetstream.header)
               (match rs.rs_items.(!i) with
               | Some (Hetstream.Conn c) as slot ->
                 let row = snd new_arr.(!j) in
-                let parent, children = key_of row in
-                if
-                  parent <> c.parent
-                  || List.length children <> Array.length c.children
-                  || not
-                       (List.for_all2
-                          (fun a b -> a = b)
-                          children
-                          (Array.to_list c.children))
-                then raise Slow;
+                if not (same_partners row c.parent c.children) then raise Slow;
                 let attrs = Array.sub row attr_off attr_w in
                 let id = fresh () in
                 if id = c.id && Tuple.equal attrs c.attrs then
@@ -675,34 +649,23 @@ let patch_items (st : state) (header : Hetstream.header)
               (match rs.rs_items.(!i) with
               | None ->
                 (* one duplicate fewer behind an earlier emitter *)
-                let parent, children = key_of (snd old_arr.(!i)) in
-                let kt = key_tuple parent children in
-                (match Tuple.Tbl.find_opt keys kt with
-                | Some c ->
-                  decr c;
-                  if !c = 0 then Tuple.Tbl.remove keys kt
-                | None -> raise Slow)
-              | Some it ->
-                let kt =
-                  match it with
-                  | Hetstream.Conn c ->
-                    key_tuple c.parent (Array.to_list c.children)
-                  | Hetstream.Row _ -> raise Slow
-                in
-                (match Tuple.Tbl.find_opt keys kt with
-                | Some c when !c = 1 -> Tuple.Tbl.remove keys kt
-                | Some _ -> raise Slow (* a shadowed duplicate would emerge *)
-                | None -> raise Slow);
-                dirty := true);
+                let parent = resolve (snd old_arr.(!i)) in
+                if Tid_map.Conns.remove keys parent children < 0 then
+                  raise Slow
+              | Some (Hetstream.Conn c) ->
+                (* a shadowed duplicate would emerge: count must be 1 *)
+                if Tid_map.Conns.count keys c.parent c.children <> 1 then
+                  raise Slow;
+                ignore (Tid_map.Conns.remove keys c.parent c.children);
+                dirty := true
+              | Some (Hetstream.Row _) -> raise Slow);
               incr i
             end
             else begin
               (* row added *)
               let row = snd new_arr.(!j) in
-              let parent, children = key_of row in
-              let kt = key_tuple parent children in
-              if Tuple.Tbl.mem keys kt then raise Slow;
-              Tuple.Tbl.add keys kt (ref 1);
+              let parent = resolve row in
+              if Tid_map.Conns.add keys parent children > 1 then raise Slow;
               out.(!j) <-
                 Some
                   (Hetstream.Conn
@@ -710,7 +673,7 @@ let patch_items (st : state) (header : Hetstream.header)
                        rel = rs.rs_comp.Hetstream.comp_no;
                        id = fresh ();
                        parent;
-                       children = Array.of_list children;
+                       children = Array.copy children;
                        attrs = Array.sub row attr_off attr_w;
                      });
               dirty := true;

@@ -16,10 +16,10 @@ module Qgm = Starq.Qgm
 module Db = Engine.Database
 
 type node_state = {
-  schema : Schema.t;
-  found : Hetstream.tuple_id Tuple.Tbl.t;
+  found : Tid_map.t; (* full row -> tuple id *)
   mutable delta : Tuple.t list;
   info : Hetstream.comp_info;
+  project : Tuple.t -> Tuple.t; (* TAKE column list, at delivery *)
 }
 
 let take_sets (ast : Xnf_ast.query) =
@@ -128,18 +128,26 @@ let extract (_db : Db.t) (op : Xnf_semantic.xnf_op) : Hetstream.t =
   (* header: nodes in declaration order, then relationships *)
   let node_names = List.map fst op.Xnf_semantic.node_boxes in
   let nnodes = List.length node_names in
-  let node_infos =
-    List.mapi
-      (fun i (name, box) ->
-        {
-          Hetstream.comp_no = i;
-          comp_name = name;
-          comp_kind = `Node;
-          comp_schema = Optimizer.Planner.schema_of_box box;
-          take_cols = take_cols_of ast name;
-          in_take = List.mem name take_nodes;
-        })
-      op.Xnf_semantic.node_boxes
+  let node_infos, projections =
+    List.split
+      (List.mapi
+         (fun i (name, box) ->
+           let take_cols = take_cols_of ast name in
+           let comp_schema, project =
+             Hetstream.take_projection
+               (Optimizer.Planner.schema_of_box box)
+               take_cols
+           in
+           ( {
+               Hetstream.comp_no = i;
+               comp_name = name;
+               comp_kind = `Node;
+               comp_schema;
+               take_cols;
+               in_take = List.mem name take_nodes;
+             },
+             project ))
+         op.Xnf_semantic.node_boxes)
   in
   let rel_infos =
     List.mapi
@@ -176,58 +184,67 @@ let extract (_db : Db.t) (op : Xnf_semantic.xnf_op) : Hetstream.t =
   (* node states *)
   let states : (string, node_state) Hashtbl.t = Hashtbl.create 8 in
   List.iteri
-    (fun i (name, box) ->
+    (fun i (name, _) ->
       Hashtbl.replace states name
         {
-          schema = Optimizer.Planner.schema_of_box box;
-          found = Tuple.Tbl.create 256;
+          found = Tid_map.create 256;
           delta = [];
           info = List.nth node_infos i;
+          project = List.nth projections i;
         })
     op.Xnf_semantic.node_boxes;
-  let discover name (row : Tuple.t) : Hetstream.tuple_id =
-    let st = Hashtbl.find states name in
-    match Tuple.Tbl.find_opt st.found row with
-    | Some id -> id
-    | None ->
+  (* The id of the component row at [row.(off .. off+len-1)], probed in
+     place; a new row is copied out once, as the stored key and the
+     next round's delta row. *)
+  let discover (st : node_state) (row : Tuple.t) (off, len) :
+      Hetstream.tuple_id =
+    let id = Tid_map.find_span st.found row ~off ~len in
+    if id <> Tid_map.absent then id
+    else begin
+      let row =
+        if off = 0 && len = Array.length row then row else Array.sub row off len
+      in
       let id = fresh () in
-      Tuple.Tbl.add st.found row id;
+      Tid_map.add st.found row id;
       st.delta <- row :: st.delta;
       if st.info.Hetstream.in_take then
-        emit (Hetstream.Row { comp = st.info.Hetstream.comp_no; id; values = row });
+        emit
+          (Hetstream.Row
+             { comp = st.info.Hetstream.comp_no; id; values = st.project row });
       id
+    end
   in
   let sk = skeleton_of op in
   Mutex.protect sk.sk_mu @@ fun () ->
   (* seed the roots with their defining queries *)
   List.iter
     (fun (root, plan) ->
-      List.iter (fun row -> ignore (discover root row)) (Executor.Exec.run plan))
+      let st = Hashtbl.find states root in
+      List.iter
+        (fun row -> ignore (discover st row (0, Array.length row)))
+        (Executor.Exec.run plan))
     sk.sk_roots;
   (* per-relationship iteration step: a temp table replaces the parent *)
   let rel_steps =
     List.map
       (fun sp ->
         let r = sp.sp_rel in
-        let parent_span = r.Xnf_semantic.rparent_span in
-        let child_spans = r.Xnf_semantic.rchild_spans in
-        let attr_off, attr_w = r.Xnf_semantic.rattr_span in
         let info =
           List.find
             (fun (i : Hetstream.comp_info) ->
               i.Hetstream.comp_name = sp.sp_name)
             rel_infos
         in
-        let conn_seen = Tuple.Tbl.create 256 in
-        ( sp.sp_name,
-          r,
-          sp.sp_tmp,
-          sp.sp_plan,
-          parent_span,
-          child_spans,
-          (attr_off, attr_w),
-          info,
-          conn_seen ))
+        let children =
+          Array.of_list
+            (List.map
+               (fun (ch, span) -> (Hashtbl.find states ch, span))
+               r.Xnf_semantic.rchild_spans)
+        in
+        let conn_seen =
+          Tid_map.Conns.create ~children:(Array.length children) 256
+        in
+        (sp, Hashtbl.find states r.Xnf_semantic.rparent, children, info, conn_seen))
       sk.sk_steps
   in
   (* fixpoint loop with a conservative safety bound *)
@@ -244,42 +261,38 @@ let extract (_db : Db.t) (op : Xnf_semantic.xnf_op) : Hetstream.t =
     let any = List.exists (fun (_, d) -> d <> []) deltas in
     if any then begin
       List.iter
-        (fun (_name, r, tmp, plan, (poff, pw), child_spans, (attr_off, attr_w),
-              info, conn_seen) ->
+        (fun (sp, parent_st, children, info, conn_seen) ->
+          let r = sp.sp_rel in
           let parent_delta = List.assoc r.Xnf_semantic.rparent deltas in
           if parent_delta <> [] then begin
-            Base_table.truncate tmp;
-            List.iter (fun row -> ignore (Base_table.insert tmp row)) parent_delta;
-            let rows = Executor.Exec.run plan in
+            Base_table.truncate sp.sp_tmp;
+            List.iter
+              (fun row -> ignore (Base_table.insert sp.sp_tmp row))
+              parent_delta;
+            let rows = Executor.Exec.run sp.sp_plan in
+            let attr_off, attr_w = r.Xnf_semantic.rattr_span in
+            let child_ids = Array.make (Array.length children) 0 in
             List.iter
               (fun row ->
-                let parent_part = Array.sub row poff pw in
                 let parent_id =
-                  discover r.Xnf_semantic.rparent parent_part
+                  discover parent_st row r.Xnf_semantic.rparent_span
                 in
-                let child_ids =
-                  List.map
-                    (fun (ch, (off, w)) -> discover ch (Array.sub row off w))
-                    child_spans
-                in
-                if info.Hetstream.in_take then begin
-                  let key =
-                    Array.of_list
-                      (List.map (fun i -> Value.Int i) (parent_id :: child_ids))
-                  in
-                  if not (Tuple.Tbl.mem conn_seen key) then begin
-                    Tuple.Tbl.add conn_seen key ();
-                    emit
-                      (Hetstream.Conn
-                         {
-                           rel = info.Hetstream.comp_no;
-                           id = fresh ();
-                           parent = parent_id;
-                           children = Array.of_list child_ids;
-                           attrs = Array.sub row attr_off attr_w;
-                         })
-                  end
-                end)
+                Array.iteri
+                  (fun k (st, span) -> child_ids.(k) <- discover st row span)
+                  children;
+                if
+                  info.Hetstream.in_take
+                  && Tid_map.Conns.add conn_seen parent_id child_ids = 1
+                then
+                  emit
+                    (Hetstream.Conn
+                       {
+                         rel = info.Hetstream.comp_no;
+                         id = fresh ();
+                         parent = parent_id;
+                         children = Array.copy child_ids;
+                         attrs = Array.sub row attr_off attr_w;
+                       }))
               rows
           end)
         rel_steps;

@@ -85,3 +85,108 @@ let org_db () =
   in
   List.iter (fun s -> ignore (Engine.Database.exec db s)) ddl;
   db
+
+(** Two distinct strings with equal [Value.hash], found by search: a
+    row table that took a hash match for equality would merge rows that
+    differ only in them. *)
+let colliding_strings =
+  lazy
+    (let seen = Hashtbl.create 65536 in
+     let rec go i =
+       let s = "k" ^ string_of_int i in
+       let h = Value.hash (Value.Str s) in
+       match Hashtbl.find_opt seen h with
+       | Some s' -> (s', s)
+       | None ->
+         Hashtbl.add seen h s;
+         go (i + 1)
+     in
+     go 0)
+
+(** A reference stream assembler on [Tuple.Tbl]: every partner span is
+    copied out and looked up by value, and connections are deduped on
+    boxed [Value.Int] keys.  The property suite holds
+    {!Xnf.Xnf_compile.assemble} to it on generated batches. *)
+let reference_assemble (c : Xnf.Xnf_compile.compiled)
+    (batches_of : string -> Batch.t list) : Xnf.Hetstream.t =
+  let module H = Xnf.Hetstream in
+  let module R = Xnf.Xnf_rewrite in
+  let id_counter = ref 0 in
+  let fresh () =
+    incr id_counter;
+    !id_counter
+  in
+  let id_maps : (string, H.tuple_id Tuple.Tbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let items = ref [] in
+  let emit item = items := item :: !items in
+  List.iter
+    (fun (n : R.node_output) ->
+      let name = n.R.no_name in
+      let info = H.find_comp c.Xnf.Xnf_compile.header name in
+      let plan = List.assoc name c.Xnf.Xnf_compile.plans in
+      let project =
+        match n.R.no_take_cols with
+        | None -> Fun.id
+        | Some cols ->
+          let idxs =
+            Array.of_list
+              (List.map (Schema.find plan.Optimizer.Plan.out_schema) cols)
+          in
+          fun row -> Tuple.project row idxs
+      in
+      let map = Tuple.Tbl.create 256 in
+      Hashtbl.replace id_maps name map;
+      Batch.list_iter
+        (fun row ->
+          if not (Tuple.Tbl.mem map row) then begin
+            let id = fresh () in
+            Tuple.Tbl.add map row id;
+            if info.H.in_take then
+              emit (H.Row { comp = info.H.comp_no; id; values = project row })
+          end)
+        (batches_of name))
+    c.Xnf.Xnf_compile.rewritten.R.node_outputs;
+  List.iter
+    (fun (ro : R.rel_output) ->
+      let name = ro.R.ro_name in
+      let info = H.find_comp c.Xnf.Xnf_compile.header name in
+      if info.H.in_take then begin
+        let attr_off, attr_w = ro.R.ro_attr_span in
+        let lookup comp (off, w) row =
+          let part = Array.sub row off w in
+          match Tuple.Tbl.find_opt (Hashtbl.find id_maps comp) part with
+          | Some id -> id
+          | None ->
+            Errors.execution_error
+              "connection references a %s tuple missing from its component"
+              comp
+        in
+        let seen = Tuple.Tbl.create 256 in
+        Batch.list_iter
+          (fun row ->
+            let parent = lookup ro.R.ro_parent ro.R.ro_parent_span row in
+            let children =
+              Array.of_list
+                (List.map (fun (ch, span) -> lookup ch span row) ro.R.ro_child_spans)
+            in
+            let key =
+              Array.of_list
+                (Value.Int parent
+                :: Array.to_list (Array.map (fun i -> Value.Int i) children))
+            in
+            if not (Tuple.Tbl.mem seen key) then begin
+              Tuple.Tbl.add seen key ();
+              emit
+                (H.Conn
+                   {
+                     rel = info.H.comp_no;
+                     id = fresh ();
+                     parent;
+                     children;
+                     attrs = Array.sub row attr_off attr_w;
+                   })
+            end)
+          (batches_of name)
+      end)
+    c.Xnf.Xnf_compile.rewritten.R.rel_outputs;
+  { H.header = c.Xnf.Xnf_compile.header; items = List.rev !items }

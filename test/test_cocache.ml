@@ -541,3 +541,39 @@ let suite =
       Alcotest.test_case "binding insert roundtrip" `Quick
         test_binding_insert_roundtrip;
     ]
+
+(* A cache file cut short or carrying extra bytes is rejected with a
+   typed error, never an out-of-bounds exception from the decoder. *)
+let test_truncated_cache_file_rejected () =
+  let db = org_db () in
+  let ws = load_workspace db in
+  let anna =
+    List.find
+      (fun n -> Relcore.Value.to_string (Ws.get ws n "ename") = "anna")
+      (Ws.nodes ws "xemp")
+  in
+  Ws.update ws anna [ ("sal", vi 175) ];
+  let path = Filename.temp_file "xnfcache" ".bin" in
+  Cocache.Persist.save ws path;
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let len = String.length data in
+  let rejected what bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    Alcotest.(check bool) what true
+      (try
+         ignore (Cocache.Persist.load path);
+         false
+       with Relcore.Errors.Db_error (Relcore.Errors.Execution_error, _) -> true)
+  in
+  rejected "cut at len-1" (String.sub data 0 (len - 1));
+  rejected "cut at len/2" (String.sub data 0 (len / 2));
+  rejected "cut at 12 bytes" (String.sub data 0 12);
+  rejected "trailing byte" (data ^ "\000");
+  Sys.remove path
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "truncated cache file rejected" `Quick
+        test_truncated_cache_file_rejected;
+    ]

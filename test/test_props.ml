@@ -526,3 +526,159 @@ let prop_index_ndv_matches_scan =
            ops)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_index_ndv_matches_scan ]
+
+(* -- span-probed assembly = the Tuple.Tbl reference ------------------- *)
+
+let assemble_query =
+  "OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),\n\
+  \       xemp AS EMP,\n\
+  \       xproj AS PROJ,\n\
+  \       xskills AS SKILLS,\n\
+  \       employment AS (RELATE xdept VIA EMPLOYS, xemp\n\
+  \                      WHERE xdept.dno = xemp.edno),\n\
+  \       staffing AS (RELATE xdept VIA STAFFS, xemp, xproj\n\
+  \                    USING EMPSKILLS es, PROJSKILLS ps\n\
+  \                    WHERE xdept.dno = xemp.edno AND xdept.dno = xproj.pdno\n\
+  \                    AND xemp.eno = es.eseno AND xproj.pno = ps.pspno\n\
+  \                    AND es.essno = ps.pssno),\n\
+  \       empproperty AS (RELATE xemp VIA POSSESSES, xskills\n\
+  \                       USING EMPSKILLS es WITH (es.essno AS sk)\n\
+  \                       WHERE xemp.eno = es.eseno AND es.essno = xskills.sno)\n\
+   TAKE xdept(dname), xemp, xproj(pname, pno), employment, staffing, empproperty"
+
+(* Per-output batches for [c]'s layout, drawn from a small value pool so
+   node rows repeat (also as Int vs integral Float and as the colliding
+   strings).  Relationship rows copy each partner's span from a node row,
+   either sharing its boxes or as fresh equal boxes; some connections
+   repeat, and now and then a partner is missing from its component. *)
+let gen_assembly_batches (c : Xnf.Xnf_compile.compiled) seed :
+    (string * Batch.t list) list =
+  let module R = Xnf.Xnf_rewrite in
+  let rs = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let chance p = Random.State.float rs 1.0 < p in
+  let s1, s2 = Lazy.force Helpers.colliding_strings in
+  let pool =
+    [|
+      Value.Null; Value.Bool true; Value.Int 0; Value.Int 1; Value.Int 3;
+      Value.Float 3.0; Value.Float 0.5; Value.Float Float.nan;
+      Value.Float 0x1p62; Value.Str "a"; Value.Str s1; Value.Str s2;
+    |]
+  in
+  (* an equal value in a freshly allocated box, numbers at times as the
+     other numeric kind *)
+  let fresh_box (v : Value.t) : Value.t =
+    match v with
+    | Value.Int i when chance 0.5 -> Value.Float (float_of_int i)
+    | Value.Int i -> Value.Int i
+    | Value.Float f -> (
+      match Value.int_key_of_float f with
+      | Some i when chance 0.5 -> Value.Int i
+      | _ -> Value.Float f)
+    | Value.Str s -> Value.Str (Bytes.to_string (Bytes.of_string s))
+    | Value.Bool b -> Value.Bool b
+    | Value.Null -> Value.Null
+  in
+  let batches rows =
+    Batch.of_list ~capacity:(1 + Random.State.int rs 4) (List.rev rows)
+  in
+  let node_rows =
+    List.map
+      (fun (n : R.node_output) ->
+        let name = n.R.no_name in
+        let w =
+          Schema.arity
+            (List.assoc name c.Xnf.Xnf_compile.plans).Optimizer.Plan.out_schema
+        in
+        let rows = ref [] in
+        for _ = 1 to Random.State.int rs 10 do
+          let row =
+            match !rows with
+            | _ :: _ when chance 0.3 ->
+              (* a previous row again, or one differing in one position *)
+              let twin = Array.map fresh_box (pick (Array.of_list !rows)) in
+              if chance 0.5 then twin.(Random.State.int rs w) <- pick pool;
+              twin
+            | _ -> Array.init w (fun _ -> pick pool)
+          in
+          rows := row :: !rows
+        done;
+        (name, !rows))
+      c.Xnf.Xnf_compile.rewritten.R.node_outputs
+  in
+  let rel_rows =
+    List.filter_map
+      (fun (ro : R.rel_output) ->
+        let partners =
+          (ro.R.ro_parent, ro.R.ro_parent_span) :: ro.R.ro_child_spans
+        in
+        let width =
+          List.fold_left
+            (fun acc (_, (off, w)) -> max acc (off + w))
+            (fst ro.R.ro_attr_span + snd ro.R.ro_attr_span)
+            partners
+        in
+        if List.exists (fun (comp, _) -> List.assoc comp node_rows = []) partners
+        then None
+        else begin
+          let rows = ref [] in
+          for _ = 1 to Random.State.int rs 14 do
+            let row =
+              match !rows with
+              | _ :: _ when chance 0.25 ->
+                (* a repeated connection, possibly with other attrs *)
+                let r = Array.copy (pick (Array.of_list !rows)) in
+                let off, w = ro.R.ro_attr_span in
+                for i = off to off + w - 1 do
+                  r.(i) <- pick pool
+                done;
+                r
+              | _ ->
+                let r = Array.init width (fun _ -> pick pool) in
+                List.iter
+                  (fun (comp, (off, w)) ->
+                    let src = pick (Array.of_list (List.assoc comp node_rows)) in
+                    let shared = chance 0.5 in
+                    for i = 0 to w - 1 do
+                      r.(off + i) <- (if shared then src.(i) else fresh_box src.(i))
+                    done;
+                    if chance 0.02 then r.(off) <- Value.Str "missing")
+                  partners;
+                r
+            in
+            rows := row :: !rows
+          done;
+          Some (ro.R.ro_name, batches !rows)
+        end)
+      c.Xnf.Xnf_compile.rewritten.R.rel_outputs
+  in
+  List.map (fun (name, rows) -> (name, batches rows)) node_rows @ rel_rows
+
+let prop_assemble_matches_reference =
+  let c =
+    lazy
+      (Xnf.Xnf_compile.compile ~cache:false (Helpers.org_db ()) assemble_query)
+  in
+  QCheck.Test.make ~name:"span-probed assembly = Tuple.Tbl reference"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c = Lazy.force c in
+      let outputs = gen_assembly_batches c seed in
+      let batches_of name =
+        Option.value (List.assoc_opt name outputs) ~default:[]
+      in
+      let run f =
+        try Ok (f c batches_of)
+        with Errors.Db_error (kind, _) -> Error (Errors.kind_to_string kind)
+      in
+      match
+        (run Helpers.reference_assemble, run Xnf.Xnf_compile.assemble)
+      with
+      | Ok a, Ok b -> Xnf.Hetstream.equal a b
+      | Error a, Error b -> a = b
+      | Ok _, Error e | Error e, Ok _ ->
+        QCheck.Test.fail_reportf "only one assembler failed: %s" e)
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest prop_assemble_matches_reference ]

@@ -703,3 +703,241 @@ let suite =
       Alcotest.test_case "paper: Table 1 SQL column" `Quick
         test_paper_table1_sql_column;
     ]
+
+(* -- recursive COs honour TAKE column lists ---------------------------- *)
+
+(* The fixpoint evaluator ships TAKE-projected rows under a projected
+   header, as the acyclic pipeline does, while object identity stays
+   with the full row: the per-component counts match TAKE *. *)
+let test_recursive_take_columns () =
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let star = Workloads.Bom.assembly_query in
+  let text =
+    String.sub star 0 (String.length star - String.length "TAKE *")
+    ^ "TAKE asmroot(pid), xpart(pid), topconn, subconn"
+  in
+  let full = Xnf.Xnf_compile.run ~cache:false db star in
+  let s = Xnf.Xnf_compile.run ~cache:false db text in
+  Alcotest.(check (list (pair string int)))
+    "same items as TAKE *" (H.counts full) (H.counts s);
+  Array.iter
+    (fun (ci : H.comp_info) ->
+      match ci.H.comp_kind with
+      | `Node ->
+        Alcotest.(check (option (list string)))
+          (ci.H.comp_name ^ " take_cols") (Some [ "pid" ]) ci.H.take_cols;
+        Alcotest.(check (list string))
+          (ci.H.comp_name ^ " header schema")
+          [ "pid" ]
+          (List.map
+             (fun (c : Relcore.Schema.column) -> c.Relcore.Schema.name)
+             (Relcore.Schema.columns ci.H.comp_schema))
+      | `Rel _ -> ())
+    s.H.header.H.components;
+  List.iter2
+    (fun a b ->
+      match (a, b) with
+      | H.Row r, H.Row fr ->
+        Alcotest.(check int) "row ships one value" 1 (Array.length r.values);
+        Alcotest.check tuple_testable "row is the pid projection"
+          [| fr.values.(0) |] r.values
+      | H.Conn _, H.Conn _ -> ()
+      | _ -> Alcotest.fail "item kinds differ from TAKE *")
+    s.H.items full.H.items;
+  (* the projected stream survives the wire *)
+  Alcotest.(check bool) "serialize roundtrip" true
+    (H.equal s (H.deserialize (H.serialize s)))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "recursive TAKE column lists" `Quick
+        test_recursive_take_columns;
+    ]
+
+(* -- golden stream digests -------------------------------------------- *)
+
+(* MD5 of the serialized stream for one extraction per workload.  The
+   digests pin byte identity across changes to assembly: ids, item
+   order and every value byte.  They hold under every CI leg's knobs
+   (result cache off, row store only, tiny colstore chunks): none of
+   those may change a stream. *)
+let stream_digest s = Digest.to_hex (Digest.string (H.serialize s))
+
+let golden_digests =
+  [
+    ("org deps_arc", "55d0c681775677afffa0a8da7b9856df");
+    ("oo1 parts_graph", "bedc415046d6033b636f834d2788028d");
+    ("shop region EMEA", "7d2641ffda0d5974712c62d15edf714d");
+    ("bom assembly", "d2890ef95d34b1f028914f11ce61e46c");
+  ]
+
+let test_golden_stream_digests () =
+  let run db text = stream_digest (Xnf.Xnf_compile.run ~cache:false db text) in
+  let oo1 () =
+    Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 }
+  in
+  let actual =
+    [
+      ( "org deps_arc",
+        run (Workloads.Org.generate Workloads.Org.default)
+          Workloads.Org.deps_arc_query );
+      ("oo1 parts_graph", run (oo1 ()) Workloads.Oo1.parts_graph_query);
+      ( "shop region EMEA",
+        run
+          (Workloads.Shop.generate Workloads.Shop.default)
+          (Workloads.Shop.region_query "EMEA") );
+      ( "bom assembly",
+        run (Workloads.Bom.generate Workloads.Bom.default)
+          Workloads.Bom.assembly_query );
+    ]
+  in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want (List.assoc name actual))
+    golden_digests;
+  let par =
+    Xnf.Xnf_compile.extract_parallel ~domains:4 ~cache:false
+      (Xnf.Xnf_compile.compile ~cache:false (oo1 ())
+         Workloads.Oo1.parts_graph_query)
+  in
+  Alcotest.(check string) "oo1 parts_graph, 4 domains"
+    (List.assoc "oo1 parts_graph" golden_digests)
+    (stream_digest par)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "golden stream digests" `Quick
+        test_golden_stream_digests;
+    ]
+
+(* -- Tid_map: component-row ids ----------------------------------------- *)
+
+module Tm = Xnf.Tid_map
+
+let check_id msg want got = Alcotest.(check int) msg want got
+
+let test_tid_map_numeric_keys () =
+  let t = Tm.create 4 in
+  Tm.add t [| vi 3 |] 1;
+  Tm.add t [| vi max_int |] 2;
+  Tm.add t [| vi min_int |] 3;
+  check_id "Float 3.0 is Int 3" 1 (Tm.find t [| vf 3.0 |]);
+  check_id "Int 3 in a fresh box" 1 (Tm.find t [| Relcore.Value.Int (2 + 1) |]);
+  check_id "Float 2^62 equals no int" Tm.absent (Tm.find t [| vf 0x1p62 |]);
+  check_id "Float -2^62 is min_int" 3 (Tm.find t [| vf (-0x1p62) |]);
+  check_id "Float 3.5 is no key" Tm.absent (Tm.find t [| vf 3.5 |]);
+  Tm.add t [| vf 0x1p62 |] 4;
+  check_id "Float 2^62 keyed by itself" 4 (Tm.find t [| vf 0x1p62 |]);
+  check_id "max_int unaffected" 2 (Tm.find t [| vi max_int |]);
+  (* a span of a wider row, Int against the stored Float *)
+  check_id "span probe" 4
+    (Tm.find_span t [| vs "x"; vf 0x1p62; vnull |] ~off:1 ~len:1);
+  check_id "length" 4 (Tm.length t);
+  Alcotest.check_raises "span outside the row"
+    (Invalid_argument "Tid_map.find_span") (fun () ->
+      ignore (Tm.find_span t [| vi 3 |] ~off:1 ~len:1))
+
+let test_tid_map_null_nan_strings () =
+  let t = Tm.create 4 in
+  Tm.add t [| vnull; vs "a" |] 1;
+  Tm.add t [| vf Float.nan; vs "" |] 2;
+  Tm.add t [| vs "a"; vs "b" |] 3;
+  check_id "null row" 1 (Tm.find t [| vnull; vs (String.make 1 'a') |]);
+  check_id "NaN equals NaN" 2 (Tm.find t [| vf (0.0 /. 0.0); vs "" |]);
+  check_id "strings by value" 3
+    (Tm.find t [| vs (String.make 1 'a'); vs (String.make 1 'b') |]);
+  check_id "null is not the empty string" Tm.absent (Tm.find t [| vs ""; vs "a" |]);
+  check_id "arity counts" Tm.absent (Tm.find t [| vnull |]);
+  Tm.add t [| vnull; vs "a" |] 9;
+  check_id "add rebinds" 9 (Tm.find t [| vnull; vs "a" |]);
+  check_id "no new key" 3 (Tm.length t)
+
+let test_tid_map_growth () =
+  let t = Tm.create 1 in
+  (* from 16 slots at load 1/2: resizes at 9, 17, 33, 65 and 129 keys *)
+  let key i = [| vi i; vs (string_of_int i) |] in
+  for i = 0 to 199 do
+    Tm.add t (key i) (7 * i)
+  done;
+  check_id "length" 200 (Tm.length t);
+  for i = 0 to 199 do
+    check_id "id kept across resizes" (7 * i) (Tm.find t (key i));
+    check_id "probed as a span" (7 * i)
+      (Tm.find_span t (Array.append [| vnull |] (key i)) ~off:1 ~len:2)
+  done;
+  check_id "absent key" Tm.absent (Tm.find t (key 200));
+  Tm.clear t;
+  check_id "cleared" 0 (Tm.length t);
+  check_id "cleared key" Tm.absent (Tm.find t (key 5))
+
+let test_tid_map_remove_in_chain () =
+  (* rows over two strings with equal [Value.hash] hash alike: all eight
+     share one home slot and form one probe chain *)
+  let s1, s2 = Lazy.force Helpers.colliding_strings in
+  let keys =
+    List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun b -> List.map (fun c -> [| vs a; vs b; vs c |]) [ s1; s2 ])
+          [ s1; s2 ])
+      [ s1; s2 ]
+  in
+  let t = Tm.create 8 in
+  List.iteri (fun i k -> Tm.add t k i) keys;
+  (* neighbours around the chain *)
+  for i = 0 to 40 do
+    Tm.add t [| vi i; vi i; vi i |] (100 + i)
+  done;
+  let live = ref (List.mapi (fun i k -> (k, i)) keys) in
+  List.iter
+    (fun victim ->
+      let k = List.nth keys victim in
+      Tm.remove t k;
+      live := List.filter (fun (k', _) -> k' != k) !live;
+      check_id "removed" Tm.absent (Tm.find t k);
+      List.iter (fun (k', id) -> check_id "chain survivor" id (Tm.find t k')) !live;
+      for i = 0 to 40 do
+        check_id "neighbour" (100 + i) (Tm.find t [| vi i; vi i; vi i |])
+      done)
+    [ 3; 1; 6; 0; 7 ];
+  Tm.remove t [| vs "nosuch" |];
+  check_id "length" (3 + 41) (Tm.length t)
+
+let test_tid_map_conns () =
+  let c = Tm.Conns.create ~children:2 1 in
+  check_id "first" 1 (Tm.Conns.add c 1 [| 2; 3 |]);
+  check_id "repeat" 2 (Tm.Conns.add c 1 [| 2; 3 |]);
+  check_id "child order matters" 1 (Tm.Conns.add c 1 [| 3; 2 |]);
+  for p = 10 to 300 do
+    ignore (Tm.Conns.add c p [| p; -p |])
+  done;
+  check_id "length" (2 + 291) (Tm.Conns.length c);
+  check_id "count across resizes" 2 (Tm.Conns.count c 1 [| 2; 3 |]);
+  check_id "decrement" 1 (Tm.Conns.remove c 1 [| 2; 3 |]);
+  check_id "drop at zero" 0 (Tm.Conns.remove c 1 [| 2; 3 |]);
+  check_id "absent" (-1) (Tm.Conns.remove c 1 [| 2; 3 |]);
+  for p = 10 to 300 do
+    if p mod 3 = 0 then ignore (Tm.Conns.remove c p [| p; -p |])
+  done;
+  for p = 10 to 300 do
+    check_id "survivor" (if p mod 3 = 0 then 0 else 1)
+      (Tm.Conns.count c p [| p; -p |])
+  done;
+  check_id "kept" 1 (Tm.Conns.count c 1 [| 3; 2 |]);
+  Alcotest.check_raises "key width" (Invalid_argument "Tid_map.Conns: key width")
+    (fun () -> ignore (Tm.Conns.add c 1 [| 2 |]))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "tid_map: Int, Float and 2^62" `Quick
+        test_tid_map_numeric_keys;
+      Alcotest.test_case "tid_map: Null, NaN, strings" `Quick
+        test_tid_map_null_nan_strings;
+      Alcotest.test_case "tid_map: growth keeps ids" `Quick test_tid_map_growth;
+      Alcotest.test_case "tid_map: remove inside a probe chain" `Quick
+        test_tid_map_remove_in_chain;
+      Alcotest.test_case "tid_map: connection keys" `Quick test_tid_map_conns;
+    ]
