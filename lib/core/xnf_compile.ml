@@ -552,10 +552,7 @@ let explain_analyze (db : Db.t) (text : string) : string =
      (recursive CO: fixpoint evaluation builds plans per iteration; \
      per-operator attribution is not available)\n"
   else begin
-    let acc =
-      Executor.Opstats.create
-        (List.map (fun (name, (p : Plan.compiled)) -> (name, p.Plan.plan)) c.plans)
-    in
+    let acc = Executor.Opstats.create c.plans in
     let ctx = Executor.Exec.make_ctx ~result_cache:false () in
     ctx.Executor.Exec.analyze <- Some acc;
     let stream = extract_nonrecursive ~ctx c in

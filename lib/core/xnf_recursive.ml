@@ -121,6 +121,10 @@ let skeleton_of (op : Xnf_semantic.xnf_op) : skeleton =
     skel_memo := (op, sk) :: kept;
     sk
 
+let plans (op : Xnf_semantic.xnf_op) : (string * Optimizer.Plan.compiled) list =
+  let sk = skeleton_of op in
+  sk.sk_roots @ List.map (fun s -> (s.sp_name, s.sp_plan)) sk.sk_steps
+
 (** Evaluate an XNF operator by fixpoint iteration. *)
 let extract (_db : Db.t) (op : Xnf_semantic.xnf_op) : Hetstream.t =
   let ast = op.Xnf_semantic.xquery in

@@ -4,3 +4,6 @@
     reference in the tests). *)
 
 val extract : Engine.Database.t -> Xnf_semantic.xnf_op -> Hetstream.t
+
+val plans : Xnf_semantic.xnf_op -> (string * Optimizer.Plan.compiled) list
+(** The fixpoint's seed plan per root, then its step plan per relationship. *)

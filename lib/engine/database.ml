@@ -351,7 +351,7 @@ let explain_analyze ?domains db (sql : string) : string =
   mark_statement db;
   let t0 = Executor.Opstats.now () in
   let c = compile_query db sql in
-  let acc = Executor.Opstats.create1 c.Plan.plan in
+  let acc = Executor.Opstats.create1 c in
   let ctx = Executor.Exec.make_ctx () in
   ctx.Executor.Exec.analyze <- Some acc;
   let batches =
@@ -387,7 +387,8 @@ let compile_row_ppred db (table : Base_table.t) (pred : Ast.pred) : Plan.ppred =
   let width = Schema.arity (Base_table.schema table) in
   let layout = [ (quant.Qgm.qid, (0, width)) ] in
   let pctx =
-    { Optimizer.Planner.consumers = Hashtbl.create 4; outer = []; share = false }
+    Optimizer.Planner.
+      { consumers = Hashtbl.create 4; outer = []; share = false; est = ref [] }
   in
   Optimizer.Planner.compile_pred pctx [ layout ] bp
 

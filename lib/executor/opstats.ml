@@ -15,14 +15,15 @@
     its morsels and its time sums its workers' clocks. *)
 
 module Plan = Optimizer.Plan
-module Cost = Optimizer.Cost
 
 type op = {
   id : int;
   node : Plan.t;  (** the physical plan node (identity is the key) *)
   depth : int;  (** indentation level under its section root *)
   section : int;  (** which [create] root this op belongs to *)
-  est : float;  (** estimated output rows (plan-level estimator) *)
+  est : float option;
+      (** the planner's estimated output rows; [None] where it emitted
+          the node without costing it *)
   mutable opens : int;  (** times the operator was opened (loops) *)
   mutable rows : int;  (** output rows across all opens *)
   mutable batches : int;  (** output batches across all opens *)
@@ -37,70 +38,19 @@ type t = {
 
 let now = Unix.gettimeofday
 
-(* -- plan-level row estimator -------------------------------------------- *)
-
-(* Selectivity of a compiled predicate, textbook constants only: the
-   QGM-level estimator (Cost.pred_selectivity) has zone/NDV statistics,
-   but by plan time the quantifier context is gone.  Kept deliberately
-   aligned with Cost's constants so EXPLAIN and EXPLAIN ANALYZE read
-   consistently. *)
-let rec pred_sel : Plan.ppred -> float = function
-  | Plan.P_true -> 1.0
-  | Plan.P_false -> 0.0
-  | Plan.P_cmp (Sqlkit.Ast.Eq, _, _) -> Cost.eq_selectivity
-  | Plan.P_cmp (Sqlkit.Ast.Ne, _, _) -> 1.0 -. Cost.eq_selectivity
-  | Plan.P_cmp (_, _, _) -> Cost.range_selectivity
-  | Plan.P_and (a, b) -> pred_sel a *. pred_sel b
-  | Plan.P_or (a, b) -> Float.min 1.0 (pred_sel a +. pred_sel b)
-  | Plan.P_not a -> 1.0 -. pred_sel a
-  | Plan.P_is_null _ -> 0.1
-  | Plan.P_is_not_null _ -> 0.9
-  | Plan.P_like _ -> 0.25
-  | Plan.P_exists _ | Plan.P_in _ -> Cost.default_selectivity
-
-let rec est_rows (p : Plan.t) : float =
-  let eq_keys n = Float.pow Cost.eq_selectivity (float_of_int (max 1 n)) in
-  match p with
-  | Plan.Scan t ->
-    float_of_int (max 1 (Relcore.Base_table.cardinality t))
-  | Plan.Values rows -> float_of_int (List.length rows)
-  | Plan.Filter (i, pred) -> Float.max 1.0 (est_rows i *. pred_sel pred)
-  | Plan.Project (i, _) -> est_rows i
-  | Plan.Nl_join { outer; inner; cond } ->
-    Float.max 1.0 (est_rows outer *. est_rows inner *. pred_sel cond)
-  | Plan.Hash_join { build; probe; probe_keys; residual; _ } ->
-    Float.max 1.0
-      (est_rows probe *. est_rows build
-      *. eq_keys (List.length probe_keys)
-      *. pred_sel residual)
-  | Plan.Index_join { outer; table; keys; residual; _ } ->
-    let inner =
-      Float.max 1.0
-        (float_of_int (max 1 (Relcore.Base_table.cardinality table))
-        *. eq_keys (List.length keys))
-    in
-    Float.max 1.0 (est_rows outer *. inner *. pred_sel residual)
-  | Plan.Distinct i -> Float.max 1.0 (est_rows i *. 0.8)
-  | Plan.Aggregate { input; keys; _ } ->
-    if keys = [] then 1.0 else Float.max 1.0 (Float.sqrt (est_rows input))
-  | Plan.Sort (i, _) -> est_rows i
-  | Plan.Limit (i, n) -> Float.min (est_rows i) (float_of_int n)
-  | Plan.Union_all is -> List.fold_left (fun a i -> a +. est_rows i) 0.0 is
-  | Plan.Shared (_, i) -> est_rows i
-
 (* -- construction --------------------------------------------------------- *)
 
-let create (sections : (string * Plan.t) list) : t =
+let create (sections : (string * Plan.compiled) list) : t =
   let acc = ref [] in
   let n = ref 0 in
-  let rec number section depth p =
+  let rec number c section depth p =
     let op =
       {
         id = !n;
         node = p;
         depth;
         section;
-        est = est_rows p;
+        est = Plan.estimate c p;
         opens = 0;
         rows = 0;
         batches = 0;
@@ -109,16 +59,16 @@ let create (sections : (string * Plan.t) list) : t =
     in
     incr n;
     acc := op :: !acc;
-    List.iter (number section (depth + 1)) (Plan.children p)
+    List.iter (number c section (depth + 1)) (Plan.children p)
   in
-  List.iteri (fun s (_, root) -> number s 0 root) sections;
+  List.iteri (fun s (_, (c : Plan.compiled)) -> number c s 0 c.plan) sections;
   {
-    sections = Array.of_list sections;
+    sections = Array.of_list (List.map (fun (n, c) -> (n, c.Plan.plan)) sections);
     ops = Array.of_list (List.rev !acc);
     total_wall = 0.0;
   }
 
-let create1 (p : Plan.t) : t = create [ ("", p) ]
+let create1 (c : Plan.compiled) : t = create [ ("", c) ]
 let count (t : t) = Array.length t.ops
 
 (** Id of a physical plan node; [-1] for nodes outside the numbered
@@ -177,25 +127,29 @@ let merge ~(into : t) (w : t) =
 (* -- reporting ------------------------------------------------------------ *)
 
 (** q-error of an operator's row estimate: max(est/act, act/est), both
-    sides floored at one row so empty results stay finite. *)
-let q_error (op : op) : float =
-  let e = Float.max 1.0 op.est and a = Float.max 1.0 (float_of_int op.rows) in
-  Float.max (e /. a) (a /. e)
+    sides floored at one row so empty results stay finite; [None] for an
+    unestimated operator. *)
+let q_error (op : op) : float option =
+  Option.map
+    (fun est ->
+      let e = Float.max 1.0 est and a = Float.max 1.0 (float_of_int op.rows) in
+      Float.max (e /. a) (a /. e))
+    op.est
 
-(** The opened operator with the worst q-error, if any estimate was off
-    by more than 2x. *)
+(** The opened, estimated operator with the worst q-error, if that
+    estimate was off by more than 2x. *)
 let worst_estimate (t : t) : op option =
   Array.fold_left
     (fun acc op ->
-      if op.opens = 0 then acc
-      else
-        match acc with
-        | Some best when q_error best >= q_error op -> acc
-        | _ -> Some op)
+      match (q_error op, acc) with
+      | Some q, Some (_, worst) when op.opens > 0 && q > worst -> Some (op, q)
+      | Some q, None when op.opens > 0 && q > 2.0 -> Some (op, q)
+      | _ -> acc)
     None t.ops
-  |> function
-  | Some op when q_error op > 2.0 -> Some op
-  | _ -> None
+  |> Option.map fst
+
+let est_str (op : op) =
+  match op.est with Some e -> Printf.sprintf "%.0f" e | None -> "?"
 
 let fmt_ms s =
   if s < 0.000_1 then Printf.sprintf "%.0fus" (s *. 1e6)
@@ -215,12 +169,16 @@ let render (t : t) : string =
             Buffer.add_string buf (Plan.node_line op.node);
             if op.opens = 0 then
               Buffer.add_string buf
-                (Printf.sprintf "  (est=%.0f never opened: fused or cached)"
-                   op.est)
+                (Printf.sprintf "  (est=%s never opened: fused or cached)"
+                   (est_str op))
             else begin
               Buffer.add_string buf
-                (Printf.sprintf "  (est=%.0f act=%d q=%.2f time=%s" op.est
-                   op.rows (q_error op) (fmt_ms op.wall));
+                (Printf.sprintf "  (est=%s act=%d%s time=%s" (est_str op)
+                   op.rows
+                   (match q_error op with
+                   | Some q -> Printf.sprintf " q=%.2f" q
+                   | None -> "")
+                   (fmt_ms op.wall));
               if op.batches > 0 then
                 Buffer.add_string buf (Printf.sprintf " batches=%d" op.batches);
               if op.opens > 1 then
@@ -237,8 +195,9 @@ let render (t : t) : string =
   (match worst with
   | Some w ->
     Buffer.add_string buf
-      (Printf.sprintf "worst estimate: %s (est=%.0f act=%d q-error=%.1f)\n"
-         (Plan.node_line w.node) w.est w.rows (q_error w))
+      (Printf.sprintf "worst estimate: %s (est=%s act=%d q-error=%.1f)\n"
+         (Plan.node_line w.node) (est_str w) w.rows
+         (Option.get (q_error w)))
   | None -> Buffer.add_string buf "estimates within 2x of actuals\n");
   if t.total_wall > 0.0 then
     Buffer.add_string buf

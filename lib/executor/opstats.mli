@@ -1,6 +1,7 @@
 (** Per-operator execution statistics for EXPLAIN ANALYZE: stable
     preorder ids over one or more plans, inclusive wall time, output
-    rows/batches, a plan-level row estimator and the q-error report.
+    rows/batches, and the q-error report against the planner's own row
+    estimates ({!Optimizer.Plan.estimate}).
 
     Recording discipline: the executor mutates ops directly (one
     domain); each morsel worker records into its own {!like} copy, which
@@ -13,7 +14,7 @@ type op = {
   node : Plan.t;
   depth : int;
   section : int;
-  est : float;  (** estimated output rows *)
+  est : float option;  (** planner's estimated output rows, if costed *)
   mutable opens : int;
   mutable rows : int;  (** actual output rows (selection applied) *)
   mutable batches : int;
@@ -29,15 +30,11 @@ type t = {
 val now : unit -> float
 (** Wall clock used for all attribution ([Unix.gettimeofday]). *)
 
-val est_rows : Plan.t -> float
-(** Plan-level output-row estimate (textbook constants, aligned with
-    [Cost]'s). *)
-
-val create : (string * Plan.t) list -> t
+val create : (string * Plan.compiled) list -> t
 (** Number every node (children in EXPLAIN order, including predicate
-    subplans) of each named root. *)
+    subplans) of each named plan, with the planner's estimate for it. *)
 
-val create1 : Plan.t -> t
+val create1 : Plan.compiled -> t
 (** {!create} with one anonymous section. *)
 
 val count : t -> int
@@ -57,12 +54,14 @@ val merge : into:t -> t -> unit
 (** Add a {!like} copy's opens, rows, batches and time in; the caller
     must be single-threaded. *)
 
-val q_error : op -> float
-(** max(est/act, act/est), both floored at one row. *)
+val q_error : op -> float option
+(** max(est/act, act/est), both floored at one row; [None] unestimated. *)
 
 val worst_estimate : t -> op option
-(** The opened op with the worst q-error, when that error exceeds 2x. *)
+(** The opened, estimated op with the worst q-error, when that error
+    exceeds 2x. *)
 
 val render : t -> string
 (** The EXPLAIN ANALYZE tree: every operator line annotated with
-    est/act/q-error/time, the worst estimator flagged. *)
+    est/act/q-error/time (an unestimated op shows [est=?] and no q-error),
+    the worst estimate flagged. *)

@@ -540,20 +540,28 @@ let broadcast_invalidate t =
   Mutex.unlock t.sessions_mu;
   List.iter (fun s -> Db.invalidate_plans s.sdb) sessions
 
-let is_ddl sql =
-  let sql = String.trim sql in
-  let kw =
-    match String.index_opt sql ' ' with
-    | Some i -> String.sub sql 0 i
-    | None -> sql
+(* The first [n] tokens of a statement as the parser reads them, past
+   any whitespace or [--] comment; shorter when [Eof] comes first, empty
+   when the text does not lex. *)
+let lead_tokens sql n =
+  let st = Sqlkit.Lexer.make sql in
+  let rec go k =
+    if k = 0 then []
+    else
+      match (Sqlkit.Lexer.next_token st).token with
+      | Sqlkit.Token.Eof -> [ Sqlkit.Token.Eof ]
+      | tok -> tok :: go (k - 1)
   in
-  match String.lowercase_ascii kw with
-  | "create" | "drop" -> true
+  try go n with Errors.Db_error _ -> []
+
+let is_ddl sql =
+  match lead_tokens sql 1 with
+  | [ Sqlkit.Token.Ident ("create" | "drop") ] -> true
   | _ -> false
 
 let is_commit sql =
-  match String.lowercase_ascii (String.trim sql) with
-  | "commit" | "commit;" -> true
+  match lead_tokens sql 3 with
+  | [ Ident "commit"; Eof ] | [ Ident "commit"; Punct ";"; Eof ] -> true
   | _ -> false
 
 (* [n] items off the front of [items], and the rest *)

@@ -4,10 +4,6 @@
 
 module Qgm = Starq.Qgm
 
-val eq_selectivity : float
-val range_selectivity : float
-val default_selectivity : float
-
 val tuple_cost : float
 (** Cost of evaluating one tuple inside a batch loop — the normalized
     unit (1.0) the other constants are expressed in. *)
@@ -63,7 +59,7 @@ val join_filter_pass_est :
 (** Estimated fraction of probe rows whose join key passes a build-side
     join filter (range + Bloom): zone-range overlap capped by NDV
     containment, with [build_card] bounding the build-side NDV.
-    {!default_selectivity} when statistics are unavailable. *)
+    A fixed 0.5 when statistics are unavailable. *)
 
 val box_cardinality : Qgm.box -> float
 (** Estimated output cardinality of a box. *)

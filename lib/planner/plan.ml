@@ -69,8 +69,16 @@ and t =
   | Shared of int * t
       (** materialize-once common subexpression, keyed by QGM box id *)
 
-(** A compiled query: plan plus output schema for presentation. *)
-type compiled = { plan : t; out_schema : Schema.t }
+(** A compiled query: plan, output schema for presentation, and the
+    planner's estimated output rows for the nodes it costed, keyed by
+    physical identity.  The estimates stay out of [t], so they never
+    reach {!fingerprint} or a cache key. *)
+type compiled = { plan : t; out_schema : Schema.t; est : (t * float) list }
+
+(** The planner's row estimate for node [p] of [c]; [None] when the
+    planner emitted the node without costing it. *)
+let estimate (c : compiled) (p : t) : float option =
+  List.find_map (fun (n, rows) -> if n == p then Some rows else None) c.est
 
 (* -- pretty-printing (EXPLAIN) ---------------------------------------- *)
 

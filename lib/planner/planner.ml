@@ -17,7 +17,13 @@ type ctx = {
   consumers : (int, (Qgm.box * Qgm.quant) list) Hashtbl.t;
   outer : layout list; (* correlation frames, innermost first *)
   share : bool; (* enable common-subexpression sharing *)
+  est : (Plan.t * float) list ref; (* row estimate per emitted node *)
 }
+
+(* Record the estimate the planner used for [plan]. *)
+let note ctx rows plan =
+  ctx.est := (plan, rows) :: !(ctx.est);
+  plan
 
 let box_width (b : Qgm.box) = Array.length b.Qgm.head
 
@@ -115,8 +121,13 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
           (p, idxs))
         join_preds
     in
-    let order =
-      Join_order.choose { Join_order.quants = fquants; cards; preds = pred_inputs }
+    let inp = { Join_order.quants = fquants; cards; preds = pred_inputs } in
+    let order = Join_order.choose inp in
+    (* each join step is estimated as its prefix of the order *)
+    let prefix = ref 0 in
+    let note_prefix idx plan =
+      prefix := !prefix lor (1 lsl idx);
+      note ctx (Join_order.subset_card inp !prefix) plan
     in
     (* place quantifiers one at a time *)
     let placed = Hashtbl.create 8 in
@@ -138,10 +149,11 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
       Hashtbl.replace placed q.Qgm.qid ();
       layout := [ (q.Qgm.qid, (0, box_width q.Qgm.over)) ];
       width := box_width q.Qgm.over;
-      let plan = compile_box ctx q.Qgm.over in
+      let plan = compile_box ~card:cards.(idx) ctx q.Qgm.over in
       List.fold_left
         (fun acc p -> Plan.Filter (acc, compile_pred ctx (!layout :: ctx.outer) p))
         plan (applicable_now ())
+      |> note_prefix idx
     in
     let place_next acc idx =
       let q = fquants.(idx) in
@@ -206,26 +218,30 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
           Plan.P_true ps
       in
       let residual_pred = conj concat_frames residual in
-      let with_inner_filter inner =
-        match inner_only with
-        | [] -> inner
-        | ps -> Plan.Filter (inner, conj build_frames ps)
-      in
       (* quantifier id -> input box, for statistics lookups *)
       let stats_resolve qid =
         Option.map (fun qu -> qu.Qgm.over) (Qgm.find_quant box qid)
+      in
+      let build_card =
+        lazy
+          (cards.(idx)
+          *. List.fold_left
+               (fun acc p -> acc *. Cost.pred_selectivity ~resolve:stats_resolve p)
+               1.0 inner_only)
+      in
+      let inner () =
+        let plan = compile_box ~card:cards.(idx) ctx q.Qgm.over in
+        match inner_only with
+        | [] -> plan
+        | ps ->
+          note ctx (Lazy.force build_card)
+            (Plan.Filter (plan, conj build_frames ps))
       in
       let jfilter_hint () =
         match eq_pairs with
         | [] -> None
         | pairs ->
-          let build_card =
-            Cost.box_cardinality q.Qgm.over
-            *. List.fold_left
-                 (fun acc p ->
-                   acc *. Cost.pred_selectivity ~resolve:stats_resolve p)
-                 1.0 inner_only
-          in
+          let build_card = Lazy.force build_card in
           (* multi-key joins filter on the whole key tuple: a probe row
              must match on {e every} pair, so the tightest single-pair
              estimate is a (conservative) upper bound on the combined
@@ -243,9 +259,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
       in
       let plan =
         match eq_pairs with
-        | [] ->
-          let inner = with_inner_filter (compile_box ctx q.Qgm.over) in
-          Plan.Nl_join { outer = acc; inner; cond = residual_pred }
+        | [] -> Plan.Nl_join { outer = acc; inner = inner (); cond = residual_pred }
         | _ -> begin
           (* try an index join when the inner is a plain base table and
              the build-side expressions are bare columns with an index *)
@@ -287,7 +301,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
                 residual = conj concat_frames (inner_only @ residual);
               }
           | None ->
-            let inner = with_inner_filter (compile_box ctx q.Qgm.over) in
+            let inner = inner () in
             let probe_keys =
               List.map
                 (fun (a, _) -> compile_scalar (resolver probe_frames) a)
@@ -311,7 +325,7 @@ and compile_joins ctx (box : Qgm.box) : Plan.t * layout =
       in
       layout := concat_layout;
       width := next_off + next_w;
-      plan
+      note_prefix idx plan
     in
     let plan =
       match order with
@@ -366,8 +380,11 @@ and attach_equants ctx (box : Qgm.box) plan (layout : layout) equants epreds =
     in
     Plan.Filter (plan, pred)
 
-(** Compile a whole box to a plan producing its head layout. *)
-and compile_box ctx (box : Qgm.box) : Plan.t =
+(** Compile a whole box to a plan producing its head layout, estimated at
+    [card] rows (default: {!Cost.box_cardinality}). *)
+and compile_box ?card ctx (box : Qgm.box) : Plan.t =
+  note ctx (match card with Some c -> c | None -> Cost.box_cardinality box)
+  @@
   match box.Qgm.kind with
   | Qgm.Base t -> Plan.Scan t
   | Qgm.Select ->
@@ -471,7 +488,9 @@ let schema_of_box (box : Qgm.box) : Schema.t =
 
 (** Compile a rewritten QGM graph into an executable plan. *)
 let compile ?(share = true) (g : Qgm.graph) : Plan.compiled =
-  let ctx = { consumers = Qgm.consumers [ g.Qgm.top ]; outer = []; share } in
+  let ctx =
+    { consumers = Qgm.consumers [ g.Qgm.top ]; outer = []; share; est = ref [] }
+  in
   let plan = compile_box ctx g.Qgm.top in
   let plan =
     match g.Qgm.order_by with [] -> plan | specs -> Plan.Sort (plan, specs)
@@ -496,7 +515,7 @@ let compile ?(share = true) (g : Qgm.graph) : Plan.compiled =
                Schema.column ~nullable:c.Schema.nullable c.Schema.name
                  c.Schema.dtype))
   in
-  { Plan.plan; out_schema = schema }
+  { Plan.plan; out_schema = schema; est = !(ctx.est) }
 
 (** Compile several graphs that may physically share boxes (XNF
     multi-table queries): consumers are computed across all roots so
@@ -506,8 +525,9 @@ let compile_many ?(share = true) (roots : (string * Qgm.box) list) :
     (string * Plan.compiled) list =
   let consumers = Qgm.consumers (List.map snd roots) in
   (* an output box referenced by several roots is also shared *)
-  let ctx = { consumers; outer = []; share } in
-  List.map
-    (fun (name, box) ->
-      (name, { Plan.plan = compile_box ctx box; out_schema = schema_of_box box }))
-    roots
+  let ctx = { consumers; outer = []; share; est = ref [] } in
+  let plans = List.map (fun (name, box) -> (name, compile_box ctx box)) roots in
+  List.map2
+    (fun (name, plan) (_, box) ->
+      (name, { Plan.plan; out_schema = schema_of_box box; est = !(ctx.est) }))
+    plans roots

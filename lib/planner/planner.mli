@@ -14,6 +14,7 @@ type ctx = {
   consumers : (int, (Qgm.box * Qgm.quant) list) Hashtbl.t;
   outer : layout list; (* correlation frames, innermost first *)
   share : bool;
+  est : (Plan.t * float) list ref; (* row estimate per emitted node *)
 }
 
 val resolver : layout list -> int -> int -> Plan.scalar
@@ -22,7 +23,6 @@ val resolver : layout list -> int -> int -> Plan.scalar
 
 val compile_scalar : (int -> int -> Plan.scalar) -> Qgm.bexpr -> Plan.scalar
 val compile_pred : ctx -> layout list -> Qgm.bpred -> Plan.ppred
-val compile_box : ctx -> Qgm.box -> Plan.t
 
 val schema_of_box : Qgm.box -> Schema.t
 

@@ -12,9 +12,9 @@ module Plan = Optimizer.Plan
 module Opstats = Executor.Opstats
 
 (* run [sql] with the per-operator accumulator armed *)
-let run_analyzed ?domains db sql =
+let run_compiled ?domains db sql =
   let c = Db.compile_query db sql in
-  let acc = Opstats.create1 c.Plan.plan in
+  let acc = Opstats.create1 c in
   let ctx = Executor.Exec.make_ctx () in
   ctx.Executor.Exec.analyze <- Some acc;
   let bs =
@@ -24,7 +24,11 @@ let run_analyzed ?domains db sql =
       Executor.Exec_par.run_batches ~ctx ~domains:d ~threshold:1 c
     | _ -> Executor.Exec.run_batches ~ctx c
   in
-  (acc, Batch.list_to_rows bs)
+  (c, acc, Batch.list_to_rows bs)
+
+let run_analyzed ?domains db sql =
+  let _, acc, rows = run_compiled ?domains db sql in
+  (acc, rows)
 
 (* The structural invariants every analyzed run must satisfy:
    - the root operator's recorded rows equal the delivered result rows;
@@ -132,6 +136,86 @@ let test_analyze_identity () =
       Helpers.check_rows (name ^ ": parallel analyze identity") baseline par_on)
     (workload_cases ())
 
+(* Every est= EXPLAIN ANALYZE prints is the planner's own number for that
+   node: the one it recorded while compiling, or est=? with no q-error
+   where it emitted the node without costing it. *)
+let check_one_estimator msg (c : Plan.compiled) (acc : Opstats.t) =
+  (* one section: the report's lines are the ops, in order *)
+  let lines = String.split_on_char '\n' (Opstats.render acc) in
+  Array.iteri
+    (fun i (op : Opstats.op) ->
+      let line = List.nth lines i in
+      let want = Plan.estimate c op.Opstats.node in
+      Alcotest.(check (option (float 0.0)))
+        (msg ^ ": est is the planner's: " ^ line)
+        want op.Opstats.est;
+      let est_tag =
+        match want with
+        | Some e -> Printf.sprintf "  (est=%.0f " e
+        | None -> "  (est=? "
+      in
+      Alcotest.(check bool)
+        (msg ^ ": rendered: " ^ line)
+        true
+        (Helpers.contains ~affix:(Plan.node_line op.Opstats.node ^ est_tag) line);
+      Alcotest.(check bool)
+        (msg ^ ": q-error only with an estimate: " ^ line)
+        (Option.is_some want && op.Opstats.opens > 0)
+        (Helpers.contains ~affix:" q=" line))
+    acc.Opstats.ops;
+  Alcotest.(check bool)
+    (msg ^ ": the planner estimated some op")
+    true
+    (Array.exists (fun (op : Opstats.op) -> Option.is_some op.Opstats.est) acc.Opstats.ops)
+
+let test_one_estimator () =
+  List.iter
+    (fun (name, db, sql) ->
+      List.iter
+        (fun domains ->
+          let c, acc, _ = run_compiled ~domains db sql in
+          check_one_estimator (Printf.sprintf "%s, %d domains" name domains) c acc)
+        [ 1; 4 ])
+    (workload_cases ())
+
+(* The OO1 parts graph's IndexJoin (parts -> conns on pid = cfrom) was
+   once estimated from textbook constants as |parts| x |conns| x 0.05;
+   the planner's own estimate uses the index key count instead. *)
+let test_oo1_index_join_estimate () =
+  let db =
+    Workloads.Oo1.generate { Workloads.Oo1.default with Workloads.Oo1.n_parts = 400 }
+  in
+  let xc =
+    Xnf.Xnf_compile.compile ~cache:false db Workloads.Oo1.parts_graph_query
+  in
+  let rec index_join (p : Plan.t) =
+    match p with
+    | Plan.Index_join _ -> Some p
+    | _ -> List.find_map index_join (Plan.children p)
+  in
+  let c, ij =
+    List.find_map
+      (fun (_, (c : Plan.compiled)) ->
+        Option.map (fun ij -> (c, ij)) (index_join c.Plan.plan))
+      xc.Xnf.Xnf_compile.plans
+    |> Option.get
+  in
+  let card name = float_of_int (Base_table.cardinality (Db.find_table db name)) in
+  let conns = card "conns" in
+  let est = Option.get (Plan.estimate c ij) in
+  Alcotest.(check bool)
+    "not |parts| x |conns| x 0.05" true
+    (est <> card "parts" *. conns *. 0.05);
+  (* every connection leaves a part: the join yields |conns| rows *)
+  Alcotest.(check bool) "within 2x of |conns|" true
+    (est <= 2.0 *. conns && conns <= 2.0 *. est);
+  let report = Xnf.Xnf_compile.explain_analyze db Workloads.Oo1.parts_graph_query in
+  Alcotest.(check bool)
+    "EXPLAIN ANALYZE prints the planner's estimate" true
+    (Helpers.contains
+       ~affix:(Printf.sprintf "%s  (est=%.0f " (Plan.node_line ij) est)
+       report)
+
 let test_explain_analyze_text () =
   let db = Helpers.org_db () in
   match Db.exec db ("EXPLAIN ANALYZE " ^ org_join_sql) with
@@ -167,6 +251,10 @@ let suite =
     Alcotest.test_case "parallel blocking attribution" `Quick
       test_parallel_blocking_attribution;
     Alcotest.test_case "analyze on/off identity" `Quick test_analyze_identity;
+    Alcotest.test_case "one estimator: est is the planner's" `Quick
+      test_one_estimator;
+    Alcotest.test_case "oo1 index join estimate" `Quick
+      test_oo1_index_join_estimate;
     Alcotest.test_case "explain analyze text" `Quick test_explain_analyze_text;
     Alcotest.test_case "per-statement explain counters" `Quick
       test_explain_per_statement_counters;

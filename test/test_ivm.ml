@@ -28,6 +28,8 @@ let two_int_table () =
        ])
 
 let test_delta_log_records () =
+  (* the premise needs a delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   let t = two_int_table () in
   let v0 = BT.version t in
   let rid = BT.insert t [| Value.Int 1; Value.Int 10 |] in
@@ -77,6 +79,8 @@ let test_truncate_floors_log () =
     (BT.deltas_since t v0 = None)
 
 let test_rewind_hole () =
+  (* the premise needs a delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   let t = two_int_table () in
   ignore (BT.insert t [| Value.Int 1; Value.Int 1 |]);
   let v_keep = BT.version t in
@@ -282,6 +286,8 @@ let test_midtxn_snapshot_rollback () =
    new item lists and value arrays, and heap updates replace a slot's
    tuple instead of mutating it. *)
 let test_published_stream_immutable () =
+  (* the premise needs a delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   RC.set_budget_mb (Some 64);
   RC.clear ();
   Ivm.reset ();
@@ -316,6 +322,8 @@ let test_published_stream_immutable () =
     (H.equal (XC.extract ~cache:false c) s2)
 
 let test_soak_oo1 () =
+  (* the premise needs a delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   Ivm.reset_stats ();
   soak ~seed:11 db Workloads.Oo1.parts_graph_query [ "parts"; "conns" ];

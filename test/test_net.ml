@@ -367,6 +367,42 @@ let test_dml_and_txn () =
             "base table agrees" 2
             (Relcore.Base_table.cardinality tbl)))
 
+(* DDL and COMMIT are told by their first SQL token, so a newline, a tab
+   or a comment around the keyword changes nothing: session [a]'s
+   prepared plan over a dropped and re-created [t] must be invalidated,
+   and a spaced-out COMMIT must still go through group commit. *)
+let test_statement_class_by_token () =
+  with_server (fun addr _db _t ->
+      let a = Client.connect addr and b = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close a;
+          Client.close b)
+        (fun () ->
+          let recreate drop create rows =
+            ignore (Client.exec b drop);
+            ignore (Client.exec b create);
+            ignore (Client.exec b ("INSERT INTO t VALUES " ^ rows))
+          in
+          ignore (Client.exec b "CREATE TABLE t (x INT)");
+          ignore (Client.exec b "INSERT INTO t VALUES (1)");
+          check_rows "a reads the first t" (rows_of_ints [ [ 1 ] ])
+            (Client.query_rows a "SELECT * FROM t");
+          recreate "DROP\nTABLE t" "CREATE\tTABLE t (x INT)" "(2), (3)";
+          check_rows "a reads t re-created after a newline DROP"
+            (rows_of_ints [ [ 2 ]; [ 3 ] ])
+            (Client.query_rows a "SELECT * FROM t");
+          recreate "-- again\nDROP TABLE t" "CREATE TABLE t (x INT)" "(4)";
+          check_rows "a reads t re-created after a commented DROP"
+            (rows_of_ints [ [ 4 ] ])
+            (Client.query_rows a "SELECT * FROM t");
+          ignore (Client.exec b "BEGIN");
+          ignore (Client.exec b "INSERT INTO t VALUES (5)");
+          ignore (Client.exec b "COMMIT ;");
+          Alcotest.(check bool)
+            "spaced COMMIT took group commit" true
+            (contains ~affix:"/ 1 commits" (Client.stats b))))
+
 (* -- daemon: concurrency -------------------------------------------------- *)
 
 let test_concurrent_sessions () =
@@ -707,6 +743,8 @@ let suite =
     Alcotest.test_case "daemon: extract equivalence" `Quick
       test_extract_matches_inprocess;
     Alcotest.test_case "daemon: DML and transactions" `Quick test_dml_and_txn;
+    Alcotest.test_case "daemon: DDL and COMMIT by first token" `Quick
+      test_statement_class_by_token;
     Alcotest.test_case "daemon: concurrent sessions" `Quick
       test_concurrent_sessions;
     Alcotest.test_case "daemon: crash isolation" `Quick test_crash_isolation;

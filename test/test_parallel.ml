@@ -245,6 +245,9 @@ let test_parallelizable () =
 (* morsel workers read the pinned epoch exactly like the serial
    executor: commits after the pin stay invisible to both *)
 let test_snapshot_equiv () =
+  (* the DML after the pin must stay within the delta log's history
+     window, or the pinned epoch cannot be rebuilt: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 400 } in
   let traversal =
     "SELECT c.cto, c.clength FROM parts p, conns c WHERE p.pid = c.cfrom AND \

@@ -812,6 +812,85 @@ let suite =
         test_golden_stream_digests;
     ]
 
+(* -- golden plan digests ----------------------------------------------- *)
+
+(* MD5 of the EXPLAIN text of the default plans per workload: every
+   output plan of an XNF extraction, the fixpoint's seed and step plans
+   for the recursive BOM, and SQL over the OO1 parts graph's components
+   (view.component).  EXPLAIN names tables rather than process-global
+   table ids, and shared boxes are renumbered below, so the text does
+   not depend on what ran earlier in the process.  A change that must
+   leave plans alone keeps these digests. *)
+let plans_digest plans =
+  let text =
+    List.map
+      (fun (name, (p : Optimizer.Plan.compiled)) ->
+        Printf.sprintf "-- %s --\n%s" name (Optimizer.Plan.explain p.plan))
+      plans
+    |> String.concat ""
+  in
+  (* QGM box ids come from a process-wide counter: renumber the shared
+     boxes by first appearance, which keeps what is shared with what *)
+  let seen = Hashtbl.create 8 in
+  let renumber line =
+    match Scanf.sscanf (String.trim line) "Shared (cse box %d)%!" Fun.id with
+    | bid ->
+      if not (Hashtbl.mem seen bid) then Hashtbl.add seen bid (Hashtbl.length seen);
+      Printf.sprintf "%sShared (cse box #%d)"
+        (String.sub line 0 (String.index line 'S'))
+        (Hashtbl.find seen bid)
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> line
+  in
+  String.split_on_char '\n' text
+  |> List.map renumber |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let golden_plan_digests =
+  [
+    ("org deps_arc", "3d1495d99b1fb0725890ffd7e44c2441");
+    ("oo1 parts_graph", "a436473cc868f893c22911ff7d7b40b4");
+    ("shop region EMEA", "a79ea52f7876d32fa6b4fb28227260a5");
+    ("bom assembly", "c7250d7030fb703f29c0f1118389ddc9");
+    ("oo1 parts_graph sql", "ce712cd564d0d3e2e81285203326c4da");
+  ]
+
+let test_golden_plan_digests () =
+  let xnf db text = (Xnf.Xnf_compile.compile ~cache:false db text).plans in
+  let oo1 = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
+  let bom = Workloads.Bom.generate Workloads.Bom.default in
+  ignore
+    (Engine.Database.exec oo1
+       ("CREATE VIEW graph AS " ^ Workloads.Oo1.parts_graph_query));
+  let actual =
+    [
+      ( "org deps_arc",
+        xnf (Workloads.Org.generate Workloads.Org.default)
+          Workloads.Org.deps_arc_query );
+      ("oo1 parts_graph", xnf oo1 Workloads.Oo1.parts_graph_query);
+      ( "shop region EMEA",
+        xnf
+          (Workloads.Shop.generate Workloads.Shop.default)
+          (Workloads.Shop.region_query "EMEA") );
+      ( "bom assembly",
+        Xnf.Xnf_recursive.plans
+          (Xnf.Xnf_compile.compile ~cache:false bom Workloads.Bom.assembly_query)
+            .op );
+      ( "oo1 parts_graph sql",
+        List.map
+          (fun sql -> (sql, Engine.Database.compile_query oo1 sql))
+          [ "SELECT * FROM graph.xpart"; "SELECT * FROM graph.link" ] );
+    ]
+  in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want (plans_digest (List.assoc name actual)))
+    golden_plan_digests
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "golden plan digests" `Quick test_golden_plan_digests;
+    ]
+
 (* -- Tid_map: component-row ids ----------------------------------------- *)
 
 module Tm = Xnf.Tid_map
