@@ -207,20 +207,16 @@ let update ws (node : Conode.t) (sets : (string * Value.t) list) : unit =
   if Conode.is_deleted node then
     Errors.execution_error "update of a deleted node";
   let s = schema ws node.Conode.comp in
-  let old_values = Array.copy node.Conode.values in
-  List.iter
-    (fun (col, v) -> node.Conode.values.(Schema.find s col) <- v)
-    sets;
-  ignore (Schema.validate_row s node.Conode.values);
+  (* copy on write: a node's values array is the stream row it was
+     loaded from, which a result cache may still hold *)
+  let old_values = node.Conode.values in
+  let new_values = Array.copy old_values in
+  List.iter (fun (col, v) -> new_values.(Schema.find s col) <- v) sets;
+  ignore (Schema.validate_row s new_values);
+  node.Conode.values <- new_values;
   if node.Conode.dirty = Conode.Clean then node.Conode.dirty <- Conode.Updated;
   ws.pending <-
-    P_update
-      {
-        comp = node.Conode.comp;
-        old_values;
-        new_values = Array.copy node.Conode.values;
-      }
-    :: ws.pending
+    P_update { comp = node.Conode.comp; old_values; new_values } :: ws.pending
 
 let delete ws (node : Conode.t) : unit =
   if Conode.is_deleted node then ()

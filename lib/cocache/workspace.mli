@@ -58,6 +58,9 @@ val rel_component_names : t -> string list
 
 val insert : t -> string -> Value.t list -> Conode.t
 val update : t -> Conode.t -> (string * Value.t) list -> unit
+(** Copy on write: the node gets a fresh values array, so the stream it
+    was loaded from (which a result cache may hold) never changes. *)
+
 val delete : t -> Conode.t -> unit
 
 val connect : t -> rel:string -> Conode.t -> Conode.t -> Conode.conn

@@ -55,6 +55,29 @@ let find_comp (h : header) name =
   | Some c -> c
   | None -> Errors.semantic_error "unknown CO component %S" name
 
+(** The header's layout as a cache-key fragment: every component's name,
+    kind, TAKE membership and column list, then the roots. *)
+let header_key (h : header) : string =
+  let buf = Buffer.create 128 in
+  let add = Buffer.add_string buf in
+  Array.iter
+    (fun c ->
+      add c.comp_name;
+      add
+        (match c.comp_kind with
+        | `Node -> ":n"
+        | `Rel m ->
+          Printf.sprintf ":r(%s<-%s->%s)" m.rm_parent m.rm_role
+            (String.concat "," m.rm_children));
+      if c.in_take then add "!";
+      (match c.take_cols with
+      | Some cols -> add ("[" ^ String.concat "," cols ^ "]")
+      | None -> ());
+      add ";")
+    h.components;
+  add (String.concat "," h.root_components);
+  Buffer.contents buf
+
 (** A node component's TAKE column list applied to its full rows: the
     shipped schema and the row projection.  Object identity stays with
     the full row; only delivery is projected. *)

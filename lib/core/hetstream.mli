@@ -42,6 +42,10 @@ type t = { header : header; items : item list }
 
 val find_comp : header -> string -> comp_info
 
+val header_key : header -> string
+(** The header's layout (components, kinds, TAKE membership and column
+    lists, roots) as a cache-key fragment. *)
+
 val take_projection :
   Schema.t -> string list option -> Schema.t * (Tuple.t -> Tuple.t)
 (** A node component's TAKE column list applied to its full rows: the

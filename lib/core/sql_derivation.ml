@@ -69,13 +69,26 @@ let using_refs (r : Xnf_ast.relate_def) =
       Ast.Table_name { name = u.Xnf_ast.utable; alias = Some u.Xnf_ast.ualias })
     r.Xnf_ast.using
 
+(** Qualifier renaming for a relationship predicate: the role and the
+    parent name to the parent's alias, each child name to its alias.  In
+    a self-relationship the bare name denotes the child, as in the XNF
+    frame, and only the role addresses the parent. *)
+let partner_map (r : Xnf_ast.relate_def) ~parent_alias children =
+  let parent = String.lowercase_ascii r.Xnf_ast.parent in
+  ((String.lowercase_ascii r.Xnf_ast.role, parent_alias)
+  :: (if List.mem_assoc parent children then [] else [ (parent, parent_alias) ]))
+  @ children
+
 (** The reachability predicate for component [c] bound to alias
     [c_alias]: an EXISTS per incoming relationship, recursively requiring
     a reachable parent.  Mirrors Fig. 3a / Sect. 4.2. *)
 let rec reach_pred (ast : Xnf_ast.query) (c : string) (c_alias : string) :
     Ast.pred =
-  let rels = incoming ast c in
-  if rels = [] then Ast.Ptrue (* roots are reachable by definition *)
+  (* roots, explicit ones included, are reachable by definition: an
+     explicit root's own incoming relationships (a self-relationship)
+     would otherwise recurse forever *)
+  let rels = if List.mem c (Xnf_ast.roots ast) then [] else incoming ast c in
+  if rels = [] then Ast.Ptrue
   else
     let per_rel (r : Xnf_ast.relate_def) =
       let parent_alias = fresh_alias "p" in
@@ -86,13 +99,9 @@ let rec reach_pred (ast : Xnf_ast.query) (c : string) (c_alias : string) :
           (fun ch -> if ch = c then (ch, c_alias) else (ch, fresh_alias "s"))
           r.Xnf_ast.children
       in
-      (* rename: parent name and role -> parent alias; each child -> its alias *)
       let map =
-        (String.lowercase_ascii r.Xnf_ast.parent, parent_alias)
-        :: (String.lowercase_ascii r.Xnf_ast.role, parent_alias)
-        :: List.map
-             (fun (ch, a) -> (String.lowercase_ascii ch, a))
-             sibling_aliases
+        partner_map r ~parent_alias
+          (List.map (fun (ch, a) -> (String.lowercase_ascii ch, a)) sibling_aliases)
       in
       let from =
         Ast.Derived { query = parent_def.Xnf_ast.texpr; alias = parent_alias }
@@ -142,9 +151,8 @@ let rel_query (ast : Xnf_ast.query) (r : Xnf_ast.relate_def) : Ast.query =
   in
   let child_aliases = List.map (fun ch -> (ch, fresh_alias "c")) r.Xnf_ast.children in
   let map =
-    (String.lowercase_ascii r.Xnf_ast.parent, parent_alias)
-    :: (String.lowercase_ascii r.Xnf_ast.role, parent_alias)
-    :: List.map (fun (ch, a) -> (String.lowercase_ascii ch, a)) child_aliases
+    partner_map r ~parent_alias
+      (List.map (fun (ch, a) -> (String.lowercase_ascii ch, a)) child_aliases)
   in
   let from =
     Ast.Derived { query = parent_derived; alias = parent_alias }

@@ -237,8 +237,8 @@ exception Cached_stream of Hetstream.t
 (** {!Executor.Result_cache} payload constructor for assembled CO-view
     streams. *)
 
-(** Result-cache key for a whole extraction, or [None] when the result
-    is not cacheable (recursive COs build plans per fixpoint iteration).
+(** Result-cache key for a whole extraction, or [None] for recursive COs
+    (whose streams {!Xnf_recursive} keys and stores itself).
     The key covers everything [assemble] depends on — per-plan
     structural fingerprints, header/connection layout — plus the version
     fragment of every table read, computed {e at lookup time}: any DML
@@ -250,23 +250,7 @@ let stream_key ~(versions : bool) (c : compiled) : string option =
     let buf = Buffer.create 256 in
     let add = Buffer.add_string buf in
     add "xnfres|";
-    Array.iter
-      (fun (ci : Hetstream.comp_info) ->
-        add ci.Hetstream.comp_name;
-        add
-          (match ci.Hetstream.comp_kind with
-          | `Node -> ":n"
-          | `Rel m ->
-            Printf.sprintf ":r(%s<-%s->%s)" m.Hetstream.rm_parent
-              m.Hetstream.rm_role
-              (String.concat "," m.Hetstream.rm_children));
-        if ci.Hetstream.in_take then add "!";
-        (match ci.Hetstream.take_cols with
-        | Some cols -> add ("[" ^ String.concat "," cols ^ "]")
-        | None -> ());
-        add ";")
-      c.header.Hetstream.components;
-    add (String.concat "," c.header.Hetstream.root_components);
+    add (Hetstream.header_key c.header);
     List.iter
       (fun (ro : Xnf_rewrite.rel_output) ->
         let span (o, w) = Printf.sprintf "%d+%d" o w in
@@ -337,7 +321,10 @@ let use_result_cache = function
     a warm repeat returns the previously assembled stream without
     touching the executor. *)
 let extract ?ctx ?cache (c : compiled) : Hetstream.t =
-  if c.recursive then Xnf_recursive.extract c.db c.op
+  if c.recursive then
+    Xnf_recursive.extract
+      ?snapshot:(Option.bind ctx (fun ctx -> ctx.Executor.Exec.snapshot))
+      ~cache:(use_result_cache cache) c.db c.op
   else begin
     (* a snapshot (MVCC-lite) context must bypass the stream cache and
        IVM maintenance: both are keyed to — and advance — live table
@@ -385,7 +372,8 @@ let extract_parallel ?domains ?morsel_rows ?threshold ?cache ?snapshot
   in
   (* snapshot readers bypass both cache levels (see {!extract}) *)
   let use = use_result_cache cache && snapshot = None in
-  if c.recursive then Xnf_recursive.extract c.db c.op
+  if c.recursive then
+    Xnf_recursive.extract ?snapshot ~cache:(use_result_cache cache) c.db c.op
   else if domains <= 1 then
     with_stream_cache ~use c (fun () ->
         extract_nonrecursive

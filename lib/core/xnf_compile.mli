@@ -45,11 +45,12 @@ val stream_cache_key : compiled -> string option
 (** Result-cache key for a whole extraction: plan fingerprints, header
     and connection layout, and the version of every table read (looked
     up fresh on each call, so DML invalidates by key drift).  [None]
-    when uncacheable (recursive COs). *)
+    for recursive COs, whose streams {!Xnf_recursive} keys itself. *)
 
 val extract : ?ctx:Executor.Exec.ctx -> ?cache:bool -> compiled -> Hetstream.t
 (** Sequential extraction; dispatches to the fixpoint evaluator for
-    recursive COs.  [cache] (default: the [XNFDB_RESULT_CACHE_MB] knob)
+    recursive COs (which honours a snapshot [ctx] and [cache] the same
+    way).  [cache] (default: the [XNFDB_RESULT_CACHE_MB] knob)
     consults the cross-query result cache — a warm repeat returns the
     previously assembled stream without touching the executor.  Passing
     a snapshot-bearing [ctx] (see {!Executor.Exec.make_ctx}) forces the

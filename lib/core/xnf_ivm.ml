@@ -40,6 +40,10 @@ type stats = {
   mutable reassembled : int; (* ... of which re-assembled from components *)
   mutable fallbacks : int; (* windows that fell back to recompute *)
   mutable mismatches : int; (* verification failures at refill *)
+  (* recursive COs ({!Xnf_recursive}), which have no maintainer tree *)
+  mutable rec_hits : int; (* served by a result-cache hit *)
+  mutable rec_patches : int; (* served by patching the last stream *)
+  mutable rec_recomputes : int; (* fixpoint evaluations *)
 }
 
 let stats = {
@@ -49,6 +53,9 @@ let stats = {
   reassembled = 0;
   fallbacks = 0;
   mismatches = 0;
+  rec_hits = 0;
+  rec_patches = 0;
+  rec_recomputes = 0;
 }
 
 let reset_stats () =
@@ -57,7 +64,10 @@ let reset_stats () =
   stats.patched <- 0;
   stats.reassembled <- 0;
   stats.fallbacks <- 0;
-  stats.mismatches <- 0
+  stats.mismatches <- 0;
+  stats.rec_hits <- 0;
+  stats.rec_patches <- 0;
+  stats.rec_recomputes <- 0
 
 (* -- registry ----------------------------------------------------------- *)
 

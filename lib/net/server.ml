@@ -355,7 +355,10 @@ let create ?config (db : Db.t) : t =
 (** Wake the event loop out of [select] (worker → loop, signal-safe). *)
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF), _, _) -> ()
+  | Unix.Unix_error
+      ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF | Unix.EPIPE), _, _) ->
+    (* EPIPE: the loop already closed the read end on its way out *)
+    ()
 
 let stop t =
   Atomic.set t.stop_flag true;

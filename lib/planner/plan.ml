@@ -205,8 +205,11 @@ let explain (plan : t) : string =
     collide across databases); predicate subplans ([P_exists]/[P_in])
     are fingerprinted recursively; [Shared] nodes are fingerprinted by
     structure only — QGM box ids differ across compilations of the same
-    query, so including them would defeat cross-query matching. *)
-let fingerprint (plan : t) : string =
+    query, so including them would defeat cross-query matching.  [label]
+    overrides a table's label (default: its tid), for tables that are
+    created afresh per compilation. *)
+let fingerprint ?(label = fun t -> string_of_int (Base_table.tid t))
+    (plan : t) : string =
   let buf = Buffer.create 128 in
   let add = Buffer.add_string buf in
   let addf fmt = Printf.ksprintf add fmt in
@@ -245,7 +248,7 @@ let fingerprint (plan : t) : string =
       plan_fp sub;
       add ")"
   and plan_fp = function
-    | Scan t -> addf "scan#%d" (Base_table.tid t)
+    | Scan t -> addf "scan#%s" (label t)
     | Values rows ->
       add "values[";
       List.iter (fun r -> addf "%s;" (Tuple.to_string r)) rows;
@@ -286,7 +289,7 @@ let fingerprint (plan : t) : string =
       plan_fp build;
       add ")"
     | Index_join { outer; table; index; keys; residual } ->
-      addf "ij#%d/%s[" (Base_table.tid table) index.Index.name;
+      addf "ij#%s/%s[" (label table) index.Index.name;
       scalars keys;
       add "](";
       pred residual;

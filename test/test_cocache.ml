@@ -332,9 +332,43 @@ let test_non_updatable_rejected () =
        false
      with Relcore.Errors.Db_error (Relcore.Errors.Semantic_error, _) -> true)
 
+(* An edit a workspace has not flushed yet must not reach the result
+   cache: node values are the cached stream's rows, so [Workspace.update]
+   copies on write.  Checked on the OO1 graph (a maintained stream) and
+   the BOM (a recursive one, whose rows also key its tuple-id maps). *)
+let test_unflushed_edit_leaves_cache () =
+  let module RC = Executor.Result_cache in
+  let module XC = Xnf.Xnf_compile in
+  RC.set_budget_mb (Some 64);
+  RC.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      RC.clear ();
+      RC.set_budget_mb None)
+  @@ fun () ->
+  let probe db text comp col v =
+    let c = XC.compile db text in
+    let ws = Ws.of_stream (XC.extract c) in
+    let n = List.hd (Ws.nodes ws comp) in
+    Ws.update ws n [ (col, v) ];
+    Alcotest.(check value_testable) (text ^ ": the edit is in the workspace") v
+      (Ws.get ws n col);
+    Alcotest.(check bool) (text ^ ": cached = fresh after an unflushed edit")
+      true
+      (H.equal (XC.extract c) (XC.extract ~cache:false c))
+  in
+  probe
+    (Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 })
+    Workloads.Oo1.parts_graph_query "xpart" "x" (vi 424242);
+  probe
+    (Workloads.Bom.generate Workloads.Bom.default)
+    Workloads.Bom.assembly_query "xpart" "pname" (vs "edited")
+
 let suite =
   [
     Alcotest.test_case "workspace build" `Quick test_build;
+    Alcotest.test_case "unflushed edit leaves the cache" `Quick
+      test_unflushed_edit_leaves_cache;
     Alcotest.test_case "hub keeps arrival order" `Quick test_hub_arrival_order;
     Alcotest.test_case "independent cursor" `Quick test_independent_cursor;
     Alcotest.test_case "dependent cursor" `Quick test_dependent_cursor;

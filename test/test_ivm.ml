@@ -345,9 +345,12 @@ let test_soak_shop () =
     (Workloads.Shop.region_query "EMEA")
     [ "customer"; "orders"; "lineitem" ]
 
-(* BOM is recursive: no stream-cache key, so maintenance never engages,
-   but the fixpoint's memoized plan skeleton (shared temp delta tables)
-   must still reproduce cold results exactly across arbitrary DML. *)
+(* BOM is recursive: no [Xnf_compile] stream-cache key and no
+   maintainer tree.  Its stream is cached by [Xnf_recursive] instead,
+   and this soak's DML (inserts, deletes, [level] updates) always
+   recomputes the fixpoint over the memoized skeleton's shared delta
+   tables, which must reproduce cold results exactly.  The patch path
+   has its own cases below. *)
 let test_soak_bom_recursive () =
   let db =
     Workloads.Bom.generate
@@ -376,6 +379,162 @@ let test_soak_recompute () =
   Alcotest.(check bool) "reads fell back to recompute" true
     (Ivm.stats.Ivm.fallbacks > 0)
 
+(* ---- recursive COs ---------------------------------------------------- *)
+
+(* A recursive CO's stream is cached under the versions of the base
+   tables its fixpoint reads, and patched when the only change since the
+   last stream is a value-only update of columns it does not read
+   structurally. *)
+
+let rec_stats () =
+  Ivm.stats.Ivm.rec_hits, Ivm.stats.Ivm.rec_patches, Ivm.stats.Ivm.rec_recomputes
+
+let with_rec_cache ?(mb = 64) f =
+  (* the patch premise needs a delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
+  RC.set_budget_mb (Some mb);
+  RC.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      RC.clear ();
+      RC.set_budget_mb None)
+    f
+
+(* Warm the cache, run [dml], extract through the cache once more and
+   check that stream against a fresh fixpoint; answers the stream and
+   the (hits, patches, recomputes) of that one extraction. *)
+let rec_after db c dml =
+  ignore (XC.extract c);
+  List.iter (fun sql -> ignore (Db.exec db sql)) dml;
+  Ivm.reset_stats ();
+  let s = XC.extract c in
+  let counted = rec_stats () in
+  Alcotest.(check bool)
+    (String.concat "; " dml ^ ": cached stream = fresh fixpoint")
+    true
+    (H.equal s (XC.extract ~cache:false c));
+  (s, counted)
+
+let has_affix affix s = contains ~affix (H.serialize s)
+
+let test_recursive_value_update_patched () =
+  with_rec_cache @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  let before = XC.extract c in
+  let bytes = H.serialize before in
+  let s, counted =
+    rec_after db c
+      [
+        "BEGIN";
+        "UPDATE part SET pname = 'renamed-a' WHERE pid = 2";
+        "UPDATE part SET pname = 'renamed-b' WHERE pid = 9";
+        "UPDATE part SET pname = 'renamed-c' WHERE pid = 9";
+        "COMMIT";
+      ]
+  in
+  Alcotest.(check (triple int int int)) "pname-only commit: one patch" (0, 1, 0)
+    counted;
+  Alcotest.(check bool) "patched stream shows the new names" true
+    (has_affix "renamed-a" s && has_affix "renamed-c" s
+   && not (has_affix "renamed-b" s));
+  Alcotest.(check bool) "the earlier stream is unchanged" true
+    (String.equal bytes (H.serialize before));
+  ignore (XC.extract c);
+  Alcotest.(check int) "a repeat is a cache hit" 1 Ivm.stats.Ivm.rec_hits;
+  (* [qty] is read by no predicate, join or attribute: nothing moves *)
+  let s', counted =
+    rec_after db c [ "UPDATE contains SET qty = qty + 5 WHERE parent = 1" ]
+  in
+  Alcotest.(check (triple int int int)) "unread column: one patch" (0, 1, 0)
+    counted;
+  Alcotest.(check bool) "unread column: the same stream" true (s' == s)
+
+let test_recursive_structural_change_recomputes () =
+  with_rec_cache @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  List.iter
+    (fun dml ->
+      let _, counted = rec_after db c [ dml ] in
+      Alcotest.(check (triple int int int)) (dml ^ ": recomputed") (0, 0, 1)
+        counted)
+    [
+      "UPDATE part SET level = 3 WHERE pid = 7";
+      "INSERT INTO contains VALUES (1, 7, 2)";
+      "DELETE FROM contains WHERE parent = 1 AND child = 7";
+      "INSERT INTO part VALUES (9999, 'loose', 1)";
+      "DELETE FROM part WHERE pid = 9999";
+    ];
+  (* a rolled-back transaction whose state was cached leaves a hole *)
+  ignore (Db.exec db "BEGIN");
+  ignore (Db.exec db "UPDATE part SET pname = 'ghost' WHERE pid = 2");
+  Alcotest.(check bool) "in-txn read sees the uncommitted name" true
+    (has_affix "ghost" (XC.extract c));
+  ignore (Db.exec db "ROLLBACK");
+  Ivm.reset_stats ();
+  let s = XC.extract c in
+  Alcotest.(check (triple int int int)) "after ROLLBACK: recomputed" (0, 0, 1)
+    (rec_stats ());
+  Alcotest.(check bool) "after ROLLBACK: no ghost" false (has_affix "ghost" s)
+
+let test_recursive_no_log_recomputes () =
+  with_rec_cache @@ fun () ->
+  with_env "XNFDB_DELTA_LOG" "0" @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  let _, counted =
+    rec_after db c [ "UPDATE part SET pname = 'renamed' WHERE pid = 2" ]
+  in
+  Alcotest.(check (triple int int int)) "delta log off: recomputed" (0, 0, 1)
+    counted
+
+let test_recursive_cache_off_recomputes () =
+  with_rec_cache ~mb:0 @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  let _, counted =
+    rec_after db c [ "UPDATE part SET pname = 'renamed' WHERE pid = 2" ]
+  in
+  Alcotest.(check (triple int int int)) "0 MB cache: recomputed" (0, 0, 1)
+    counted;
+  Ivm.reset_stats ();
+  ignore (XC.extract c);
+  Alcotest.(check (triple int int int)) "0 MB cache: a repeat recomputes too"
+    (0, 0, 1) (rec_stats ())
+
+(* Under a snapshot the fixpoint reads base tables at the pin (its delta
+   tables stay live) and never reads or fills the cache. *)
+let test_recursive_snapshot () =
+  with_rec_cache @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  let committed = XC.extract c in
+  (* the generator loads rows without a commit: publish them *)
+  Relcore.Snapshot.publish_catalog (Db.catalog db);
+  let pin = Relcore.Snapshot.pin (Db.catalog db) in
+  Fun.protect ~finally:(fun () ->
+      Relcore.Snapshot.release pin;
+      ignore (Db.exec db "ROLLBACK"))
+  @@ fun () ->
+  ignore (Db.exec db "BEGIN");
+  ignore (Db.exec db "UPDATE part SET pname = 'dirty' WHERE level = 0");
+  Alcotest.(check bool) "the live read sees the open transaction" true
+    (has_affix "dirty" (XC.extract ~cache:false c));
+  let entries = (RC.stats ()).RC.entries in
+  Ivm.reset_stats ();
+  let ctx =
+    Executor.Exec.make_ctx ~result_cache:false
+      ~snapshot:(Relcore.Snapshot.rows pin) ()
+  in
+  let s = XC.extract ~ctx c in
+  Alcotest.(check bool) "snapshot read = the pinned committed stream" true
+    (H.equal committed s);
+  Alcotest.(check (triple int int int)) "snapshot read: fixpoint, no cache"
+    (0, 0, 1) (rec_stats ());
+  Alcotest.(check int) "snapshot read stored nothing" entries
+    (RC.stats ()).RC.entries
+
 let suite =
   [
     Alcotest.test_case "delta log records row ops" `Quick
@@ -401,4 +560,14 @@ let suite =
       test_soak_recompute;
     Alcotest.test_case "published streams are immutable" `Quick
       test_published_stream_immutable;
+    Alcotest.test_case "recursive: value-only commit patched" `Quick
+      test_recursive_value_update_patched;
+    Alcotest.test_case "recursive: structural change recomputes" `Quick
+      test_recursive_structural_change_recomputes;
+    Alcotest.test_case "recursive: delta log off recomputes" `Quick
+      test_recursive_no_log_recomputes;
+    Alcotest.test_case "recursive: cache off recomputes" `Quick
+      test_recursive_cache_off_recomputes;
+    Alcotest.test_case "recursive: snapshot reads the pin" `Quick
+      test_recursive_snapshot;
   ]

@@ -727,6 +727,37 @@ let test_analyze_over_wire () =
             (rows_of_ints [ [ 4 ] ])
             (Client.query_rows cl "SELECT COUNT(*) FROM emp")))
 
+(* A recursive CO read while another session holds an open transaction
+   takes the lock-free snapshot path, and the fixpoint must read the
+   pinned committed state, not the other session's uncommitted rows. *)
+let test_recursive_snapshot_read () =
+  (* the pin is rebuilt from the delta log: pin its capacity *)
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
+  let bom () = Workloads.Bom.generate Workloads.Bom.default in
+  let setup db =
+    List.iter
+      (fun tbl -> Relcore.Catalog.add_table (Db.catalog db) tbl)
+      (Relcore.Catalog.tables (Db.catalog (bom ())))
+  in
+  with_server ~setup (fun addr _db t ->
+      let reference = Xnf.Xnf_compile.run (bom ()) Workloads.Bom.assembly_query in
+      let writer = Client.connect addr and reader = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close writer;
+          Client.close reader)
+        (fun () ->
+          ignore (Client.exec writer "BEGIN");
+          ignore
+            (Client.exec writer "UPDATE part SET pname = 'dirty' WHERE level = 0");
+          let snaps = (Server.counters t).Server.snap_reads in
+          let s = Client.extract reader Workloads.Bom.assembly_query in
+          Alcotest.(check bool) "served off a snapshot" true
+            ((Server.counters t).Server.snap_reads > snaps);
+          Alcotest.(check bool) "the snapshot read is the committed stream" true
+            (H.equal reference s);
+          ignore (Client.exec writer "ROLLBACK")))
+
 let suite =
   [
     Alcotest.test_case "codec: empty frames" `Quick test_empty_batch;
@@ -762,4 +793,6 @@ let suite =
       test_analyze_over_wire;
     Alcotest.test_case "daemon: frame memo vs racing commits" `Quick
       test_memo_race;
+    Alcotest.test_case "daemon: recursive CO off a snapshot" `Quick
+      test_recursive_snapshot_read;
   ]

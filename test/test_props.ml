@@ -273,6 +273,74 @@ let prop_recursive_agrees_with_navigational =
       let nav = (Xnf.Navigational.extract ~mode:`Prepared db ast).Xnf.Navigational.counts in
       List.sort compare fixpoint = List.sort compare nav)
 
+(** A recursive CO served from the result cache, or patched after a
+    value-only commit, is byte-identical to a fresh fixpoint and agrees
+    with the navigational walk, after random histories of [pname] and
+    [level] updates and [contains] inserts and deletes, some rolled
+    back, some read inside the open transaction. *)
+let prop_recursive_cache_agrees =
+  QCheck.Test.make ~name:"cached recursive CO = fresh fixpoint = walk" ~count:15
+    (QCheck.make
+       ~print:(fun ((p : Workloads.Bom.params), h) ->
+         Printf.sprintf "asm=%d levels=%d k=%d seed=%d history=%d"
+           p.Workloads.Bom.n_assemblies p.Workloads.Bom.levels
+           p.Workloads.Bom.children_per_part p.Workloads.Bom.seed h)
+       QCheck.Gen.(pair bom_params_gen (int_range 0 10_000)))
+    (fun (params, history) ->
+      let module RC = Executor.Result_cache in
+      let module XC = Xnf.Xnf_compile in
+      (* the patch path needs a delta log: pin its capacity *)
+      Helpers.with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
+      RC.set_budget_mb (Some 64);
+      Fun.protect ~finally:(fun () -> RC.set_budget_mb None) @@ fun () ->
+      let db = Workloads.Bom.generate params in
+      let ast = Xnf.Xnf_parser.parse Workloads.Bom.assembly_query in
+      let c = XC.compile db Workloads.Bom.assembly_query in
+      let rng = Random.State.make [| history |] in
+      let pids () =
+        Array.of_list
+          (List.map
+             (fun (r : Tuple.t) -> Value.as_int r.(0))
+             (snd (Engine.Database.query db "SELECT pid FROM part")))
+      in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let random_dml () =
+        let p = pids () in
+        match Random.State.int rng 8 with
+        | 0 | 1 | 2 | 3 ->
+          Printf.sprintf "UPDATE part SET pname = 'n%d' WHERE pid = %d"
+            (Random.State.int rng 1000) (pick p)
+        | 4 ->
+          Printf.sprintf "UPDATE part SET level = %d WHERE pid = %d"
+            (Random.State.int rng 3) (pick p)
+        | 5 | 6 ->
+          Printf.sprintf "INSERT INTO contains VALUES (%d, %d, 1)" (pick p)
+            (pick p)
+        | _ ->
+          Printf.sprintf "DELETE FROM contains WHERE parent = %d" (pick p)
+      in
+      let agrees () =
+        let warm = XC.extract c in
+        Xnf.Hetstream.equal warm (XC.extract ~cache:false c)
+        && List.sort compare (Xnf.Hetstream.counts warm)
+           = List.sort compare
+               (Xnf.Navigational.extract ~mode:`Prepared db ast)
+                 .Xnf.Navigational.counts
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 8 do
+        let txn = Random.State.int rng 3 in
+        if txn > 0 then ignore (Engine.Database.exec db "BEGIN");
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          ignore (Engine.Database.exec db (random_dml ()))
+        done;
+        if txn > 0 && Random.State.bool rng then ok := !ok && agrees ();
+        if txn = 1 then ignore (Engine.Database.exec db "ROLLBACK")
+        else if txn = 2 then ignore (Engine.Database.exec db "COMMIT");
+        ok := !ok && agrees ()
+      done;
+      !ok)
+
 (** Cache persistence roundtrips: save/load preserves structure. *)
 let prop_persist_roundtrip =
   QCheck.Test.make ~name:"cache persist/load roundtrip" ~count:10 org_params_arb
@@ -304,6 +372,7 @@ let suite =
       prop_stream_roundtrip;
       prop_connections_resolve;
       prop_recursive_agrees_with_navigational;
+      prop_recursive_cache_agrees;
       prop_persist_roundtrip;
     ]
 

@@ -583,6 +583,25 @@ let test_extraction_formulas_at_scale () =
   Alcotest.(check bool) "xskills bounded" true
     (List.assoc "xskills" counts <= p.Workloads.Org.n_skills)
 
+(* The SQL derivation treats every root as reachable by definition,
+   explicit ROOTs with a self-relationship included, and agrees with
+   the XNF counts on the OO1 parts graph. *)
+let test_sql_derivation_explicit_root () =
+  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
+  let ast = Xnf.Xnf_parser.parse Workloads.Oo1.parts_graph_query in
+  let sql =
+    List.map
+      (fun (name, rows) -> (name, List.length rows))
+      (Xnf.Sql_derivation.extract db ast)
+  in
+  let xnf =
+    Xnf.Hetstream.counts
+      (Xnf.Xnf_compile.run ~cache:false db Workloads.Oo1.parts_graph_query)
+  in
+  Alcotest.(check (list (pair string int)))
+    "SQL derivation counts = XNF counts" (List.sort compare xnf)
+    (List.sort compare sql)
+
 let test_explain_recursive () =
   let db = Workloads.Bom.generate { Workloads.Bom.default with levels = 2 } in
   let text = Xnf.Xnf_compile.explain db Workloads.Bom.assembly_query in
@@ -602,6 +621,8 @@ let suite =
       Alcotest.test_case "extraction formulas at scale" `Quick
         test_extraction_formulas_at_scale;
       Alcotest.test_case "explain recursive" `Quick test_explain_recursive;
+      Alcotest.test_case "SQL derivation: explicit self-related root" `Quick
+        test_sql_derivation_explicit_root;
     ]
 
 (* -- the paper's counts (bench/paper.exe times the same comparisons) -- *)
