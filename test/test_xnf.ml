@@ -621,8 +621,6 @@ let suite =
       Alcotest.test_case "extraction formulas at scale" `Quick
         test_extraction_formulas_at_scale;
       Alcotest.test_case "explain recursive" `Quick test_explain_recursive;
-      Alcotest.test_case "SQL derivation: explicit self-related root" `Quick
-        test_sql_derivation_explicit_root;
     ]
 
 (* -- the paper's counts (bench/paper.exe times the same comparisons) -- *)
@@ -1040,4 +1038,12 @@ let suite =
       Alcotest.test_case "tid_map: remove inside a probe chain" `Quick
         test_tid_map_remove_in_chain;
       Alcotest.test_case "tid_map: connection keys" `Quick test_tid_map_conns;
+    ]
+
+(* appended last so that no earlier case changes its index *)
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "SQL derivation: explicit self-related root" `Quick
+        test_sql_derivation_explicit_root;
     ]
