@@ -72,6 +72,7 @@ let create n =
   }
 
 let length t = t.size
+let bytes t = 3 * Sys.word_size / 8 * Array.length t.ids
 
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) [||];

@@ -31,6 +31,9 @@ val create : int -> t
 val length : t -> int
 val clear : t -> unit
 
+val bytes : t -> int
+(** Heap footprint of the table's own arrays (not of its keys). *)
+
 val find : t -> Tuple.t -> int
 (** The id stored for this row, or {!absent}. *)
 
@@ -48,8 +51,7 @@ val remove : t -> Tuple.t -> unit
 
 (** Connection keys: [parent; children...] id tuples, counted.  Keys
     live unboxed in one flat [int array] (stride [1 + children]);
-    connection dedupe needs "first time seen?" and IVM needs the
-    multiplicity. *)
+    connection dedupe asks "first time seen?" of {!add}. *)
 module Conns : sig
   type t
 

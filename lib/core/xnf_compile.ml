@@ -150,8 +150,10 @@ let compile ?share ?nf_rewrite ?(cache = true) (db : Db.t) (text : string) :
     outputs only when in TAKE); its batches are consumed in place,
     without flattening to row lists.  Partner spans are probed in place
     ({!Tid_map.find_span}) and connections deduped on unboxed id tuples,
-    so a relationship row allocates only when it yields a new item. *)
-let assemble (c : compiled) (batches_of : string -> Batch.t list) : Hetstream.t =
+    so a relationship row allocates only when it yields a new item.
+    Answers the stream and each node's full-row -> tuple-id map. *)
+let assemble_tids (c : compiled) (batches_of : string -> Batch.t list) :
+    Hetstream.t * (string * Tid_map.t) list =
   let id_counter = ref 0 in
   let fresh () =
     incr id_counter;
@@ -224,92 +226,53 @@ let assemble (c : compiled) (batches_of : string -> Batch.t list) : Hetstream.t 
           batches
       end)
     c.rewritten.Xnf_rewrite.rel_outputs;
-  { Hetstream.header = c.header; items = List.rev !items }
+  ( { Hetstream.header = c.header; items = List.rev !items },
+    List.map
+      (fun (n : Xnf_rewrite.node_output) ->
+        (n.Xnf_rewrite.no_name, Hashtbl.find id_maps n.Xnf_rewrite.no_name))
+      c.rewritten.Xnf_rewrite.node_outputs )
+
+let assemble c batches_of = fst (assemble_tids c batches_of)
 
 (** Sequential extraction: execute all output plans under one execution
     context (shared derivations materialize once). *)
-let extract_nonrecursive ?(ctx = Executor.Exec.make_ctx ()) (c : compiled) :
-    Hetstream.t =
-  assemble c (fun name ->
+let extract_nonrecursive ~ctx (c : compiled) =
+  assemble_tids c (fun name ->
       Executor.Exec.run_batches ~ctx (List.assoc name c.plans))
 
-exception Cached_stream of Hetstream.t
-(** {!Executor.Result_cache} payload constructor for assembled CO-view
-    streams. *)
+(* The base tables a non-recursive CO's plans read, each once. *)
+let tables (c : compiled) : Base_table.t list =
+  List.fold_left
+    (fun acc (_, (p : Plan.compiled)) ->
+      List.fold_left
+        (fun acc t -> if List.memq t acc then acc else t :: acc)
+        acc (Plan.tables p.Plan.plan))
+    [] c.plans
+  |> List.rev
 
-(** Result-cache key for a whole extraction, or [None] for recursive COs
-    (whose streams {!Xnf_recursive} keys and stores itself).
-    The key covers everything [assemble] depends on — per-plan
-    structural fingerprints, header/connection layout — plus the version
-    fragment of every table read, computed {e at lookup time}: any DML
-    (or txn commit/rollback) against those tables moves a version and
-    the stale entry is simply never found again. *)
-let stream_key ~(versions : bool) (c : compiled) : string option =
-  if c.recursive || c.plans = [] then None
-  else begin
-    let buf = Buffer.create 256 in
-    let add = Buffer.add_string buf in
-    add "xnfres|";
-    add (Hetstream.header_key c.header);
-    List.iter
-      (fun (ro : Xnf_rewrite.rel_output) ->
-        let span (o, w) = Printf.sprintf "%d+%d" o w in
-        add
-          (Printf.sprintf "|%s@%s/%s/%s" ro.Xnf_rewrite.ro_name
-             (span ro.Xnf_rewrite.ro_parent_span)
-             (String.concat ","
-                (List.map
-                   (fun (ch, s) -> ch ^ "@" ^ span s)
-                   ro.Xnf_rewrite.ro_child_spans))
-             (span ro.Xnf_rewrite.ro_attr_span)))
-      c.rewritten.Xnf_rewrite.rel_outputs;
-    List.iter
-      (fun (name, (p : Plan.compiled)) ->
-        add
-          (if versions then
-             Printf.sprintf "|%s=%s#%s" name
-               (Plan.fingerprint p.Plan.plan)
-               (Plan.version_key p.Plan.plan)
-           else Printf.sprintf "|%s=%s" name (Plan.fingerprint p.Plan.plan)))
-      c.plans;
-    Some (Buffer.contents buf)
-  end
+exception Cached_stream of Hetstream.t
+(** A bare-stream {!Executor.Result_cache} payload, for callers that
+    cache extractions themselves under {!stream_cache_key}. *)
 
 let stream_cache_key (c : compiled) : string option =
-  stream_key ~versions:true c
+  if c.recursive then None
+  else
+    Some
+      (Xnf_ivm.key c.op c.header c.plans
+      ^ "|"
+      ^ String.concat ","
+          (List.map
+             (fun t ->
+               Printf.sprintf "t%d:v%d" (Base_table.tid t) (Base_table.version t))
+             (tables c)))
 
-(** The version-free part of {!stream_cache_key} — the identity under
-    which {!Xnf_ivm} registers maintainer state that survives DML. *)
-let structural_key (c : compiled) : string option =
-  stream_key ~versions:false c
-
-(** Run [body] through the stream cache when [use] allows it.  On a
-    version-key miss {!Xnf_ivm} first tries to maintain (or instrument)
-    the cached extraction instead of running [body]. *)
-let with_stream_cache ~use (c : compiled) (body : unit -> Hetstream.t) :
-    Hetstream.t =
-  match (if use then stream_cache_key c else None) with
-  | None -> body ()
-  | Some key -> (
-    match Executor.Result_cache.find key with
-    | Some (Cached_stream s) -> s
-    | Some _ | None ->
-      let store ?bytes s =
-        let bytes =
-          match bytes with
-          | Some b -> b
-          | None -> Hetstream.approx_bytes s
-        in
-        Executor.Result_cache.store key ~bytes (Cached_stream s)
-      in
-      (match structural_key c with
-      | Some skey ->
-        Xnf_ivm.extract ~skey ~header:c.header ~rewritten:c.rewritten
-          ~plans:c.plans ~store body
-      | None ->
-        let s = body () in
-        store s;
-        s))
+(** Run [compute] through {!Xnf_ivm} when [use] allows it. *)
+let with_stream_cache ~use (c : compiled) compute : Hetstream.t =
+  if not use then fst (Xnf_ivm.recompute compute)
+  else
+    Xnf_ivm.extract ~key:(Xnf_ivm.key c.op c.header c.plans) ~tables:(tables c)
+      ~reads:(fun () -> Xnf_ivm.analyse_reads c.op)
+      compute
 
 let use_result_cache = function
   | Some b -> b
@@ -326,9 +289,9 @@ let extract ?ctx ?cache (c : compiled) : Hetstream.t =
       ?snapshot:(Option.bind ctx (fun ctx -> ctx.Executor.Exec.snapshot))
       ~cache:(use_result_cache cache) c.db c.op
   else begin
-    (* a snapshot (MVCC-lite) context must bypass the stream cache and
-       IVM maintenance: both are keyed to — and advance — live table
-       versions, not the reader's pinned epoch *)
+    (* a snapshot (MVCC-lite) context must bypass the stream cache: its
+       entries are versioned by — and patched to — live table versions,
+       not the reader's pinned epoch *)
     let use =
       use_result_cache cache
       && (match ctx with
@@ -434,7 +397,7 @@ let extract_parallel ?domains ?morsel_rows ?threshold ?cache ?snapshot
         Array.to_list (Array.mapi (fun i bs -> (fst arr.(i), bs)) out)
     in
     let results = par_results @ seq_results in
-    assemble c (fun name -> List.assoc name results)
+    assemble_tids c (fun name -> List.assoc name results)
 
 (** One-call convenience: compile and extract.  [cache] governs both
     levels: the compiled-query cache and the result cache. *)
@@ -543,7 +506,7 @@ let explain_analyze (db : Db.t) (text : string) : string =
     let acc = Executor.Opstats.create c.plans in
     let ctx = Executor.Exec.make_ctx ~result_cache:false () in
     ctx.Executor.Exec.analyze <- Some acc;
-    let stream = extract_nonrecursive ~ctx c in
+    let stream, _ = extract_nonrecursive ~ctx c in
     acc.Executor.Opstats.total_wall <- Executor.Opstats.now () -. t0;
     let buf = Buffer.create 512 in
     Buffer.add_string buf "== plans (analyzed) ==\n";

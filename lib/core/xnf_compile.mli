@@ -38,24 +38,25 @@ val assemble : compiled -> (string -> Batch.t list) -> Hetstream.t
     connection resolution. *)
 
 exception Cached_stream of Hetstream.t
-(** {!Executor.Result_cache} payload constructor for assembled CO-view
-    streams. *)
+(** A bare-stream {!Executor.Result_cache} payload, for callers that
+    cache extractions themselves under {!stream_cache_key}; the
+    library's own entries are {!Xnf_ivm}'s. *)
 
 val stream_cache_key : compiled -> string option
-(** Result-cache key for a whole extraction: plan fingerprints, header
-    and connection layout, and the version of every table read (looked
-    up fresh on each call, so DML invalidates by key drift).  [None]
-    for recursive COs, whose streams {!Xnf_recursive} keys itself. *)
+(** A versioned key for a whole extraction: the CO's {!Xnf_ivm.key}
+    plus the current version of every table its plans read (looked up
+    fresh on each call, so DML moves it).  [None] for recursive COs. *)
 
 val extract : ?ctx:Executor.Exec.ctx -> ?cache:bool -> compiled -> Hetstream.t
 (** Sequential extraction; dispatches to the fixpoint evaluator for
     recursive COs (which honours a snapshot [ctx] and [cache] the same
     way).  [cache] (default: the [XNFDB_RESULT_CACHE_MB] knob)
     consults the cross-query result cache — a warm repeat returns the
-    previously assembled stream without touching the executor.  Passing
+    previously assembled stream without touching the executor, and a
+    read after a value-only check-in patches it ({!Xnf_ivm}).  Passing
     a snapshot-bearing [ctx] (see {!Executor.Exec.make_ctx}) forces the
-    cache and IVM maintenance off: both are keyed to live versions, not
-    the reader's pinned epoch. *)
+    cache off: its entries follow live versions, not the reader's
+    pinned epoch. *)
 
 val extract_parallel :
   ?domains:int ->
@@ -83,9 +84,8 @@ val run :
   Hetstream.t
 (** Compile and extract in one call; [cache] governs both the
     compiled-query cache and the result cache.  [ctx] is handed to
-    {!extract} (a snapshot-bearing ctx turns the result cache and IVM
-    off; the compiled-query cache stays on — plans are
-    version-independent). *)
+    {!extract} (a snapshot-bearing ctx turns the result cache off; the
+    compiled-query cache stays on — plans are version-independent). *)
 
 val view_text : Db.t -> string -> string
 (** The stored text of an XNF view (errors on SQL views / unknown

@@ -8,12 +8,14 @@
     executor caches batches, the XNF layer caches [Hetstream.t]s)
     without circular dependencies.
 
-    Keys embed a per-table version fragment ([Plan.version_key]): every
-    DML bumps the touched table's monotonic counter, so a stale entry is
-    simply never looked up again and ages out by LRU.  Versions never
-    repeat, which is what makes rollback safe — entries filled from
-    in-transaction state are keyed to versions that no post-rollback
-    lookup can reproduce.
+    Batch-list keys embed a per-table version fragment
+    ([Plan.version_key]): every DML bumps the touched table's monotonic
+    counter, so a stale entry is simply never looked up again and ages
+    out by LRU.  Versions never repeat, which is what makes rollback
+    safe — entries filled from in-transaction state are keyed to
+    versions that no post-rollback lookup can reproduce.  CO streams
+    are keyed by structure instead and carry their versions in the
+    payload (see [Xnf_ivm]).
 
     Budget comes from [XNFDB_RESULT_CACHE_MB] (default 64; 0 disables
     caching entirely).  Eviction is least-recently-used by access
@@ -106,6 +108,14 @@ let store key ~bytes payload =
         Hashtbl.replace table key { payload; bytes; stamp = !clock };
         total_bytes := !total_bytes + bytes;
         evict_until_fits budget)
+
+let remove key =
+  with_lock (fun () ->
+      match Hashtbl.find_opt table key with
+      | Some e ->
+        Hashtbl.remove table key;
+        total_bytes := !total_bytes - e.bytes
+      | None -> ())
 
 let clear () =
   with_lock (fun () ->

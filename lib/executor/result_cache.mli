@@ -3,9 +3,10 @@
 
     Payloads are [exn] — the universal-type trick — so layers above the
     executor can cache their own types here without dependency cycles;
-    each caller matches only on its own constructor.  Keys must embed a
-    version fragment ({!Optimizer.Plan.version_key}) so DML invalidates
-    by key drift rather than explicit purging.
+    each caller matches only on its own constructor.  Keys of batch
+    lists embed a version fragment ({!Optimizer.Plan.version_key}) so
+    DML invalidates them by key drift; CO streams are keyed by structure
+    and carry their versions in the payload.
 
     Budget: [XNFDB_RESULT_CACHE_MB] megabytes (default 64; 0 disables). *)
 
@@ -29,6 +30,9 @@ val find : string -> exn option
 val store : string -> bytes:int -> exn -> unit
 (** Insert and evict least-recently-used entries over budget.  Entries
     larger than the whole budget are not stored. *)
+
+val remove : string -> unit
+(** Drop one entry, if present. *)
 
 val clear : unit -> unit
 (** Drop every entry (DDL, tests).  Stats survive; see {!reset_stats}. *)

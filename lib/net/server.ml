@@ -494,13 +494,15 @@ let catalog_clean t =
     acquisition (result cache, frame memo and IVM all stay valid); a
     busy lock — or another session's uncommitted rows — serves
     committed pre-images lock-free; a stale undo window or pending DDL
-    falls back to the blocking lock.  Either way the computed result is
+    falls back to the blocking lock, which serves only a clean catalog:
+    while another session's rows stay uncommitted the read retries (50
+    times, 1 ms apart), then fails with a typed error, never a dirty
+    read.  Either
+    way the computed result is
     returned unencoded: the caller encodes it after the lock or pin is
     released. *)
 let serve_read t sess ~locked ~snap =
-  if Txn.is_active (Db.txn sess.sdb) then
-    Rwlock.read t.lock locked
-  else
+  let rec go retries =
     match
       Rwlock.try_read t.lock (fun () ->
           if catalog_clean t then Some (locked ()) else None)
@@ -526,10 +528,24 @@ let serve_read t sess ~locked ~snap =
         sess.s_snap_reads <- sess.s_snap_reads + 1;
         Atomic.incr t.c_snap_reads;
         r
-      | None ->
+      | None -> (
         sess.s_snap_falls <- sess.s_snap_falls + 1;
         Atomic.incr t.c_snap_fallbacks;
-        Rwlock.read t.lock locked)
+        (* another session's open transaction may have written: wait a
+           little for it to end (or for pending DDL to let the snapshot
+           path in again) rather than serve its rows *)
+        match
+          Rwlock.read t.lock (fun () ->
+              if catalog_clean t then Some (locked ()) else None)
+        with
+        | Some r -> r
+        | None when retries > 0 ->
+          Unix.sleepf 0.001;
+          go (retries - 1)
+        | None -> Errors.execution_error "no committed snapshot; retry"))
+  in
+  if Txn.is_active (Db.txn sess.sdb) then Rwlock.read t.lock locked
+  else go 50
 
 (* -- request execution (pool workers) ------------------------------------ *)
 

@@ -284,7 +284,8 @@ let join_filter_pass_est resolve ~(probe : Qgm.bexpr) ~(build : Qgm.bexpr)
     Float.min overlap (build_ndv /. probe_ndv) |> Float.max 0.0 |> Float.min 1.0
   | _ -> default_selectivity
 
-(** Estimated output cardinality of a box (memoized per call tree). *)
+(** Estimated output cardinality of a box.  Not memoized: each call
+    walks the box's inputs again. *)
 let rec box_cardinality (b : Qgm.box) : float =
   match b.Qgm.kind with
   | Qgm.Base t -> float_of_int (max 1 (Relcore.Base_table.cardinality t))

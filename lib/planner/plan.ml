@@ -412,46 +412,3 @@ let rec count_nodes p =
   | Index_join { outer; _ } -> 1 + count_nodes outer
   | Aggregate { input; _ } -> 1 + count_nodes input
   | Union_all inputs -> List.fold_left (fun a i -> a + count_nodes i) 1 inputs
-
-(* -- maintainability (incremental view maintenance) --------------------- *)
-
-(** Whether [Executor.Delta] can push base-table row deltas through this
-    plan.  Structural only: the supported shape is scans, pure
-    filters/projections, hash/index equi-joins, sorts, unions and shared
-    subtrees.  Operators whose incremental semantics we do not carry
-    (nested-loop joins, aggregation, DISTINCT, LIMIT),
-    correlated predicate subplans ([P_exists]/[P_in]) and parameter
-    references force the caller back to invalidate + recompute. *)
-let maintainable (plan : t) : bool =
-  let rec scalar_ok = function
-    | P_col _ | P_const _ -> true
-    | P_param _ -> false
-    | P_bop (_, a, b) -> scalar_ok a && scalar_ok b
-    | P_neg a -> scalar_ok a
-    | P_fn (_, args) -> List.for_all scalar_ok args
-  in
-  let rec pred_ok = function
-    | P_true | P_false -> true
-    | P_cmp (_, a, b) -> scalar_ok a && scalar_ok b
-    | P_and (a, b) | P_or (a, b) -> pred_ok a && pred_ok b
-    | P_not p -> pred_ok p
-    | P_is_null s | P_is_not_null s | P_like (s, _) -> scalar_ok s
-    | P_exists _ | P_in _ -> false
-  in
-  let rec go = function
-    | Scan _ | Values _ -> true
-    | Filter (input, p) -> pred_ok p && go input
-    | Project (input, cols) ->
-      Array.for_all scalar_ok cols && go input
-    | Hash_join { build; probe; build_keys; probe_keys; residual; _ } ->
-      List.for_all scalar_ok build_keys
-      && List.for_all scalar_ok probe_keys
-      && pred_ok residual && go build && go probe
-    | Index_join { outer; keys; residual; _ } ->
-      List.for_all scalar_ok keys && pred_ok residual && go outer
-    | Sort (input, _) -> go input
-    | Union_all inputs -> List.for_all go inputs
-    | Shared (_, input) -> go input
-    | Nl_join _ | Distinct _ | Aggregate _ | Limit _ -> false
-  in
-  go plan

@@ -38,17 +38,6 @@ let iter idx key f =
       f p.rids.(i)
     done
 
-(** Walk every posting, ascending rid within each key — the order
-    {!iter} reverses.  Gives delta maintenance the exact posting layout
-    so later inserts/removals replay byte-identically. *)
-let iter_postings idx f =
-  Tuple.Tbl.iter
-    (fun key p ->
-      for i = 0 to p.n - 1 do
-        f key i p.rids.(i)
-      done)
-    idx.entries
-
 let lookup idx key =
   match Tuple.Tbl.find_opt idx.entries key with
   | None -> []

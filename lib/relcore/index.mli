@@ -26,11 +26,6 @@ val iter : t -> Tuple.t -> (Heap.rid -> unit) -> unit
 (** Apply to every rid under [key], descending rid, without allocating —
     the probe primitive for index joins. *)
 
-val iter_postings : t -> (Tuple.t -> int -> Heap.rid -> unit) -> unit
-(** [f key pos rid] over every posting entry, ascending rid within a key
-    ([pos] is the position {!iter} walks in reverse) — lets delta
-    maintenance snapshot the exact posting layout. *)
-
 val lookup : t -> Tuple.t -> Heap.rid list
 (** Descending-rid list (allocates; prefer {!iter} on hot paths). *)
 

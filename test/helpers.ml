@@ -40,6 +40,22 @@ let with_env var value f =
 let with_colstore flag f =
   with_env "XNFDB_COLSTORE" (if flag then "1" else "0") f
 
+(** Run [f] with the result cache forced on at 64 MB (so the CI leg
+    that turns it off still tests it), empty, and the CO stream counters
+    ({!Xnf.Xnf_ivm.stats}) at zero.  On exit the cache is emptied and
+    its budget handed back to the environment; the counters stay for
+    the caller to read. *)
+let with_result_cache f =
+  let module RC = Executor.Result_cache in
+  RC.set_budget_mb (Some 64);
+  RC.clear ();
+  Xnf.Xnf_ivm.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      RC.clear ();
+      RC.set_budget_mb None)
+    f
+
 (** Whether [affix] occurs in [s]. *)
 let contains ~affix s =
   let n = String.length affix and m = String.length s in

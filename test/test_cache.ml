@@ -10,18 +10,6 @@ module RC = Executor.Result_cache
 module H = Xnf.Hetstream
 module BT = Relcore.Base_table
 
-(* Run [f] with the result cache forced on at a known budget so these
-   tests exercise the cache even in the env-disabled CI leg, and with a
-   clean slate either side. *)
-let with_cache f =
-  RC.set_budget_mb (Some 64);
-  RC.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None)
-    f
-
 let table db name = Relcore.Catalog.find_table (Db.catalog db) name
 
 (* ---- version counters ------------------------------------------------- *)
@@ -219,7 +207,7 @@ let check_cached_matches_fresh c msg =
   fresh
 
 let test_extraction_invalidation () =
-  with_cache @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = org_db () in
   let c = Xnf.Xnf_compile.compile db Workloads.Org.deps_arc_query in
   let reference = Xnf.Xnf_compile.extract ~cache:true c in
@@ -239,7 +227,7 @@ let test_extraction_invalidation () =
   ignore (check_cached_matches_fresh c "after delete" : H.t)
 
 let test_rollback_never_serves_aborted_state () =
-  with_cache @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = org_db () in
   let c = Xnf.Xnf_compile.compile db Workloads.Org.deps_arc_query in
   let before = Xnf.Xnf_compile.extract ~cache:false c in
@@ -270,7 +258,7 @@ let test_rollback_never_serves_aborted_state () =
   Alcotest.(check bool) "ghost row gone after rollback" false (has_ghost after)
 
 let test_recursive_not_cached () =
-  with_cache @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = Workloads.Bom.generate Workloads.Bom.default in
   let c = Xnf.Xnf_compile.compile db Workloads.Bom.assembly_query in
   Alcotest.(check bool) "recursive CO has no cache key" true
@@ -282,7 +270,7 @@ let test_recursive_not_cached () =
 (* ---- domain safety ---------------------------------------------------- *)
 
 let test_concurrent_cached_extraction () =
-  with_cache @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = org_db () in
   let c = Xnf.Xnf_compile.compile db Workloads.Org.deps_arc_query in
   let reference = Xnf.Xnf_compile.extract ~cache:false c in

@@ -337,15 +337,8 @@ let test_non_updatable_rejected () =
    copies on write.  Checked on the OO1 graph (a maintained stream) and
    the BOM (a recursive one, whose rows also key its tuple-id maps). *)
 let test_unflushed_edit_leaves_cache () =
-  let module RC = Executor.Result_cache in
   let module XC = Xnf.Xnf_compile in
-  RC.set_budget_mb (Some 64);
-  RC.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None)
-  @@ fun () ->
+  with_result_cache @@ fun () ->
   let probe db text comp col v =
     let c = XC.compile db text in
     let ws = Ws.of_stream (XC.extract c) in

@@ -1,10 +1,10 @@
-(** Incremental CO-view maintenance: the per-table row delta log,
-    transactional publish/discard, the recompute fallback, and a
-    randomized DML soak over every workload generator.  Correctness bar
-    throughout: a maintained cached stream must be byte-identical
-    ([Hetstream.equal]) to a cold recomputation, whatever interleaving
-    of inserts, updates, deletes, and rolled-back transactions came
-    before it. *)
+(** Cached CO streams across DML ({!Xnf.Xnf_ivm}): the per-table row
+    delta log, transactional publish/discard, the value-only patch and
+    the recompute fallback, and a randomized DML soak over every
+    workload generator.  Correctness bar throughout: a cached stream
+    must be byte-identical ([Hetstream.equal]) to a cold recomputation,
+    whatever interleaving of inserts, updates, deletes, and rolled-back
+    transactions came before it. *)
 
 open Helpers
 module Db = Engine.Database
@@ -218,15 +218,7 @@ let random_dml rng (t : BT.t) =
    Every fourth round wraps its batch in BEGIN..ROLLBACK, so the
    maintained stream must also survive discarded transactions. *)
 let soak ?(rounds = 10) ?(domains = 1) ~seed db query table_names =
-  RC.set_budget_mb (Some 64);
-  RC.clear ();
-  Ivm.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None;
-      Ivm.reset ())
-  @@ fun () ->
+  with_result_cache @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let tables =
     List.map (Relcore.Catalog.find_table (Db.catalog db)) table_names
@@ -250,24 +242,14 @@ let soak ?(rounds = 10) ?(domains = 1) ~seed db query table_names =
       (Printf.sprintf "round %d: maintained stream = cold recomputation"
          round)
       true (H.equal cold warm)
-  done;
-  Alcotest.(check int) "no verification mismatches" 0
-    Ivm.stats.Ivm.mismatches
+  done
 
 (* The hard rollback case: an extraction cached *inside* an open
    transaction mirrors uncommitted state; after ROLLBACK rewinds the
    delta log, maintenance must refuse that snapshot (rewind hole) and
    recompute rather than serve the uncommitted mirror. *)
 let test_midtxn_snapshot_rollback () =
-  RC.set_budget_mb (Some 64);
-  RC.clear ();
-  Ivm.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None;
-      Ivm.reset ())
-  @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   let c = XC.compile db Workloads.Oo1.parts_graph_query in
   ignore (XC.extract ~cache:true c);
@@ -288,15 +270,7 @@ let test_midtxn_snapshot_rollback () =
 let test_published_stream_immutable () =
   (* the premise needs a delta log: pin its capacity *)
   with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
-  RC.set_budget_mb (Some 64);
-  RC.clear ();
-  Ivm.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None;
-      Ivm.reset ())
-  @@ fun () ->
+  with_result_cache @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
   let c = XC.compile db Workloads.Oo1.parts_graph_query in
   let bump pid =
@@ -304,16 +278,16 @@ let test_published_stream_immutable () =
       (Db.exec db
          (Printf.sprintf "UPDATE parts SET build = build + 1 WHERE pid = %d" pid))
   in
-  (* the refill after the first write builds the maintained state *)
+  (* the first extraction seeds the entry each write is patched into *)
   ignore (XC.extract ~cache:true c);
   bump 4;
   let s1 = XC.extract ~cache:true c in
   let bytes1 = H.serialize s1 in
-  Ivm.reset_stats ();
+  Ivm.reset ();
   bump 5;
   let s2 = XC.extract ~cache:true c in
   Alcotest.(check int) "the update was patched into the held state" 1
-    Ivm.stats.Ivm.patched;
+    Ivm.stats.Ivm.patches;
   Alcotest.(check bool) "the re-extraction sees the update" false
     (String.equal bytes1 (H.serialize s2));
   Alcotest.(check bool) "the held stream is unchanged" true
@@ -325,12 +299,12 @@ let test_soak_oo1 () =
   (* the premise needs a delta log: pin its capacity *)
   with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
-  Ivm.reset_stats ();
+  Ivm.reset ();
   soak ~seed:11 db Workloads.Oo1.parts_graph_query [ "parts"; "conns" ];
-  (* at least some reads must have been served by delta maintenance
-     rather than recompute-and-refill *)
+  (* at least some reads must have been served by the patch rather
+     than by a recompute *)
   Alcotest.(check bool) "delta maintenance actually ran" true
-    (Ivm.stats.Ivm.maintained > 0)
+    (Ivm.stats.Ivm.patches > 0)
 
 let test_soak_org () =
   let db = Workloads.Org.generate { Workloads.Org.default with n_depts = 8 } in
@@ -345,12 +319,11 @@ let test_soak_shop () =
     (Workloads.Shop.region_query "EMEA")
     [ "customer"; "orders"; "lineitem" ]
 
-(* BOM is recursive: no [Xnf_compile] stream-cache key and no
-   maintainer tree.  Its stream is cached by [Xnf_recursive] instead,
-   and this soak's DML (inserts, deletes, [level] updates) always
-   recomputes the fixpoint over the memoized skeleton's shared delta
-   tables, which must reproduce cold results exactly.  The patch path
-   has its own cases below. *)
+(* BOM is recursive: no [Xnf_compile] stream-cache key; its entry is
+   keyed by the fixpoint's skeleton instead.  This soak's DML (inserts,
+   deletes, [level] updates) always recomputes the fixpoint over the
+   memoized skeleton's shared delta tables, which must reproduce cold
+   results exactly.  The patch path has its own cases below. *)
 let test_soak_bom_recursive () =
   let db =
     Workloads.Bom.generate
@@ -367,17 +340,17 @@ let test_soak_parallel_domains () =
     [ "parts"; "conns" ]
 
 (* With a zero-capacity delta log every window overflows, so each read
-   after a write falls back to invalidate + recompute: same answers,
-   zero maintenance. *)
+   after a write recomputes: same answers, no patches. *)
 let test_soak_recompute () =
   with_env "XNFDB_DELTA_LOG" "0" @@ fun () ->
   let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
-  Ivm.reset_stats ();
+  Ivm.reset ();
   soak ~seed:11 db Workloads.Oo1.parts_graph_query [ "parts"; "conns" ];
   Alcotest.(check int) "no maintained reads with the delta log off" 0
-    Ivm.stats.Ivm.maintained;
-  Alcotest.(check bool) "reads fell back to recompute" true
-    (Ivm.stats.Ivm.fallbacks > 0)
+    Ivm.stats.Ivm.patches;
+  (* the first fill, then each round's cold oracle and its warm read *)
+  Alcotest.(check int) "reads fell back to recompute" (1 + (2 * 10))
+    Ivm.stats.Ivm.recomputes
 
 (* ---- recursive COs ---------------------------------------------------- *)
 
@@ -387,18 +360,14 @@ let test_soak_recompute () =
    structurally. *)
 
 let rec_stats () =
-  Ivm.stats.Ivm.rec_hits, Ivm.stats.Ivm.rec_patches, Ivm.stats.Ivm.rec_recomputes
+  Ivm.stats.Ivm.hits, Ivm.stats.Ivm.patches, Ivm.stats.Ivm.recomputes
 
 let with_rec_cache ?(mb = 64) f =
   (* the patch premise needs a delta log: pin its capacity *)
   with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
+  with_result_cache @@ fun () ->
   RC.set_budget_mb (Some mb);
-  RC.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      RC.clear ();
-      RC.set_budget_mb None)
-    f
+  f ()
 
 (* Warm the cache, run [dml], extract through the cache once more and
    check that stream against a fresh fixpoint; answers the stream and
@@ -406,7 +375,7 @@ let with_rec_cache ?(mb = 64) f =
 let rec_after db c dml =
   ignore (XC.extract c);
   List.iter (fun sql -> ignore (Db.exec db sql)) dml;
-  Ivm.reset_stats ();
+  Ivm.reset ();
   let s = XC.extract c in
   let counted = rec_stats () in
   Alcotest.(check bool)
@@ -416,6 +385,32 @@ let rec_after db c dml =
   (s, counted)
 
 let has_affix affix s = contains ~affix (H.serialize s)
+
+(* How a patch rebuilt [next] from [prev]: the two align item for item,
+   and an item is a new record only where its row's values changed.
+   Answers the rows rebuilt, the unchanged items re-consed after the
+   last of them, and the length of the list tail the two share. *)
+let patch_shape (prev : H.t) (next : H.t) =
+  let rec go rebuilt reconsed a b =
+    if a == b then (rebuilt, reconsed, List.length a)
+    else
+      match (a, b) with
+      | x :: a', y :: b' when x == y -> go rebuilt (reconsed + 1) a' b'
+      | H.Row r :: a', H.Row r' :: b'
+        when r.id = r'.id && not (Relcore.Tuple.equal r.values r'.values) ->
+        go (rebuilt + 1) 0 a' b'
+      | _ -> Alcotest.fail "the patched stream does not align with the last"
+  in
+  go 0 0 prev.H.items next.H.items
+
+let check_patch_shape what prev next ~rows =
+  let rebuilt, reconsed, shared = patch_shape prev next in
+  Alcotest.(check int) (what ^ ": only the changed rows are rebuilt") rows
+    rebuilt;
+  Alcotest.(check int) (what ^ ": nothing after the last of them is re-consed")
+    0 reconsed;
+  Alcotest.(check bool) (what ^ ": the rest is the last stream's own tail")
+    true (shared > 0)
 
 let test_recursive_value_update_patched () =
   with_rec_cache @@ fun () ->
@@ -440,8 +435,15 @@ let test_recursive_value_update_patched () =
    && not (has_affix "renamed-b" s));
   Alcotest.(check bool) "the earlier stream is unchanged" true
     (String.equal bytes (H.serialize before));
+  let renamed = function
+    | H.Row r ->
+      Array.exists (fun v -> v = vs "renamed-a" || v = vs "renamed-c") r.values
+    | H.Conn _ -> false
+  in
+  check_patch_shape "bom" before s
+    ~rows:(List.length (List.filter renamed s.H.items));
   ignore (XC.extract c);
-  Alcotest.(check int) "a repeat is a cache hit" 1 Ivm.stats.Ivm.rec_hits;
+  Alcotest.(check int) "a repeat is a cache hit" 1 Ivm.stats.Ivm.hits;
   (* [qty] is read by no predicate, join or attribute: nothing moves *)
   let s', counted =
     rec_after db c [ "UPDATE contains SET qty = qty + 5 WHERE parent = 1" ]
@@ -450,33 +452,76 @@ let test_recursive_value_update_patched () =
     counted;
   Alcotest.(check bool) "unread column: the same stream" true (s' == s)
 
-let test_recursive_structural_change_recomputes () =
-  with_rec_cache @@ fun () ->
-  let db = Workloads.Bom.generate Workloads.Bom.default in
-  let c = XC.compile db Workloads.Bom.assembly_query in
+(* Each of [dmls] alone recomputes; so does the first read after a
+   ROLLBACK of a transaction whose [ghost] update (to the string
+   'ghost') was read, and so cached, inside it. *)
+let check_recomputes db c dmls ~ghost =
   List.iter
     (fun dml ->
       let _, counted = rec_after db c [ dml ] in
       Alcotest.(check (triple int int int)) (dml ^ ": recomputed") (0, 0, 1)
         counted)
+    dmls;
+  (* a rolled-back transaction whose state was cached leaves a hole *)
+  ignore (Db.exec db "BEGIN");
+  ignore (Db.exec db ghost);
+  Alcotest.(check bool) "in-txn read sees the uncommitted name" true
+    (has_affix "ghost" (XC.extract c));
+  ignore (Db.exec db "ROLLBACK");
+  Ivm.reset ();
+  let s = XC.extract c in
+  Alcotest.(check (triple int int int)) "after ROLLBACK: recomputed" (0, 0, 1)
+    (rec_stats ());
+  Alcotest.(check bool) "after ROLLBACK: no ghost" false (has_affix "ghost" s)
+
+let test_recursive_structural_change_recomputes () =
+  with_rec_cache @@ fun () ->
+  let db = Workloads.Bom.generate Workloads.Bom.default in
+  let c = XC.compile db Workloads.Bom.assembly_query in
+  check_recomputes db c
     [
       "UPDATE part SET level = 3 WHERE pid = 7";
       "INSERT INTO contains VALUES (1, 7, 2)";
       "DELETE FROM contains WHERE parent = 1 AND child = 7";
       "INSERT INTO part VALUES (9999, 'loose', 1)";
       "DELETE FROM part WHERE pid = 9999";
-    ];
-  (* a rolled-back transaction whose state was cached leaves a hole *)
-  ignore (Db.exec db "BEGIN");
-  ignore (Db.exec db "UPDATE part SET pname = 'ghost' WHERE pid = 2");
-  Alcotest.(check bool) "in-txn read sees the uncommitted name" true
-    (has_affix "ghost" (XC.extract c));
-  ignore (Db.exec db "ROLLBACK");
-  Ivm.reset_stats ();
-  let s = XC.extract c in
-  Alcotest.(check (triple int int int)) "after ROLLBACK: recomputed" (0, 0, 1)
-    (rec_stats ());
-  Alcotest.(check bool) "after ROLLBACK: no ghost" false (has_affix "ghost" s)
+    ]
+    ~ghost:"UPDATE part SET pname = 'ghost' WHERE pid = 2"
+
+(* ---- non-recursive COs: the same patch, on the OO1 parts graph -------- *)
+
+let oo1_300 () =
+  Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 }
+
+let test_oo1_value_update_patched () =
+  with_rec_cache @@ fun () ->
+  let db = oo1_300 () in
+  let c = XC.compile db Workloads.Oo1.parts_graph_query in
+  let before = XC.extract c in
+  let s, counted =
+    rec_after db c
+      [
+        "UPDATE parts SET build = build + 1 WHERE pid = 4";
+        "UPDATE parts SET build = build + 1 WHERE pid = 7";
+      ]
+  in
+  Alcotest.(check (triple int int int)) "build-only commits: one patch"
+    (0, 1, 0) counted;
+  check_patch_shape "oo1" before s ~rows:2;
+  ignore (XC.extract c);
+  Alcotest.(check int) "a repeat is a cache hit" 1 Ivm.stats.Ivm.hits
+
+let test_oo1_structural_change_recomputes () =
+  with_rec_cache @@ fun () ->
+  let db = oo1_300 () in
+  let c = XC.compile db Workloads.Oo1.parts_graph_query in
+  check_recomputes db c
+    [
+      "UPDATE parts SET pid = 9999 WHERE pid = 7";
+      "INSERT INTO conns VALUES (1, 2, 'new', 5)";
+      "DELETE FROM conns WHERE cfrom = 1 AND cto = 2";
+    ]
+    ~ghost:"UPDATE parts SET ptype = 'ghost' WHERE pid = 2"
 
 let test_recursive_no_log_recomputes () =
   with_rec_cache @@ fun () ->
@@ -498,7 +543,7 @@ let test_recursive_cache_off_recomputes () =
   in
   Alcotest.(check (triple int int int)) "0 MB cache: recomputed" (0, 0, 1)
     counted;
-  Ivm.reset_stats ();
+  Ivm.reset ();
   ignore (XC.extract c);
   Alcotest.(check (triple int int int)) "0 MB cache: a repeat recomputes too"
     (0, 0, 1) (rec_stats ())
@@ -522,7 +567,7 @@ let test_recursive_snapshot () =
   Alcotest.(check bool) "the live read sees the open transaction" true
     (has_affix "dirty" (XC.extract ~cache:false c));
   let entries = (RC.stats ()).RC.entries in
-  Ivm.reset_stats ();
+  Ivm.reset ();
   let ctx =
     Executor.Exec.make_ctx ~result_cache:false
       ~snapshot:(Relcore.Snapshot.rows pin) ()
@@ -570,4 +615,8 @@ let suite =
       test_recursive_cache_off_recomputes;
     Alcotest.test_case "recursive: snapshot reads the pin" `Quick
       test_recursive_snapshot;
+    Alcotest.test_case "oo1: value-only commit patched" `Quick
+      test_oo1_value_update_patched;
+    Alcotest.test_case "oo1: structural change recomputes" `Quick
+      test_oo1_structural_change_recomputes;
   ]

@@ -758,6 +758,38 @@ let test_recursive_snapshot_read () =
             (H.equal reference s);
           ignore (Client.exec writer "ROLLBACK")))
 
+(* The same read when the snapshot cannot be built (no delta log to
+   rebuild the pin from) falls back to the blocking lock, and must still
+   not see the other session's uncommitted rows: it gets the committed
+   stream or a typed refusal. *)
+let test_fallback_hides_uncommitted () =
+  with_env "XNFDB_DELTA_LOG" "0" @@ fun () ->
+  let bom () = Workloads.Bom.generate Workloads.Bom.default in
+  let setup db =
+    List.iter
+      (fun tbl -> Relcore.Catalog.add_table (Db.catalog db) tbl)
+      (Relcore.Catalog.tables (Db.catalog (bom ())))
+  in
+  with_server ~setup (fun addr _db _t ->
+      let writer = Client.connect addr and reader = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close writer;
+          Client.close reader)
+        (fun () ->
+          ignore (Client.exec writer "BEGIN");
+          ignore
+            (Client.exec writer "UPDATE part SET pname = 'dirty' WHERE level = 0");
+          (match Client.extract reader Workloads.Bom.assembly_query with
+          | s ->
+            Alcotest.(check bool) "no uncommitted row reaches the reader" false
+              (contains ~affix:"dirty" (H.serialize s))
+          | exception Client.Server_error { kind; msg } ->
+            Alcotest.(check string) "a typed refusal"
+              "execution error: no committed snapshot; retry"
+              (kind ^ ": " ^ msg));
+          ignore (Client.exec writer "ROLLBACK")))
+
 let suite =
   [
     Alcotest.test_case "codec: empty frames" `Quick test_empty_batch;
@@ -795,4 +827,6 @@ let suite =
       test_memo_race;
     Alcotest.test_case "daemon: recursive CO off a snapshot" `Quick
       test_recursive_snapshot_read;
+    Alcotest.test_case "daemon: lock fallback hides uncommitted rows" `Quick
+      test_fallback_hides_uncommitted;
   ]

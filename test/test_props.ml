@@ -287,12 +287,10 @@ let prop_recursive_cache_agrees =
            p.Workloads.Bom.children_per_part p.Workloads.Bom.seed h)
        QCheck.Gen.(pair bom_params_gen (int_range 0 10_000)))
     (fun (params, history) ->
-      let module RC = Executor.Result_cache in
       let module XC = Xnf.Xnf_compile in
       (* the patch path needs a delta log: pin its capacity *)
       Helpers.with_env "XNFDB_DELTA_LOG" "4096" @@ fun () ->
-      RC.set_budget_mb (Some 64);
-      Fun.protect ~finally:(fun () -> RC.set_budget_mb None) @@ fun () ->
+      Helpers.with_result_cache @@ fun () ->
       let db = Workloads.Bom.generate params in
       let ast = Xnf.Xnf_parser.parse Workloads.Bom.assembly_query in
       let c = XC.compile db Workloads.Bom.assembly_query in
