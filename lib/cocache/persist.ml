@@ -50,10 +50,7 @@ let stream_of_workspace (ws : Workspace.t) : H.t =
   { H.header = ws.Workspace.header; items = List.rev !items }
 
 let write_op buf (op : Workspace.pending_op) =
-  let wtuple t =
-    H.write_int buf (Array.length t);
-    Array.iter (H.write_value buf) t
-  in
+  let wtuple = H.write_values buf in
   match op with
   | Workspace.P_insert { comp; values } ->
     Buffer.add_char buf 'i';
@@ -80,10 +77,7 @@ let write_op buf (op : Workspace.pending_op) =
     wtuple child
 
 let read_op (r : H.reader) : Workspace.pending_op =
-  let rtuple () =
-    let n = H.read_int r in
-    Array.init n (fun _ -> H.read_value r)
-  in
+  let rtuple () = H.read_values r (H.read_int r) in
   match H.read_char r with
   | 'i' ->
     let comp = H.read_string r in

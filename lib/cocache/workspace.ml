@@ -18,14 +18,16 @@ type pending_op =
 
 type component_store = {
   info : H.comp_info;
-  mutable nodes : Conode.t list; (* reverse arrival order *)
+  mutable nodes : Conode.t list; (* arrival order *)
   mutable count : int;
 }
+
+module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   header : H.header;
   stores : (string, component_store) Hashtbl.t;
-  by_id : (int, Conode.t) Hashtbl.t;
+  by_id : Conode.t Int_tbl.t;
   mutable next_local_id : int; (* negative ids for client-side inserts *)
   mutable pending : pending_op list; (* reverse order *)
   mutable conn_count : int;
@@ -43,14 +45,37 @@ let rel_meta ws rel =
   | `Rel m -> m
   | `Node -> Errors.semantic_error "%S is a node component, not a relationship" rel
 
+(* Loading a stream: [add_node] and [resolve] prepend to a store's
+   [nodes], which [of_stream] reverses once at the end. *)
+let add_node ws store (node : Conode.t) =
+  store.nodes <- node :: store.nodes;
+  store.count <- store.count + 1;
+  Int_tbl.replace ws.by_id node.Conode.id node
+
+(* A connection's partner.  The partner row may legitimately be absent
+   (its component not in TAKE): materialize a value-less stub so the
+   topology stays navigable — the paper's piggy-backed connections
+   carry ids, not values. *)
+let resolve ws store tid =
+  match Int_tbl.find_opt ws.by_id tid with
+  | Some n -> n
+  | None ->
+    let stub = Conode.make ~id:tid ~comp:store.info.H.comp_name ~values:[||] in
+    add_node ws store stub;
+    stub
+
 (** Build the workspace from a heterogeneous stream: rows become nodes,
-    connections become pointers (in both directions). *)
+    connections become pointers (in both directions).  One pass over
+    the items makes the nodes and connection records; the records,
+    gathered newest first, are then consed onto their partners' lists,
+    which leaves every list in arrival order. *)
 let of_stream (stream : H.t) : t =
+  let components = stream.H.header.H.components in
   let ws =
     {
       header = stream.H.header;
       stores = Hashtbl.create 16;
-      by_id = Hashtbl.create 1024;
+      by_id = Int_tbl.create (List.length stream.H.items);
       next_local_id = -1;
       pending = [];
       conn_count = 0;
@@ -60,13 +85,13 @@ let of_stream (stream : H.t) : t =
     (fun (info : H.comp_info) ->
       Hashtbl.replace ws.stores info.H.comp_name
         { info; nodes = []; count = 0 })
-    stream.H.header.H.components;
-  (* per component number: its store and, for a relationship, the
-     stores of its parent and child partner components *)
+    components;
+  (* per component number: its store and, for a relationship, its name,
+     role and the stores of its parent and child partner components *)
   let stores =
     Array.map
       (fun (info : H.comp_info) -> find_store ws info.H.comp_name)
-      stream.H.header.H.components
+      components
   in
   let rels =
     Array.map
@@ -74,73 +99,56 @@ let of_stream (stream : H.t) : t =
         match info.H.comp_kind with
         | `Rel m ->
           Some
-            ( m.H.rm_role,
+            ( info.H.comp_name,
+              m.H.rm_role,
               find_store ws m.H.rm_parent,
               Array.of_list (List.map (find_store ws) m.H.rm_children) )
         | `Node -> None)
-      stream.H.header.H.components
+      components
   in
-  let add_node store node =
-    store.nodes <- node :: store.nodes;
-    store.count <- store.count + 1;
-    Hashtbl.replace ws.by_id node.Conode.id node
-  in
+  let conns = ref [] in
   List.iter
     (fun item ->
       match item with
       | H.Row { comp; id; values } ->
         let store = stores.(comp) in
-        add_node store
-          (Conode.make ~id ~comp:store.info.H.comp_name ~values)
+        add_node ws store (Conode.make ~id ~comp:store.info.H.comp_name ~values)
       | H.Conn { rel; id; parent; children; attrs } ->
-        let role, parent_store, child_stores =
+        let rel_name, role, parent_store, child_stores =
           match rels.(rel) with
           | Some r -> r
           | None -> Errors.execution_error "connection from node component"
         in
-        (* A partner row may legitimately be absent (its component not in
-           TAKE): materialize a value-less stub so the topology stays
-           navigable — the paper's piggy-backed connections carry ids,
-           not values. *)
-        let resolve store tid =
-          match Hashtbl.find_opt ws.by_id tid with
-          | Some n -> n
-          | None ->
-            let stub =
-              Conode.make ~id:tid ~comp:store.info.H.comp_name ~values:[||]
-            in
-            add_node store stub;
-            stub
-        in
-        let p = resolve parent_store parent in
-        if Array.length children > Array.length child_stores then
+        let p = resolve ws parent_store parent in
+        let k = Array.length children in
+        if k > Array.length child_stores then
           Errors.execution_error "connection arity mismatch";
-        let cs = Array.mapi (fun i tid -> resolve child_stores.(i) tid) children in
-        let conn =
+        let cs = Array.make k p in
+        for i = 0 to k - 1 do
+          cs.(i) <- resolve ws child_stores.(i) children.(i)
+        done;
+        conns :=
           {
             Conode.conn_id = id;
-            rel = stores.(rel).info.H.comp_name;
+            rel = rel_name;
             role;
             parent = p;
             children = cs;
             attrs;
           }
-        in
-        (* consed here, reversed once below: arrival order, linear time *)
-        p.Conode.out_conns <- conn :: p.Conode.out_conns;
-        Array.iter (fun c -> c.Conode.in_conns <- conn :: c.Conode.in_conns) cs;
+          :: !conns;
         ws.conn_count <- ws.conn_count + 1)
     stream.H.items;
-  (* restore arrival order *)
-  Hashtbl.iter
-    (fun _ s ->
-      s.nodes <- List.rev s.nodes;
-      List.iter
-        (fun (n : Conode.t) ->
-          n.Conode.out_conns <- List.rev n.Conode.out_conns;
-          n.Conode.in_conns <- List.rev n.Conode.in_conns)
-        s.nodes)
-    ws.stores;
+  List.iter
+    (fun (conn : Conode.conn) ->
+      let p = conn.Conode.parent in
+      p.Conode.out_conns <- conn :: p.Conode.out_conns;
+      for i = 0 to Array.length conn.Conode.children - 1 do
+        let c = conn.Conode.children.(i) in
+        c.Conode.in_conns <- conn :: c.Conode.in_conns
+      done)
+    !conns;
+  Hashtbl.iter (fun _ s -> s.nodes <- List.rev s.nodes) ws.stores;
   ws
 
 (** Live nodes of a component (arrival order, deletions hidden). *)
@@ -149,7 +157,7 @@ let nodes ws comp =
 
 let node_count ws comp = List.length (nodes ws comp)
 let connection_count ws = ws.conn_count
-let find_by_id ws id = Hashtbl.find_opt ws.by_id id
+let find_by_id ws id = Int_tbl.find_opt ws.by_id id
 
 (** Is this a value-less stub (partner of a shipped connection whose
     component was not in TAKE)? *)
@@ -199,7 +207,7 @@ let insert ws comp (values : Value.t list) : Conode.t =
   node.Conode.dirty <- Conode.Inserted;
   store.nodes <- store.nodes @ [ node ];
   store.count <- store.count + 1;
-  Hashtbl.replace ws.by_id node.Conode.id node;
+  Int_tbl.replace ws.by_id node.Conode.id node;
   ws.pending <- P_insert { comp; values = row } :: ws.pending;
   node
 

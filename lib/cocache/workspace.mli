@@ -21,10 +21,12 @@ type component_store = {
   mutable count : int;
 }
 
+module Int_tbl : Hashtbl.S with type key = int
+
 type t = {
   header : H.header;
   stores : (string, component_store) Hashtbl.t;
-  by_id : (int, Conode.t) Hashtbl.t;
+  by_id : Conode.t Int_tbl.t;
   mutable next_local_id : int;
   mutable pending : pending_op list; (* reverse order *)
   mutable conn_count : int;
@@ -35,6 +37,10 @@ val schema : t -> string -> Schema.t
 val rel_meta : t -> string -> H.rel_meta
 
 val of_stream : H.t -> t
+(** One pass over the stream's items, then one over its connections:
+    every node list and every node's [out_conns]/[in_conns] are in
+    arrival order, and a partner named before its row arrives (or never
+    shipped) is a value-less stub. *)
 
 val nodes : t -> string -> Conode.t list
 (** Live nodes of a component, arrival order. *)

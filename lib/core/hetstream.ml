@@ -133,17 +133,19 @@ let approx_bytes (s : t) : int =
    one call" means concretely; it is also reused by the CO cache's disk
    persistence. *)
 
+(* The codec's hot loops use local refs and [for] loops, never a local
+   closure or a partial application: without flambda each of those is a
+   heap block per call, and every minor collection they bring on stops
+   all domains — the encoding server's and the decoding client's alike. *)
+
 let write_int buf n =
   (* zig-zag varint *)
-  let n = (n lsl 1) lxor (n asr 62) in
-  let rec go n =
-    if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr (n land 0x7f))
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref ((n lsl 1) lxor (n asr 62)) in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
 
 let write_string buf s =
   write_int buf (String.length s);
@@ -176,13 +178,17 @@ let read_char r =
   c
 
 let read_int r =
-  let rec go shift acc =
-    let b = Char.code (read_char r) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let n = go 0 0 in
-  (n lsr 1) lxor (-(n land 1))
+  let data = r.data in
+  let pos = ref r.pos and shift = ref 0 and n = ref 0 and more = ref true in
+  while !more do
+    let b = Char.code data.[!pos] in
+    incr pos;
+    n := !n lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  r.pos <- !pos;
+  (!n lsr 1) lxor (-(!n land 1))
 
 let read_string r =
   let len = read_int r in
@@ -201,6 +207,21 @@ let read_value r : Value.t =
     Value.Float (Int64.float_of_bits bits)
   | 'S' -> Value.Str (read_string r)
   | c -> Errors.execution_error "corrupt stream: bad value tag %C" c
+
+(* Every encoded value takes at least one byte, so a count beyond the
+   bytes left is corrupt — refused before it sizes an allocation. *)
+let check_count r n =
+  if n < 0 || n > String.length r.data - r.pos then
+    Errors.execution_error "corrupt stream: count %d at byte %d" n r.pos
+
+(** [n] values read into a fresh array. *)
+let read_values r n : Value.t array =
+  check_count r n;
+  let a = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    a.(i) <- read_value r
+  done;
+  a
 
 let write_schema buf (s : Schema.t) =
   let cols = Schema.columns s in
@@ -276,40 +297,49 @@ let read_header r : header =
   let root_components = List.init k (fun _ -> read_string r) in
   { components; root_components }
 
+(** A length, then each value. *)
+let write_values buf (vs : Value.t array) =
+  write_int buf (Array.length vs);
+  for i = 0 to Array.length vs - 1 do
+    write_value buf vs.(i)
+  done
+
 let write_item buf (item : item) =
   match item with
   | Row { comp; id; values } ->
     Buffer.add_char buf 'R';
     write_int buf comp;
     write_int buf id;
-    write_int buf (Array.length values);
-    Array.iter (write_value buf) values
+    write_values buf values
   | Conn { rel; id; parent; children; attrs } ->
     Buffer.add_char buf 'C';
     write_int buf rel;
     write_int buf id;
     write_int buf parent;
     write_int buf (Array.length children);
-    Array.iter (write_int buf) children;
-    write_int buf (Array.length attrs);
-    Array.iter (write_value buf) attrs
+    for i = 0 to Array.length children - 1 do
+      write_int buf children.(i)
+    done;
+    write_values buf attrs
 
 let read_item r : item =
   match read_char r with
   | 'R' ->
     let comp = read_int r in
     let id = read_int r in
-    let w = read_int r in
-    let values = Array.init w (fun _ -> read_value r) in
+    let values = read_values r (read_int r) in
     Row { comp; id; values }
   | 'C' ->
     let rel = read_int r in
     let id = read_int r in
     let parent = read_int r in
     let k = read_int r in
-    let children = Array.init k (fun _ -> read_int r) in
-    let na = read_int r in
-    let attrs = Array.init na (fun _ -> read_value r) in
+    check_count r k;
+    let children = Array.make k 0 in
+    for i = 0 to k - 1 do
+      children.(i) <- read_int r
+    done;
+    let attrs = read_values r (read_int r) in
     Conn { rel; id; parent; children; attrs }
   | c -> Errors.execution_error "corrupt stream: bad item tag %C" c
 

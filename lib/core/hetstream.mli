@@ -75,6 +75,10 @@ val deserialize : string -> t
 val write_int : Buffer.t -> int -> unit
 val write_string : Buffer.t -> string -> unit
 val write_value : Buffer.t -> Value.t -> unit
+
+val write_values : Buffer.t -> Value.t array -> unit
+(** The array's length, then each value. *)
+
 val write_schema : Buffer.t -> Schema.t -> unit
 val write_header : Buffer.t -> header -> unit
 val write_item : Buffer.t -> item -> unit
@@ -85,6 +89,12 @@ val read_char : reader -> char
 val read_int : reader -> int
 val read_string : reader -> string
 val read_value : reader -> Value.t
+
+val read_values : reader -> int -> Value.t array
+(** [read_values r n]: [n] values into a fresh array.  A count that is
+    negative or exceeds the bytes left raises {!Relcore.Errors.Db_error}
+    before anything is allocated. *)
+
 val read_schema : reader -> Schema.t
 val read_header : reader -> header
 val read_item : reader -> item

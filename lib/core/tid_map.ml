@@ -224,12 +224,6 @@ module Conns = struct
     if Array.unsafe_get counts i = 0 then i
     else empty_slot counts mask ((i + 1) land mask)
 
-  let count t parent children = t.counts.(slot t parent children)
-
-  let move t ~src ~dst =
-    Array.blit t.keys (src * t.width) t.keys (dst * t.width) t.width;
-    t.counts.(dst) <- t.counts.(src)
-
   let grow t =
     let keys = t.keys and counts = t.counts in
     let cap = 2 * Array.length counts in
@@ -259,31 +253,6 @@ module Conns = struct
     end;
     t.counts.(i) <- c + 1;
     c + 1
-
-  let remove t parent children =
-    let i = slot t parent children in
-    let c = t.counts.(i) in
-    if c = 0 then -1
-    else if c > 1 then begin
-      t.counts.(i) <- c - 1;
-      c - 1
-    end
-    else begin
-      t.size <- t.size - 1;
-      let rec shift hole j =
-        let j = (j + 1) land t.mask in
-        if t.counts.(j) = 0 then t.counts.(hole) <- 0
-        else if
-          (j - (hash_at t.width t.keys j land t.mask)) land t.mask >= (j - hole) land t.mask
-        then begin
-          move t ~src:j ~dst:hole;
-          shift j j
-        end
-        else shift hole j
-      in
-      shift i i;
-      0
-    end
 end
 
 (* -- partner resolution ------------------------------------------------- *)

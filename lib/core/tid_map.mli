@@ -64,16 +64,9 @@ module Conns : sig
 
   val clear : t -> unit
 
-  val count : t -> int -> int array -> int
-  (** [count t parent children]: the key's multiplicity, [0] if absent. *)
-
   val add : t -> int -> int array -> int
   (** Count one more occurrence of the key; answers the new count
       ([1]: first seen).  [children] is read, not stored. *)
-
-  val remove : t -> int -> int array -> int
-  (** Count one occurrence less, dropping the key at zero; answers the
-      new count, or [-1] when the key was absent. *)
 end
 
 val partners :

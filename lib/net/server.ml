@@ -583,14 +583,6 @@ let is_commit sql =
   | [ Ident "commit"; Eof ] | [ Ident "commit"; Punct ";"; Eof ] -> true
   | _ -> false
 
-(* [n] items off the front of [items], and the rest *)
-let take n items =
-  let rec go acc k = function
-    | x :: tl when k < n -> go (x :: acc) (k + 1) tl
-    | rest -> (List.rev acc, rest)
-  in
-  go [] 0 items
-
 (* What an extraction computed under its lock or pin: memoized frames,
    or a fresh stream plus the memo generation it was computed at ([None]
    off a snapshot, which never fills the memo). *)
@@ -701,18 +693,18 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
     | Computed (stream, gen) ->
       (* frames are kept only when this encoding may fill the memo *)
       let kept = ref [] in
-      let emit r =
-        let f = Wire.encode_response r in
+      let emit_frame f =
         if gen <> None then kept := f :: !kept;
         push f
       in
+      let emit r = emit_frame (Wire.encode_response r) in
       emit (Wire.Stream_header stream.H.header);
-      let rec ship n items =
-        match take chunk items with
-        | [], _ -> n
-        | c, rest ->
-          emit (Wire.Stream_chunk c);
-          ship (n + List.length c) rest
+      let rec ship n = function
+        | [] -> n
+        | items ->
+          let f, k, rest = Wire.encode_chunk ~chunk items in
+          emit_frame f;
+          ship (n + k) rest
       in
       emit (Wire.Stream_end { items = ship 0 stream.H.items });
       Option.iter (fun gen -> memo_store t key gen (List.rev !kept)) gen)

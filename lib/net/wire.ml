@@ -95,9 +95,31 @@ let encode_request (r : request) : string =
   | Stats -> with_tag 'S' (fun _ -> ())
   | Bye -> with_tag 'b' (fun _ -> ())
 
-let write_row b (t : Tuple.t) =
-  H.write_int b (Array.length t);
-  Array.iter (H.write_value b) t
+let rec write_items b k items =
+  if k > 0 then
+    match items with
+    | item :: rest ->
+      H.write_item b item;
+      write_items b (k - 1) rest
+    | [] -> ()
+
+(* A [Stream_chunk] body of the first [n] of [items]: the one writer
+   behind both [encode_response] and [encode_chunk]. *)
+let write_chunk b n items =
+  H.write_int b n;
+  write_items b n items
+
+let rec prefix_length chunk k items =
+  match items with
+  | _ :: rest when k < chunk -> prefix_length chunk (k + 1) rest
+  | _ -> k
+
+let rec drop k items =
+  match items with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> items
+
+let encode_chunk ~chunk items =
+  let n = prefix_length chunk 0 items in
+  (with_tag 'i' (fun b -> write_chunk b n items), n, drop n items)
 
 let encode_response (r : response) : string =
   match r with
@@ -110,13 +132,11 @@ let encode_response (r : response) : string =
   | Row_batch rows ->
     with_tag 'B' (fun b ->
         H.write_int b (List.length rows);
-        List.iter (write_row b) rows)
+        List.iter (H.write_values b) rows)
   | Row_end { rows } -> with_tag 'E' (fun b -> H.write_int b rows)
   | Stream_header h -> with_tag 'r' (fun b -> H.write_header b h)
   | Stream_chunk items ->
-    with_tag 'i' (fun b ->
-        H.write_int b (List.length items);
-        List.iter (H.write_item b) items)
+    with_tag 'i' (fun b -> write_chunk b (List.length items) items)
   | Stream_end { items } -> with_tag 'z' (fun b -> H.write_int b items)
   | Affected n -> with_tag 'A' (fun b -> H.write_int b n)
   | Done msg -> with_tag 'D' (fun b -> H.write_string b msg)
@@ -172,7 +192,7 @@ let decode_request (payload : string) : request =
 let read_row r : Tuple.t =
   let n = H.read_int r in
   if n < 0 then malformed "negative row arity";
-  Array.init n (fun _ -> H.read_value r)
+  H.read_values r n
 
 (* A [Stream_chunk] body's items consed onto [acc] (so in reverse), and
    their count. *)

@@ -57,6 +57,13 @@ val encode_request : request -> string
 val encode_response : response -> string
 (** Full frame, length prefix included. *)
 
+val encode_chunk : chunk:int -> H.item list -> string * int * H.item list
+(** [encode_chunk ~chunk items] is [(frame, n, rest)]: the first [n =
+    min chunk (List.length items)] items framed as a [Stream_chunk],
+    byte-identical to [encode_response (Stream_chunk prefix)], and the
+    items after them — a stream ships chunk by chunk straight off its
+    item list, without copying the prefix.  [chunk] must be positive. *)
+
 val decode_request : string -> request
 (** From a payload (no length prefix).  @raise Malformed *)
 

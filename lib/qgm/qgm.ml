@@ -73,11 +73,10 @@ type graph = {
       (* hidden sort columns: keep only the first [n] output columns *)
 }
 
-let counter = ref 0
+(* box ids are drawn by every domain that compiles *)
+let counter = Atomic.make 1
 
-let fresh_id () =
-  incr counter;
-  !counter
+let fresh_id () = Atomic.fetch_and_add counter 1
 
 let make_box ?(name = "") ?(distinct = false) kind ~head =
   {

@@ -87,12 +87,6 @@ let length t =
   Mutex.unlock t.m;
   n
 
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c
-
 let close t =
   Mutex.lock t.m;
   t.closed <- true;

@@ -21,14 +21,10 @@ val pop : 'a t -> 'a option
 val try_pop : 'a t -> 'a option
 (** Non-blocking {!pop}: [None] when the buffer is currently empty
     (whether or not the channel is closed).  For event loops that must
-    never sleep on one channel — pair with {!is_closed} to tell a
-    drained-and-closed channel from a merely idle one. *)
+    never sleep on one channel. *)
 
 val length : 'a t -> int
 (** Number of in-flight elements (the consumer-visible queue depth). *)
-
-val is_closed : 'a t -> bool
-(** Whether {!close} has been called (elements may still remain). *)
 
 val close : 'a t -> unit
 (** Mark end-of-stream and wake all blocked producers/consumers. *)

@@ -686,5 +686,3 @@ let key_chunk t ci chunk =
   match hc.hdata with
   | D_int a -> (a, hc.hnulls, chunk * t.chunk_rows)
   | D_float _ | D_bool _ -> invalid_arg "Colstore.key_chunk: not a key column"
-
-let is_live t rid = rid < t.hi && bit_get t.live rid

@@ -78,13 +78,11 @@ val key_chunk : t -> int -> int -> int array * Bytes.t * int
 (** [key_chunk t ci chunk] is [(data, nulls, base)]: the chunk's own
     ints (or dictionary codes) and null bitmap of column [ci], indexed
     chunk-locally — cell of slot [s] is [data.(s - base)].  Only for a
-    chunk with live rows; only slots where {!is_live} holds are
-    meaningful. *)
+    chunk with live rows; only the cells of live slots (those
+    {!select_chunk} yields) are meaningful. *)
 
 val bit_get : Bytes.t -> int -> bool
 (** Test bit [i] of a bitmap returned by {!key_chunk}. *)
-
-val is_live : t -> Heap.rid -> bool
 
 (** {1 Dictionary} *)
 

@@ -604,3 +604,90 @@ let suite =
       Alcotest.test_case "truncated cache file rejected" `Quick
         test_truncated_cache_file_rejected;
     ]
+
+(* A hand-made stream covering what the one-pass load must get right: a
+   connection naming a partner before its row arrives (a stub, then the
+   row), a partner component outside TAKE (stubs only), and one node
+   with three connections in and three out. *)
+let test_load_order_and_stubs () =
+  let open Relcore in
+  let module C = Cocache.Conode in
+  let col name = Schema.make [ Schema.column name Dtype.Tint ] in
+  let comp comp_no comp_name comp_kind comp_schema in_take =
+    { H.comp_no; comp_name; comp_kind; comp_schema; take_cols = None; in_take }
+  in
+  let rel role parent child =
+    `Rel { H.rm_role = role; rm_parent = parent; rm_children = [ child ] }
+  in
+  let header =
+    {
+      H.components =
+        [|
+          comp 0 "part" `Node (col "k") true;
+          comp 1 "supplier" `Node (col "s") false;
+          comp 2 "uses" (rel "USES" "part" "part") (Schema.make []) true;
+          comp 3 "supplies" (rel "SUPPLIES" "supplier" "part") (Schema.make [])
+            true;
+        |];
+      root_components = [ "part" ];
+    }
+  in
+  let part id = H.Row { comp = 0; id; values = [| Value.Int id |] } in
+  let conn rel id parent child =
+    H.Conn { rel; id; parent; children = [| child |]; attrs = [||] }
+  in
+  let items =
+    [
+      part 1;
+      conn 2 100 1 2 (* part 2 before its row: a stub *);
+      part 2;
+      part 3;
+      conn 2 101 1 3;
+      conn 3 200 50 1 (* supplier 50 is never shipped *);
+      conn 2 102 3 1;
+      conn 2 103 2 1;
+      conn 2 104 1 2 (* now resolves to the row *);
+    ]
+  in
+  let ws = Ws.of_stream { H.header; items } in
+  let ids = List.map (fun (n : C.t) -> n.C.id) in
+  let conn_ids = List.map (fun (c : C.conn) -> c.C.conn_id) in
+  let parts = Ws.nodes ws "part" in
+  Alcotest.(check (list int)) "part nodes in arrival order" [ 1; 2; 2; 3 ]
+    (ids parts);
+  Alcotest.(check (list bool)) "the first node 2 is the stub"
+    [ false; true; false; false ]
+    (List.map (Ws.is_stub ws) parts);
+  Alcotest.(check (list int)) "supplier stubs" [ 50 ] (ids (Ws.nodes ws "supplier"));
+  let node id = Option.get (Ws.find_by_id ws id) in
+  let stub2 = List.nth parts 1 and row2 = List.nth parts 2 in
+  Alcotest.(check bool) "find_by_id 2 is the row" true (node 2 == row2);
+  Alcotest.(check bool) "find_by_id 50 is a stub" true (Ws.is_stub ws (node 50));
+  Alcotest.(check bool) "find_by_id 99" true (Ws.find_by_id ws 99 = None);
+  let hub = node 1 in
+  Alcotest.(check (list int)) "hub out_conns" [ 100; 101; 104 ]
+    (conn_ids hub.C.out_conns);
+  Alcotest.(check (list int)) "hub in_conns" [ 200; 102; 103 ]
+    (conn_ids hub.C.in_conns);
+  Alcotest.(check (list int)) "hub children" [ 2; 3; 2 ]
+    (ids (C.children hub ~rel:"uses"));
+  Alcotest.(check bool) "conn 100 points at the stub" true
+    (List.hd (C.children hub ~rel:"uses") == stub2);
+  Alcotest.(check (list int)) "stub in_conns" [ 100 ] (conn_ids stub2.C.in_conns);
+  Alcotest.(check (list int)) "row 2 in_conns" [ 104 ] (conn_ids row2.C.in_conns);
+  Alcotest.(check (list int)) "row 2 out_conns" [ 103 ] (conn_ids row2.C.out_conns);
+  Alcotest.(check (list int)) "supplier out_conns" [ 200 ]
+    (conn_ids (node 50).C.out_conns);
+  Alcotest.(check int) "connections" 6 (Ws.connection_count ws);
+  let fresh = Ws.insert ws "part" [ Value.Int 9 ] in
+  Alcotest.(check int) "insert takes a negative id" (-1) fresh.C.id;
+  Alcotest.(check bool) "found under its negative id" true (node (-1) == fresh);
+  Alcotest.(check (list int)) "inserted node last" [ 1; 2; 2; 3; -1 ]
+    (ids (Ws.nodes ws "part"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "load: arrival order, stubs, find_by_id" `Quick
+        test_load_order_and_stubs;
+    ]

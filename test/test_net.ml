@@ -256,6 +256,94 @@ let test_malformed_payloads () =
       let enc = Wire.encode_request Wire.Bye in
       ignore (Wire.decode_request (payload_of enc ^ "x")))
 
+(* -- codec: varints, the chunk writer, truncation --------------------------- *)
+
+let varint n =
+  let b = Buffer.create 10 in
+  H.write_int b n;
+  Buffer.contents b
+
+let test_varint_roundtrip () =
+  List.iter
+    (fun n ->
+      let enc = varint n in
+      let r = { H.data = enc; pos = 0 } in
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" n) n (H.read_int r);
+      Alcotest.(check int)
+        (Printf.sprintf "%d: every byte read" n)
+        (String.length enc) r.H.pos)
+    [ min_int; -1; 0; 1; 63; 64; 127; 128; 8191; 8192; max_int ];
+  (* zig-zag then little-endian base-128, high bit = more *)
+  List.iter
+    (fun (n, bytes) ->
+      Alcotest.(check string) (Printf.sprintf "bytes of %d" n) bytes (varint n))
+    [
+      (0, "\000");
+      (-1, "\001");
+      (1, "\002");
+      (63, "\126");
+      (64, "\128\001");
+      (8191, "\254\127");
+      (8192, "\128\128\001");
+      (max_int, "\254\255\255\255\255\255\255\255\127");
+      (min_int, "\255\255\255\255\255\255\255\255\127");
+    ]
+
+(* [Wire.encode_chunk] ships a prefix straight off the item list: the
+   same frame as encoding that prefix as a [Stream_chunk]. *)
+let test_chunk_writer () =
+  let items = (Xnf.Xnf_compile.run_view (deps_db ()) "deps_arc").H.items in
+  let total = List.length items in
+  List.iter
+    (fun chunk ->
+      let rec go items =
+        match items with
+        | [] -> ()
+        | _ ->
+          let frame, n, rest = Wire.encode_chunk ~chunk items in
+          let prefix = List.filteri (fun i _ -> i < n) items in
+          Alcotest.(check int) "chunk size" (min chunk (List.length items)) n;
+          Alcotest.(check string)
+            (Printf.sprintf "chunk %d: same bytes as Stream_chunk" chunk)
+            (Wire.encode_response (Wire.Stream_chunk prefix))
+            frame;
+          let rec tail k l = if k = 0 then l else tail (k - 1) (List.tl l) in
+          Alcotest.(check bool) "rest is the list's own tail" true
+            (rest == tail n items);
+          go rest
+      in
+      go items)
+    [ 1; 7; total; total + 1 ]
+
+(* Every proper prefix of a payload is malformed, and says so with
+   [Malformed] alone: never an index error, never a short success. *)
+let check_truncations name payload decode =
+  for k = 1 to String.length payload - 1 do
+    match decode (String.sub payload 0 k) with
+    | _ -> Alcotest.failf "%s cut at %d bytes decoded" name k
+    | exception Wire.Malformed _ -> ()
+    | exception e ->
+      Alcotest.failf "%s cut at %d bytes raised %s" name k (Printexc.to_string e)
+  done
+
+let test_truncated_payloads () =
+  let stream = Xnf.Xnf_compile.run_view (deps_db ()) "deps_arc" in
+  let chunk = payload_of (Wire.encode_response (Wire.Stream_chunk stream.H.items)) in
+  check_truncations "Stream_chunk" chunk Wire.decode_response;
+  check_truncations "Stream_chunk (reversed)" chunk (fun p ->
+      Wire.decode_chunk_rev p []);
+  let rows =
+    snd (exec_rows (org_db ()) "SELECT * FROM emp ORDER BY eno")
+    @ [ row [ vf (-2.5); vnull; vb true; vs "tail"; vi min_int ] ]
+  in
+  check_truncations "Row_batch"
+    (payload_of (Wire.encode_response (Wire.Row_batch rows)))
+    Wire.decode_response;
+  (* a row arity larger than the bytes left is refused before it sizes
+     an array *)
+  expect_malformed "oversized arity" (fun () ->
+      ignore (Wire.decode_response ("B\002" ^ varint (1 lsl 40))))
+
 (* -- daemon fixtures ------------------------------------------------------ *)
 
 let next_sock =
@@ -829,4 +917,9 @@ let suite =
       test_recursive_snapshot_read;
     Alcotest.test_case "daemon: lock fallback hides uncommitted rows" `Quick
       test_fallback_hides_uncommitted;
+    Alcotest.test_case "codec: varint round-trip and bytes" `Quick
+      test_varint_roundtrip;
+    Alcotest.test_case "codec: chunk writer" `Quick test_chunk_writer;
+    Alcotest.test_case "codec: every truncation is Malformed" `Quick
+      test_truncated_payloads;
   ]

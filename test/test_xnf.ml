@@ -1012,18 +1012,8 @@ let test_tid_map_conns () =
     ignore (Tm.Conns.add c p [| p; -p |])
   done;
   check_id "length" (2 + 291) (Tm.Conns.length c);
-  check_id "count across resizes" 2 (Tm.Conns.count c 1 [| 2; 3 |]);
-  check_id "decrement" 1 (Tm.Conns.remove c 1 [| 2; 3 |]);
-  check_id "drop at zero" 0 (Tm.Conns.remove c 1 [| 2; 3 |]);
-  check_id "absent" (-1) (Tm.Conns.remove c 1 [| 2; 3 |]);
-  for p = 10 to 300 do
-    if p mod 3 = 0 then ignore (Tm.Conns.remove c p [| p; -p |])
-  done;
-  for p = 10 to 300 do
-    check_id "survivor" (if p mod 3 = 0 then 0 else 1)
-      (Tm.Conns.count c p [| p; -p |])
-  done;
-  check_id "kept" 1 (Tm.Conns.count c 1 [| 3; 2 |]);
+  check_id "count across resizes" 3 (Tm.Conns.add c 1 [| 2; 3 |]);
+  check_id "length unchanged by a repeat" (2 + 291) (Tm.Conns.length c);
   Alcotest.check_raises "key width" (Invalid_argument "Tid_map.Conns: key width")
     (fun () -> ignore (Tm.Conns.add c 1 [| 2 |]))
 
