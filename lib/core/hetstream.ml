@@ -353,7 +353,7 @@ let serialize (s : t) : string =
 
 (** Structural stream equality via the wire format: headers, item order,
     tags, ids and every value byte must agree — the check the
-    parallel-extraction equivalence tests rest on. *)
+    stream-equivalence tests rest on. *)
 let equal (a : t) (b : t) = String.equal (serialize a) (serialize b)
 
 let deserialize (data : string) : t =

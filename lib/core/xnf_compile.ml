@@ -307,98 +307,6 @@ let extract ?ctx ?cache (c : compiled) : Hetstream.t =
         extract_nonrecursive ~ctx c)
   end
 
-(** Parallel extraction on the shared domain pool (the paper's Sect. 6
-    outlook: "set-oriented specification of COs as done in XNF
-    particularly lends itself to exploitation of parallelism
-    technology").
-
-    Two-phase schedule over the per-component output plans:
-
-    1. plans the morsel-parallel executor can stream run one after
-       another, each fanned out {e within} the plan across the pool
-       ([Exec_par]); their shared-derivation drains populate the common
-       CSE cache as a side effect;
-    2. the remaining plans (correlated probes, LIMIT) first get every
-       reachable common subexpression forced, then run {e concurrently},
-       one plan per pool task, each domain reading the now-immutable
-       shared cache.
-
-    [assemble] then merges per-component batch lists in component order,
-    so the heterogeneous stream is bit-identical to {!extract}.  Falls
-    back to the fixpoint evaluator for recursive COs.  [domains]
-    defaults to [Relcore.Pool.default_domains ()] (the [XNFDB_DOMAINS]
-    knob); [morsel_rows]/[threshold] are forwarded to [Exec_par]. *)
-let extract_parallel ?domains ?morsel_rows ?threshold ?cache ?snapshot
-    (c : compiled) : Hetstream.t =
-  let domains =
-    match domains with Some d -> d | None -> Relcore.Pool.default_domains ()
-  in
-  (* snapshot readers bypass both cache levels (see {!extract}) *)
-  let use = use_result_cache cache && snapshot = None in
-  if c.recursive then
-    Xnf_recursive.extract ?snapshot ~cache:(use_result_cache cache) c.db c.op
-  else if domains <= 1 then
-    with_stream_cache ~use c (fun () ->
-        extract_nonrecursive
-          ~ctx:(Executor.Exec.make_ctx ~result_cache:use ?snapshot ()) c)
-  else
-    with_stream_cache ~use c @@ fun () ->
-    let ctx = Executor.Exec.make_ctx ~result_cache:use ?snapshot () in
-    (* which outputs will actually run? *)
-    let needed =
-      List.map (fun (n : Xnf_rewrite.node_output) -> n.Xnf_rewrite.no_name)
-        c.rewritten.Xnf_rewrite.node_outputs
-      @ List.filter_map
-          (fun (ro : Xnf_rewrite.rel_output) ->
-            if List.mem ro.Xnf_rewrite.ro_name c.rewritten.Xnf_rewrite.take_rels
-            then Some ro.Xnf_rewrite.ro_name
-            else None)
-          c.rewritten.Xnf_rewrite.rel_outputs
-    in
-    let plans = List.map (fun name -> (name, List.assoc name c.plans)) needed in
-    let par, seq =
-      List.partition
-        (fun ((_, p) : string * Plan.compiled) ->
-          Executor.Exec_par.parallelizable p.Plan.plan)
-        plans
-    in
-    (* phase 1: intra-plan parallelism, one plan at a time *)
-    let par_results =
-      List.map
-        (fun (name, p) ->
-          ( name,
-            Executor.Exec_par.run_batches ~ctx ~domains ?morsel_rows ?threshold
-              p ))
-        par
-    in
-    (* phase 2: inter-plan parallelism over the frozen shared cache,
-       once every CSE derivation the plans read is materialized *)
-    let seq_results =
-      match seq with
-      | [] -> []
-      | _ ->
-        List.iter
-          (fun (_, (p : Plan.compiled)) ->
-            Executor.Exec.force_shared ctx p.Plan.plan)
-          seq;
-        let arr = Array.of_list seq in
-        let out = Array.make (Array.length arr) [] in
-        let next = Atomic.make 0 in
-        Relcore.Pool.run ~domains:(min domains (Array.length arr)) (fun _ ->
-            let my_ctx = Executor.Exec.sibling_ctx ctx in
-            let rec loop () =
-              let i = Atomic.fetch_and_add next 1 in
-              if i < Array.length arr then begin
-                out.(i) <- Executor.Exec.run_batches ~ctx:my_ctx (snd arr.(i));
-                loop ()
-              end
-            in
-            loop ());
-        Array.to_list (Array.mapi (fun i bs -> (fst arr.(i), bs)) out)
-    in
-    let results = par_results @ seq_results in
-    assemble_tids c (fun name -> List.assoc name results)
-
 (** One-call convenience: compile and extract.  [cache] governs both
     levels: the compiled-query cache and the result cache. *)
 let run ?share ?nf_rewrite ?cache ?ctx (db : Db.t) (text : string) : Hetstream.t =

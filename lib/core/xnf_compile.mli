@@ -58,22 +58,6 @@ val extract : ?ctx:Executor.Exec.ctx -> ?cache:bool -> compiled -> Hetstream.t
     cache off: its entries follow live versions, not the reader's
     pinned epoch. *)
 
-val extract_parallel :
-  ?domains:int ->
-  ?morsel_rows:int ->
-  ?threshold:int ->
-  ?cache:bool ->
-  ?snapshot:(Relcore.Base_table.t -> Relcore.Tuple.t option array) ->
-  compiled ->
-  Hetstream.t
-(** Parallel extraction on the shared domain pool: morsel-parallel
-    plans run fanned-out one at a time (populating the CSE cache),
-    the rest run concurrently over the frozen cache; the merged stream
-    is bit-identical to {!extract}.  [domains] defaults to
-    [Relcore.Pool.default_domains ()] ([XNFDB_DOMAINS]); [morsel_rows]
-    and [threshold] tune the morsel scheduler (tests use tiny values to
-    force parallel paths on small data).  [cache] as in {!extract}. *)
-
 val run :
   ?share:bool ->
   ?nf_rewrite:bool ->

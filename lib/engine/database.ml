@@ -296,29 +296,20 @@ let compile_query ?rewrite ?share ?(cache = true) db (sql : string) :
   end
 
 (** Run a SELECT and return schema + result batches — the table queue
-    itself, without flattening.  [domains > 1] drains the plan through
-    the morsel-parallel executor (identical rows, multicore); default is
-    the sequential executor. *)
-let query_batches ?rewrite ?share ?ctx ?domains ?cache db (sql : string) :
+    itself, without flattening. *)
+let query_batches ?rewrite ?share ?ctx ?cache db (sql : string) :
     Schema.t * Batch.t list =
   let c = compile_query ?rewrite ?share ?cache db sql in
-  let batches =
-    match domains with
-    | Some d when d > 1 -> Executor.Exec_par.run_batches ?ctx ~domains:d c
-    | _ -> Executor.Exec.run_batches ?ctx c
-  in
-  (c.Plan.out_schema, batches)
+  (c.Plan.out_schema, Executor.Exec.run_batches ?ctx c)
 
 (** Run a SELECT and return schema + rows. *)
-let query ?rewrite ?share ?ctx ?domains ?cache db (sql : string) :
+let query ?rewrite ?share ?ctx ?cache db (sql : string) :
     Schema.t * Tuple.t list =
-  let schema, batches =
-    query_batches ?rewrite ?share ?ctx ?domains ?cache db sql
-  in
+  let schema, batches = query_batches ?rewrite ?share ?ctx ?cache db sql in
   (schema, Batch.list_to_rows batches)
 
-let query_rows ?rewrite ?share ?ctx ?domains ?cache db sql =
-  snd (query ?rewrite ?share ?ctx ?domains ?cache db sql)
+let query_rows ?rewrite ?share ?ctx ?cache db sql =
+  snd (query ?rewrite ?share ?ctx ?cache db sql)
 
 (** EXPLAIN: the rewritten QGM and the chosen plan.  The
     instrumentation sections cover only this statement (here: just its
@@ -344,21 +335,15 @@ let explain db (sql : string) : string =
 (** EXPLAIN ANALYZE: compile through the prepared-plan cache, execute
     with per-operator attribution armed, and report estimated vs actual
     rows, per-operator inclusive wall time and q-error, plus this
-    statement's cache/colstore/join-filter deltas.  [domains > 1] runs
-    the morsel-parallel executor (each morsel's operator statistics are
-    merged in after the fan-out). *)
-let explain_analyze ?domains db (sql : string) : string =
+    statement's cache/colstore/join-filter deltas. *)
+let explain_analyze db (sql : string) : string =
   mark_statement db;
   let t0 = Executor.Opstats.now () in
   let c = compile_query db sql in
   let acc = Executor.Opstats.create1 c in
   let ctx = Executor.Exec.make_ctx () in
   ctx.Executor.Exec.analyze <- Some acc;
-  let batches =
-    match domains with
-    | Some d when d > 1 -> Executor.Exec_par.run_batches ~ctx ~domains:d c
-    | _ -> Executor.Exec.run_batches ~ctx c
-  in
+  let batches = Executor.Exec.run_batches ~ctx c in
   acc.Executor.Opstats.total_wall <- Executor.Opstats.now () -. t0;
   let buf = Buffer.create 512 in
   Buffer.add_string buf "== plan (analyzed) ==\n";
@@ -614,13 +599,12 @@ let strip_keyword (s : string) (kw : string) : string option =
     prepared-plan cache (the text is at hand here, unlike in
     {!exec_stmt}), so the REPL and script surfaces get repeat-query
     reuse too.  [EXPLAIN <query>] and [EXPLAIN ANALYZE <query>] are
-    handled here (they are a front-end affordance, not grammar);
-    [domains] selects the executor EXPLAIN ANALYZE profiles. *)
-let exec ?domains db (sql : string) : result =
+    handled here (they are a front-end affordance, not grammar). *)
+let exec db (sql : string) : result =
   match strip_keyword sql "EXPLAIN" with
   | Some rest -> (
     match strip_keyword rest "ANALYZE" with
-    | Some q -> Done (explain_analyze ?domains db q)
+    | Some q -> Done (explain_analyze db q)
     | None -> Done (explain db rest))
   | None -> (
     match Sqlkit.Parser.parse_stmt sql with

@@ -79,32 +79,29 @@ val compile_query :
     bypasses it when [false]. *)
 
 val query_batches :
-  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?domains:int ->
-  ?cache:bool -> t -> string -> Schema.t * Batch.t list
+  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?cache:bool ->
+  t -> string -> Schema.t * Batch.t list
 (** Run a SELECT and return schema + result batches — the table queue
-    itself, without flattening to a row list.  [domains > 1] drains the
-    plan through the morsel-parallel executor (identical rows,
-    multicore). *)
+    itself, without flattening to a row list. *)
 
 val query :
-  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?domains:int ->
-  ?cache:bool -> t -> string -> Schema.t * Tuple.t list
+  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?cache:bool ->
+  t -> string -> Schema.t * Tuple.t list
 
 val query_rows :
-  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?domains:int ->
-  ?cache:bool -> t -> string -> Tuple.t list
+  ?rewrite:bool -> ?share:bool -> ?ctx:Executor.Exec.ctx -> ?cache:bool ->
+  t -> string -> Tuple.t list
 
 val explain : t -> string -> string
 (** Rewritten QGM, rule firings, the chosen plan, and per-statement
     cache/colstore/join-filter counters (deltas over this statement's
     window, not process totals). *)
 
-val explain_analyze : ?domains:int -> t -> string -> string
+val explain_analyze : t -> string -> string
 (** Compile (through the prepared-plan cache), execute with
     per-operator attribution armed, and report estimated vs actual rows,
     inclusive wall time and q-error for every operator — flagging the
-    worst estimator — plus this statement's counter deltas.
-    [domains > 1] profiles the morsel-parallel executor. *)
+    worst estimator — plus this statement's counter deltas. *)
 
 val mark_statement : t -> unit
 (** Open a new per-statement counter window (snapshot the monotone
@@ -128,11 +125,10 @@ val component_dml_translator :
 
 val exec_stmt : t -> Ast.stmt -> result
 
-val exec : ?domains:int -> t -> string -> result
+val exec : t -> string -> result
 (** Execute one statement given as text.  [EXPLAIN <query>] and
     [EXPLAIN ANALYZE <query>] prefixes are peeled here (front-end
-    affordance, not grammar); [domains] selects the executor that
-    EXPLAIN ANALYZE profiles. *)
+    affordance, not grammar). *)
 
 val split_script : string -> string list
 (** Split a script on top-level ';' (string literals and [--] comments

@@ -10,12 +10,7 @@
     execution context as batch lists re-read by every consumer — the
     runtime half of XNF's common-subexpression sharing.  The one-tuple
     API ({!cursor}, {!to_seq}) is a thin adapter over the batched
-    pipeline.
-
-    The same operators serve the morsel-parallel driver ({!Exec_par}):
-    a morsel worker runs a pipeline on a {!sibling_ctx} whose [morsel]
-    narrows the driving table's scan, probes join tables built once by
-    {!prepare_join}, and is folded back by {!absorb}. *)
+    pipeline. *)
 
 open Relcore
 module Plan = Optimizer.Plan
@@ -64,9 +59,6 @@ type ctx = {
      two plans (or one plan twice) that share an inner subplan object
      re-reads the first materialization instead of re-draining it *)
   mutable materialized : (Plan.t * Batch.t list) list;
-  mutable joins : (Plan.t * join_table) list;
-  (* join tables built ahead by [prepare_join], keyed by physical join
-     node: morsel workers probe one table instead of building their own *)
   batch_capacity : int; (* rows per batch for this query's table queues *)
   result_cache : bool; (* promote CSE materializations to Result_cache *)
   snapshot : (Base_table.t -> Tuple.t option array) option;
@@ -75,11 +67,6 @@ type ctx = {
      live index probes, and cross-query caches are bypassed — they see
      rows newer than the pinned epoch.  [Snapshot.Stale] may escape any
      access once the undo window has been outrun. *)
-  morsel : (Base_table.t * int * int) option;
-  (* a morsel worker's share [(table, lo, hi)] of its pipeline's driving
-     table: scans of it visit slots [lo, hi) only (colstore chunks by
-     their first slot).  Such a context keeps its counts to itself until
-     [absorb] folds them into the parent on the calling domain. *)
   mutable rows_scanned : int; (* base-table tuples fetched *)
   mutable subqueries_run : int; (* correlated subplan executions *)
   mutable batches_emitted : int; (* batches delivered at plan roots *)
@@ -93,15 +80,13 @@ type ctx = {
   mutable jf_dropped : int; (* join filters adaptively disabled *)
   mutable analyze : Opstats.t option;
   (* EXPLAIN ANALYZE accumulator: when set, [open_plan] wraps every
-     numbered operator with wall-time / row attribution.  A sibling
-     context gets a zeroed copy of its own, merged back by [absorb]. *)
+     numbered operator with wall-time / row attribution. *)
 }
 
 let make_ctx ?batch_capacity ?result_cache ?snapshot () =
   {
     shared = Hashtbl.create 8;
     materialized = [];
-    joins = [];
     batch_capacity =
       (match batch_capacity with
       | Some c -> max 1 c
@@ -111,7 +96,6 @@ let make_ctx ?batch_capacity ?result_cache ?snapshot () =
       | Some b -> b
       | None -> Result_cache.enabled ());
     snapshot;
-    morsel = None;
     rows_scanned = 0;
     subqueries_run = 0;
     batches_emitted = 0;
@@ -129,55 +113,28 @@ let make_ctx ?batch_capacity ?result_cache ?snapshot () =
 (* -- counters with a process-wide mirror --------------------------------- *)
 
 (* Colstore and join-filter counts also feed the process totals
-   ({!Colstore.add_totals}, {!Bloom.add_totals}).  Only a context that
-   owns its query posts them; a morsel worker's counts get there through
-   [absorb], so workers never write shared state. *)
-let posts_totals (ctx : ctx) =
-  match ctx.morsel with None -> true | Some _ -> false
-
+   ({!Colstore.add_totals}, {!Bloom.add_totals}). *)
 let chunk_skipped (ctx : ctx) =
   ctx.chunks_skipped <- ctx.chunks_skipped + 1;
-  if posts_totals ctx then
-    Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0
+  Colstore.add_totals ~scanned:0 ~skipped:1 ~materialized:0
 
 let chunk_scanned (ctx : ctx) ~live ~materialized =
   ctx.chunks_scanned <- ctx.chunks_scanned + 1;
   ctx.rows_scanned <- ctx.rows_scanned + live;
   ctx.rows_materialized <- ctx.rows_materialized + materialized;
-  if posts_totals ctx then
-    Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized
+  Colstore.add_totals ~scanned:1 ~skipped:0 ~materialized
 
 let jf_built (ctx : ctx) =
   ctx.jf_built <- ctx.jf_built + 1;
-  if posts_totals ctx then Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0
+  Bloom.add_totals ~built:1 ~chunks:0 ~rows:0 ~dropped:0
 
 let jf_chunk_skipped (ctx : ctx) =
   ctx.jf_chunks_skipped <- ctx.jf_chunks_skipped + 1;
-  if posts_totals ctx then Bloom.add_totals ~built:0 ~chunks:1 ~rows:0 ~dropped:0
+  Bloom.add_totals ~built:0 ~chunks:1 ~rows:0 ~dropped:0
 
 let jf_rows_skipped (ctx : ctx) n =
   ctx.jf_rows_skipped <- ctx.jf_rows_skipped + n;
-  if posts_totals ctx then Bloom.add_totals ~built:0 ~chunks:0 ~rows:n ~dropped:0
-
-(* -- morsel ranges ---------------------------------------------------------- *)
-
-(** The slot range of [t] this context scans: its morsel, if [t] is the
-    driving table of a morsel worker. *)
-let morsel_of (ctx : ctx) (t : Base_table.t) =
-  match ctx.morsel with
-  | Some (mt, lo, hi) when mt == t -> Some (lo, hi)
-  | _ -> None
-
-(** The colstore chunks [[c0, c1)] of [t] this context scans: every
-    chunk, or those whose first slot lies in its morsel. *)
-let chunk_range (ctx : ctx) (t : Base_table.t) (store : Colstore.t) =
-  let n = Colstore.n_chunks store in
-  match morsel_of ctx t with
-  | None -> (0, n)
-  | Some (lo, hi) ->
-    let ch = Colstore.chunk_rows store in
-    let first s = if s >= n * ch then n else (s + ch - 1) / ch in
-    (first lo, first hi)
+  Bloom.add_totals ~built:0 ~chunks:0 ~rows:n ~dropped:0
 
 exception Cached_batches of Batch.t list
 
@@ -250,9 +207,9 @@ let make_key_fn (frames : Eval.frames) (keys : Plan.scalar list) =
   (extract, scratch)
 
 (** Scan [t] in slot order — the live heap, or under a snapshot the
-    pinned frozen slot array — skipping tombstones; a morsel worker
-    visits only its slot range.  [keep] is a push-down filter (a
-    sideways join filter): rows failing it never enter a batch. *)
+    pinned frozen slot array — skipping tombstones.  [keep] is a
+    push-down filter (a sideways join filter): rows failing it never
+    enter a batch. *)
 let open_scan (ctx : ctx) ?keep (t : Base_table.t) : batch_iter =
   let keep =
     Option.map
@@ -265,12 +222,11 @@ let open_scan (ctx : ctx) ?keep (t : Base_table.t) : batch_iter =
   let kept emit =
     match keep with None -> emit | Some k -> fun row -> if k row then emit row
   in
-  match ctx.snapshot, morsel_of ctx t with
-  | Some frozen, range ->
+  match ctx.snapshot with
+  | Some frozen ->
     let arr = frozen t in
-    let lo, hi = Option.value range ~default:(0, max_int) in
-    let n = min hi (Array.length arr) in
-    let i = ref lo in
+    let n = Array.length arr in
+    let i = ref 0 in
     pack ~capacity:ctx.batch_capacity (fun ~emit ->
         if !i >= n then false
         else begin
@@ -286,16 +242,7 @@ let open_scan (ctx : ctx) ?keep (t : Base_table.t) : batch_iter =
           done;
           true
         end)
-  | None, Some (lo, hi) ->
-    let pending = ref true in
-    pack ~capacity:ctx.batch_capacity (fun ~emit ->
-        !pending
-        && begin
-             pending := false;
-             counted (Base_table.iter_range t ~lo ~hi (kept emit));
-             true
-           end)
-  | None, None ->
+  | None ->
     (* batches grow geometrically from a small first batch so a Limit
        just above the scan stays nearly as lazy as tuple-at-a-time *)
     let cap = ref (min 64 ctx.batch_capacity) in
@@ -343,8 +290,7 @@ let jf_adaptive (ctx : ctx) : Bloom.t -> int -> bool =
           then begin
             live := false;
             ctx.jf_dropped <- ctx.jf_dropped + 1;
-            if posts_totals ctx then
-              Bloom.add_totals ~built:0 ~chunks:0 ~rows:0 ~dropped:1
+            Bloom.add_totals ~built:0 ~chunks:0 ~rows:0 ~dropped:1
           end
         end;
         pass
@@ -378,9 +324,9 @@ let itbl_filter (ctx : ctx) (itbl : _ Itbl.t) : Bloom.t =
    clocks the open and every pull of each numbered operator (inclusive
    times — the recursion wraps children too) and counts output rows
    {e after} selection vectors, so a child's rows are exactly its
-   parent's input.  Nodes outside the numbered tree (id -1, e.g. plans
-   synthesized mid-flight) pass through untouched, as does everything
-   when [ctx.analyze] is [None]. *)
+   parent's input.  Nodes outside the numbered tree (id -1: a plan the
+   accumulator was not created over) pass through untouched, as does
+   everything when [ctx.analyze] is [None]. *)
 let rec open_plan (ctx : ctx) (frames : Eval.frames) (p : Plan.t) : batch_iter =
   match ctx.analyze with
   | None -> open_plan_raw ctx frames p
@@ -705,10 +651,10 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
   let test = Option.map (compile_pred ctx) cs.Colscan.residual in
   let sel = Array.make (Colstore.chunk_rows store) 0 in
   (* snapshotted: queries never mutate their own base tables here *)
-  let c0, c1 = chunk_range ctx table store in
-  let chunk = ref c0 in
+  let n_chunks = Colstore.n_chunks store in
+  let chunk = ref 0 in
   pack ~capacity:ctx.batch_capacity (fun ~emit ->
-      if !chunk >= c1 then false
+      if !chunk >= n_chunks then false
       else begin
         let c = !chunk in
         incr chunk;
@@ -730,13 +676,6 @@ and open_colscan (ctx : ctx) (frames : Eval.frames) (cs : Colscan.t) :
         end;
         true
       end)
-
-(** The join table of [node]: the one {!prepare_join} built ahead, or a
-    fresh build on this context. *)
-and join_table (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
-  match List.assq_opt node ctx.joins with
-  | Some jt -> jt
-  | None -> build_join ctx frames node
 
 (** Open an index join ([node] is the [Index_join]).  [mk_row] as in
     {!open_hash_join}. *)
@@ -765,7 +704,7 @@ and open_index_join (ctx : ctx) (frames : Eval.frames)
          posting lists rebuilt from the frozen slot array instead *)
       let postings =
         lazy
-          (match join_table ctx frames node with
+          (match build_join ctx frames node with
           | J_postings tbl -> tbl
           | _ -> assert false)
       in
@@ -829,7 +768,7 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       emit_match emit row m;
       emit_matches emit row tl
   in
-  let table = lazy (join_table ctx frames node) in
+  let table = lazy (build_join ctx frames node) in
   let jf_pass = jf_adaptive ctx in
   match probe_keys with
   | [ pk ] -> (
@@ -844,8 +783,8 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
       let katoms = cs.Colscan.katoms in
       let test = Option.map (compile_pred ctx) cs.Colscan.residual in
       let sel = Array.make (Colstore.chunk_rows store) 0 in
-      let c0, c1 = chunk_range ctx ptable store in
-      let chunk = ref c0 in
+      let n_chunks = Colstore.n_chunks store in
+      let chunk = ref 0 in
       (* build-side key range as zone-prunable atoms over the probe's key
          column (forces the build); codes are unordered, so a string key
          is filtered by its Bloom alone *)
@@ -864,7 +803,7 @@ and open_hash_join (ctx : ctx) (frames : Eval.frames)
           | _ -> None)
       in
       pack ~capacity:ctx.batch_capacity (fun ~emit ->
-          if !chunk >= c1 then false
+          if !chunk >= n_chunks then false
           else begin
             let c = !chunk in
             incr chunk;
@@ -1199,8 +1138,7 @@ and build_join (ctx : ctx) (frames : Eval.frames) (node : Plan.t) : join_table =
     build side chunk-at-a-time and fill the int-keyed table straight
     from the unboxed key column — no per-row key closure, no [Value]
     match.  [None] when the build side is not a columnar scan or the
-    key is not a bare [Tint] column.  A build side is never a morsel:
-    every chunk is read. *)
+    key is not a bare [Tint] column. *)
 and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
     single_key_table option =
   match Colscan.of_plan ~require_atoms:false build with
@@ -1246,7 +1184,6 @@ and columnar_build (ctx : ctx) (frames : Eval.frames) ~build ~key :
         end
       done;
       Some (T_int itbl))
-
 
 (** Materialize a subplan into a batch list.  Uncorrelated subplans
     ([frames = []]) are cached by physical plan identity in the context,
@@ -1384,122 +1321,6 @@ and eval_pred ctx (frames : Eval.frames) (tuple : Tuple.t) (p : Plan.ppred) :
     in
     go ()
   end
-
-(** Materialize every [Shared] node reachable in [p] into the context
-    (bottom-up).  After this, executing [p] — even from several domains
-    sharing the context — only {e reads} the shared cache, making
-    parallel evaluation of multi-output queries safe. *)
-let force_shared (ctx : ctx) (p : Plan.t) : unit =
-  let rec walk p =
-    (match p with
-    | Plan.Shared (bid, inner) ->
-      walk inner;
-      ignore (get_shared ctx [] bid inner)
-    | _ -> ());
-    match p with
-    | Plan.Scan _ | Plan.Values _ -> ()
-    | Plan.Filter (i, pred) ->
-      walk i;
-      walk_pred pred
-    | Plan.Project (i, _) | Plan.Distinct i | Plan.Sort (i, _) | Plan.Limit (i, _)
-      ->
-      walk i
-    | Plan.Shared (_, i) -> walk i
-    | Plan.Nl_join { outer; inner; cond } ->
-      walk outer;
-      walk inner;
-      walk_pred cond
-    | Plan.Hash_join { build; probe; residual; _ } ->
-      walk build;
-      walk probe;
-      walk_pred residual
-    | Plan.Index_join { outer; residual; _ } ->
-      walk outer;
-      walk_pred residual
-    | Plan.Aggregate { input; _ } -> walk input
-    | Plan.Union_all is -> List.iter walk is
-  and walk_pred = function
-    | Plan.P_exists sub | Plan.P_in (_, sub) -> walk sub
-    | Plan.P_and (a, b) | Plan.P_or (a, b) ->
-      walk_pred a;
-      walk_pred b
-    | Plan.P_not a -> walk_pred a
-    | Plan.P_true | Plan.P_false | Plan.P_cmp _ | Plan.P_is_null _
-    | Plan.P_is_not_null _ | Plan.P_like _ ->
-      ()
-  in
-  walk p
-
-(* -- morsel workers ---------------------------------------------------------- *)
-
-(** A context for another domain sharing this one's CSE cache (safe once
-    {!force_shared} ran for every plan about to execute), its
-    materialized inners and its prepared join tables — all only read
-    there.  Counters start at zero; an analyze accumulator becomes a
-    zeroed copy of the parent's. *)
-let sibling_ctx (ctx : ctx) : ctx =
-  {
-    shared = ctx.shared;
-    materialized = ctx.materialized;
-    joins = ctx.joins;
-    batch_capacity = ctx.batch_capacity;
-    result_cache = ctx.result_cache;
-    snapshot = ctx.snapshot;
-    morsel = ctx.morsel;
-    rows_scanned = 0;
-    subqueries_run = 0;
-    batches_emitted = 0;
-    materializations = 0;
-    chunks_scanned = 0;
-    chunks_skipped = 0;
-    rows_materialized = 0;
-    jf_built = 0;
-    jf_chunks_skipped = 0;
-    jf_rows_skipped = 0;
-    jf_dropped = 0;
-    analyze = Option.map Opstats.like ctx.analyze;
-  }
-
-(** Fold a finished morsel worker's counters and operator statistics
-    into [into], posting its colstore and join-filter counts to the
-    process totals on the way.  Single-threaded: the caller's domain,
-    after the workers are done. *)
-let absorb ~(into : ctx) (w : ctx) =
-  into.rows_scanned <- into.rows_scanned + w.rows_scanned;
-  into.subqueries_run <- into.subqueries_run + w.subqueries_run;
-  into.batches_emitted <- into.batches_emitted + w.batches_emitted;
-  into.materializations <- into.materializations + w.materializations;
-  into.chunks_scanned <- into.chunks_scanned + w.chunks_scanned;
-  into.chunks_skipped <- into.chunks_skipped + w.chunks_skipped;
-  into.rows_materialized <- into.rows_materialized + w.rows_materialized;
-  into.jf_built <- into.jf_built + w.jf_built;
-  into.jf_chunks_skipped <- into.jf_chunks_skipped + w.jf_chunks_skipped;
-  into.jf_rows_skipped <- into.jf_rows_skipped + w.jf_rows_skipped;
-  into.jf_dropped <- into.jf_dropped + w.jf_dropped;
-  if posts_totals into then begin
-    Colstore.add_totals ~scanned:w.chunks_scanned ~skipped:w.chunks_skipped
-      ~materialized:w.rows_materialized;
-    Bloom.add_totals ~built:w.jf_built ~chunks:w.jf_chunks_skipped
-      ~rows:w.jf_rows_skipped ~dropped:w.jf_dropped
-  end;
-  match into.analyze, w.analyze with
-  | Some acc, Some part -> Opstats.merge ~into:acc part
-  | _ -> ()
-
-(** Build [node]'s join table now, on this context, and keep it there:
-    every later open of [node] here or on a {!sibling_ctx} taken
-    afterwards probes this one table.  Applies to [Hash_join] nodes and,
-    under a snapshot, [Index_join] nodes; a no-op on anything else. *)
-let prepare_join (ctx : ctx) (node : Plan.t) : unit =
-  let wanted =
-    match node with
-    | Plan.Hash_join _ -> true
-    | Plan.Index_join _ -> ctx.snapshot <> None
-    | _ -> false
-  in
-  if wanted && not (List.mem_assq node ctx.joins) then
-    ctx.joins <- (node, build_join ctx [] node) :: ctx.joins
-
 
 (* -- public surface ------------------------------------------------------ *)
 

@@ -6,9 +6,6 @@
 open Relcore
 module Plan = Optimizer.Plan
 
-type join_table
-(** A join's built table and sideways filter (see {!prepare_join}). *)
-
 (** Execution context shared across the (possibly many) plans of one
     multi-output query: the CSE cache, the inner-materialization cache,
     and instrumentation counters. *)
@@ -16,15 +13,10 @@ type ctx = {
   shared : (int, Batch.t list) Hashtbl.t;
   mutable materialized : (Plan.t * Batch.t list) list;
       (* join inners materialized once per physical plan object *)
-  mutable joins : (Plan.t * join_table) list;
-      (* join tables built ahead by {!prepare_join}, by physical node *)
   batch_capacity : int; (* rows per batch for this query's table queues *)
   result_cache : bool; (* promote CSE materializations to Result_cache *)
   snapshot : (Base_table.t -> Tuple.t option array) option;
       (* MVCC-lite frozen view: all base-table access reads through it *)
-  morsel : (Base_table.t * int * int) option;
-      (* a morsel worker's [(table, lo, hi)]: scans of that table visit
-         slots [lo, hi) only, colstore chunks by their first slot *)
   mutable rows_scanned : int; (* base-table tuples fetched *)
   mutable subqueries_run : int; (* correlated subplan executions *)
   mutable batches_emitted : int; (* batches delivered at plan roots *)
@@ -36,9 +28,7 @@ type ctx = {
   mutable jf_chunks_skipped : int; (* probe chunks pruned by join-filter range *)
   mutable jf_rows_skipped : int; (* probe rows dropped by a join filter *)
   mutable jf_dropped : int; (* join filters adaptively disabled *)
-  mutable analyze : Opstats.t option;
-      (* EXPLAIN ANALYZE accumulator; a sibling context records into a
-         zeroed copy that {!absorb} merges back *)
+  mutable analyze : Opstats.t option; (* EXPLAIN ANALYZE accumulator *)
 }
 
 exception Cached_batches of Batch.t list
@@ -68,38 +58,8 @@ val make_ctx :
 type iter = unit -> Tuple.t option
 type batch_iter = unit -> Batch.t option
 
-val iter_of_batches : Batch.t list -> batch_iter
 val drain_batches : batch_iter -> Batch.t list
-
-val open_plan : ctx -> Eval.frames -> Plan.t -> batch_iter
 val eval_pred : ctx -> Eval.frames -> Tuple.t -> Plan.ppred -> bool option
-
-val materialize : ctx -> Eval.frames -> Plan.t -> Batch.t list
-(** Materialize a subplan into a batch list.  Uncorrelated subplans are
-    cached by physical plan identity in the context, so every consumer
-    of the same subplan object drains it exactly once. *)
-
-val force_shared : ctx -> Plan.t -> unit
-(** Materialize every [Shared] node reachable in the plan (bottom-up);
-    afterwards executing it — even from several domains sharing the
-    context — only reads the CSE cache. *)
-
-val sibling_ctx : ctx -> ctx
-(** A context for another domain: it shares this one's CSE cache,
-    materialized inners, prepared join tables and [morsel], and starts
-    its counters (and a copy of its analyze accumulator) at zero. *)
-
-val absorb : into:ctx -> ctx -> unit
-(** Fold a finished morsel worker's counters and operator statistics
-    into its parent, posting its colstore and join-filter counts to the
-    process totals (a worker never posts them itself).  Single-threaded,
-    after the workers are done. *)
-
-val prepare_join : ctx -> Plan.t -> unit
-(** Build a [Hash_join]'s table and join filter (or, under a snapshot,
-    an [Index_join]'s posting lists) on this context now; every later
-    open of that node here or on a sibling taken afterwards probes the
-    one table, read-only.  A no-op on other nodes. *)
 
 val scan_victims : ctx -> Base_table.t -> Plan.ppred -> (Heap.rid * Tuple.t) list
 (** UPDATE/DELETE victim finding through the executor's batch layer:

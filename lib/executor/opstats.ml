@@ -8,11 +8,8 @@
     rows, counted after selection vectors are applied, so the child
     row count of a pipeline is exactly its parent's input.
 
-    The executor ({!Exec}) mutates the accumulator directly, on one
-    domain.  A morsel worker of the parallel driver ({!Exec_par})
-    records into a zeroed copy ({!like}) that the calling domain
-    {!merge}s after the fan-out, so a parallel operator's opens count
-    its morsels and its time sums its workers' clocks. *)
+    The executor ({!Exec}) mutates the accumulator directly, on the
+    domain that runs the query. *)
 
 module Plan = Optimizer.Plan
 
@@ -72,7 +69,7 @@ let create1 (c : Plan.compiled) : t = create [ ("", c) ]
 let count (t : t) = Array.length t.ops
 
 (** Id of a physical plan node; [-1] for nodes outside the numbered
-    tree (e.g. [Values] leaves synthesized by the parallel splice).
+    tree (a plan the accumulator was not created over).
     Linear scan on physical identity — plans are tens of nodes. *)
 let id_of (t : t) (p : Plan.t) : int =
   let n = Array.length t.ops in
@@ -97,32 +94,6 @@ let add_batch (t : t) id ~dt ~rows =
 let add_time (t : t) id dt =
   let op = t.ops.(id) in
   op.wall <- op.wall +. dt
-
-let add_rows (t : t) id rows =
-  let op = t.ops.(id) in
-  op.rows <- op.rows + rows
-
-(* -- morsel workers (merged single-threaded after the fan-out) ----------- *)
-
-let like (t : t) : t =
-  {
-    t with
-    ops =
-      Array.map
-        (fun op -> { op with opens = 0; rows = 0; batches = 0; wall = 0.0 })
-        t.ops;
-    total_wall = 0.0;
-  }
-
-let merge ~(into : t) (w : t) =
-  Array.iteri
-    (fun i (op : op) ->
-      let o = into.ops.(i) in
-      o.opens <- o.opens + op.opens;
-      o.rows <- o.rows + op.rows;
-      o.batches <- o.batches + op.batches;
-      o.wall <- o.wall +. op.wall)
-    w.ops
 
 (* -- reporting ------------------------------------------------------------ *)
 

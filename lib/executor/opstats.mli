@@ -3,9 +3,8 @@
     rows/batches, and the q-error report against the planner's own row
     estimates ({!Optimizer.Plan.estimate}).
 
-    Recording discipline: the executor mutates ops directly (one
-    domain); each morsel worker records into its own {!like} copy, which
-    {!merge} folds in single-threaded after the fan-out. *)
+    Recording discipline: the executor mutates ops directly, on the
+    domain that runs the query. *)
 
 module Plan = Optimizer.Plan
 
@@ -45,14 +44,6 @@ val id_of : t -> Plan.t -> int
 val note_open : t -> int -> float -> unit
 val add_batch : t -> int -> dt:float -> rows:int -> unit
 val add_time : t -> int -> float -> unit
-val add_rows : t -> int -> int -> unit
-
-val like : t -> t
-(** A zeroed accumulator over the same numbered operators. *)
-
-val merge : into:t -> t -> unit
-(** Add a {!like} copy's opens, rows, batches and time in; the caller
-    must be single-threaded. *)
 
 val q_error : op -> float option
 (** max(est/act, act/est), both floored at one row; [None] unestimated. *)

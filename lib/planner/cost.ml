@@ -34,20 +34,6 @@ let stream_cost (rows : float) : float =
     in
     (rows *. tuple_cost) +. (batches *. batch_overhead)
 
-(* -- degree of parallelism ------------------------------------------------ *)
-
-(** Below this many input rows a parallel plan fragment is not worth its
-    scheduling overhead (channel traffic, morsel dispatch, worker
-    wake-up): the executor falls back to the serial path. *)
-let parallel_threshold_rows = 2048
-
-(** Degree of parallelism for a fragment of [rows] input rows given
-    [domains] available workers: serial under the threshold, and never
-    more workers than there are threshold-sized chunks of work. *)
-let choose_dop ?(threshold = parallel_threshold_rows) ~domains ~rows () =
-  if domains <= 1 || rows < threshold then 1
-  else min domains (max 1 (rows / threshold))
-
 (** Trace a body expression to a base-table column when the expression
     is a bare column reference whose quantifier (resolved by [resolve])
     ranges directly over a base table, or over a pass-through projection

@@ -17,15 +17,6 @@ val stream_cost : float -> float
     plus a per-batch term for however many [Relcore.Batch] units the
     rows occupy. *)
 
-val parallel_threshold_rows : int
-(** Input-row count below which a fragment runs serially (scheduling a
-    parallel fan-out would cost more than it saves). *)
-
-val choose_dop : ?threshold:int -> domains:int -> rows:int -> unit -> int
-(** Degree of parallelism for a fragment: 1 under [threshold] (default
-    {!parallel_threshold_rows}) rows, otherwise at most one worker per
-    threshold-sized chunk, capped at [domains]. *)
-
 val base_column_of :
   (int -> Qgm.box option) -> Qgm.bexpr -> (Relcore.Base_table.t * int) option
 (** Trace a bare column reference to a base-table column through

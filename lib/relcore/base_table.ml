@@ -112,11 +112,10 @@ let scan t = Heap.scan t.heap
 let scan_into ?filter t ~from out ~start ~max =
   Heap.scan_into ?filter t.heap ~from out ~start ~max
 
-(** Slots ever allocated — the slot-range domain that morsel scans
-    partition (live rows may be fewer; tombstones are skipped). *)
+(** Slots ever allocated (live rows may be fewer; tombstones are
+    skipped). *)
 let slot_count t = Heap.capacity t.heap
 
-let iter_range t ~lo ~hi f = Heap.iter_range t.heap ~lo ~hi f
 let to_list t = Heap.to_list t.heap
 
 (** Remove every row and reset slot allocation: a refilled table scans

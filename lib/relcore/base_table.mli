@@ -89,11 +89,8 @@ val scan_into :
     drops failing rows before they reach the output array. *)
 
 val slot_count : t -> int
-(** Slots ever allocated — the domain morsel scans partition (live rows
-    may be fewer; tombstones are skipped). *)
-
-val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> int
-(** Apply [f] to live tuples in slots [lo, hi); returns rows visited. *)
+(** Slots ever allocated (live rows may be fewer; tombstones are
+    skipped). *)
 
 val to_list : t -> (Heap.rid * Tuple.t) list
 

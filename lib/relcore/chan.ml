@@ -1,12 +1,8 @@
-(** Bounded multi-producer single-consumer channel — the inter-domain
-    table queue.
-
-    This is the runtime realisation of Starburst's table queue: a
-    bounded buffer of batches between a producing plan fragment and a
-    consuming one, providing flow control (producers block when the
-    consumer falls behind) and a clean end-of-stream protocol ([close]
-    once every producer is done; [pop] returns [None] after the last
-    element drains). *)
+(** Bounded multi-producer single-consumer channel between domains: the
+    daemon's per-session outbox of encoded frames.  Producers (request
+    workers) block when the consumer (the event loop) falls behind;
+    [close] ends the stream, and a producer still pushing sees
+    [Closed]. *)
 
 exception Closed
 
@@ -17,7 +13,6 @@ type 'a t = {
   mutable closed : bool;
   m : Mutex.t;
   not_full : Condition.t;
-  not_empty : Condition.t;
 }
 
 let create ~capacity =
@@ -29,7 +24,6 @@ let create ~capacity =
     closed = false;
     m = Mutex.create ();
     not_full = Condition.create ();
-    not_empty = Condition.create ();
   }
 
 let push t x =
@@ -43,27 +37,7 @@ let push t x =
   end;
   t.ring.((t.head + t.len) mod Array.length t.ring) <- Some x;
   t.len <- t.len + 1;
-  Condition.signal t.not_empty;
   Mutex.unlock t.m
-
-let pop t =
-  Mutex.lock t.m;
-  while t.len = 0 && not t.closed do
-    Condition.wait t.not_empty t.m
-  done;
-  let r =
-    if t.len = 0 then None (* closed and drained *)
-    else begin
-      let x = t.ring.(t.head) in
-      t.ring.(t.head) <- None;
-      t.head <- (t.head + 1) mod Array.length t.ring;
-      t.len <- t.len - 1;
-      Condition.signal t.not_full;
-      x
-    end
-  in
-  Mutex.unlock t.m;
-  r
 
 let try_pop t =
   Mutex.lock t.m;
@@ -90,8 +64,6 @@ let length t =
 let close t =
   Mutex.lock t.m;
   t.closed <- true;
-  (* wake blocked producers (they raise Closed) and the consumer (it
-     drains the remainder, then sees None) *)
+  (* wake blocked producers: they raise Closed *)
   Condition.broadcast t.not_full;
-  Condition.broadcast t.not_empty;
   Mutex.unlock t.m

@@ -1,7 +1,7 @@
-(** Bounded multi-producer single-consumer channel: the inter-domain
-    table queue.  Producers block when the buffer is full (flow
-    control); the consumer blocks when it is empty; [close] ends the
-    stream — [pop] drains what remains, then returns [None]. *)
+(** Bounded multi-producer single-consumer channel between domains.
+    Producers block when the buffer is full (flow control); the
+    consumer polls with {!try_pop}; [close] ends the stream and wakes
+    blocked producers. *)
 
 exception Closed
 (** Raised by {!push} on a closed channel. *)
@@ -15,16 +15,13 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> unit
 (** Blocks while full.  @raise Closed if the channel was closed. *)
 
-val pop : 'a t -> 'a option
-(** Blocks while empty and open; [None] once closed and drained. *)
-
 val try_pop : 'a t -> 'a option
-(** Non-blocking {!pop}: [None] when the buffer is currently empty
-    (whether or not the channel is closed).  For event loops that must
-    never sleep on one channel. *)
+(** The oldest element, or [None] when the buffer is currently empty
+    (whether or not the channel is closed).  Never blocks: for event
+    loops that must never sleep on one channel. *)
 
 val length : 'a t -> int
 (** Number of in-flight elements (the consumer-visible queue depth). *)
 
 val close : 'a t -> unit
-(** Mark end-of-stream and wake all blocked producers/consumers. *)
+(** Mark end-of-stream and wake all blocked producers. *)

@@ -280,18 +280,3 @@ let scan_into ?filter h ~from (out : Tuple.t array) ~start ~max =
       incr pos
     done);
   (!pos, !k - start)
-
-(** Apply [f] to every live tuple in slots [lo, hi) — the morsel
-    primitive for partitioned parallel scans.  Returns the number of
-    live rows visited. *)
-let iter_range h ~lo ~hi f =
-  let hi = min hi (Vec.length h.slots) in
-  let n = ref 0 in
-  for i = max 0 lo to hi - 1 do
-    match Vec.get h.slots i with
-    | Some t ->
-      f t;
-      incr n
-    | None -> ()
-  done;
-  !n

@@ -105,7 +105,3 @@ val scan_into :
     [(next_slot, n_filled)]; skips tombstones like {!scan}.  [filter]
     (a push-down predicate such as a sideways join filter) sees every
     visited live tuple and drops failing rows before the output. *)
-
-val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> int
-(** Apply [f] to every live tuple in slots [lo, hi) (the morsel
-    primitive for partitioned scans); returns live rows visited. *)

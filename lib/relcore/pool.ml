@@ -1,18 +1,11 @@
-(** Shared domain pool — the process-wide worker team behind parallel
-    table-queue execution.
+(** Shared domain pool — the process-wide worker team that runs the
+    daemon's requests, one task per request.
 
-    Worker domains are spawned lazily (up to the requested parallelism)
-    and kept for the life of the process, blocked on a task queue; every
-    parallel query execution reuses them, so per-query domain spawn cost
-    is paid once.  Parallel queries name their own domain count;
-    [XNFDB_DOMAINS] (default: the runtime's recommended domain count,
-    i.e. the physical cores) sizes the daemon's worker warm-up and is
-    the fallback for a parallel entry point called without one.
-
-    Nesting is safe by construction: a task that itself calls {!run}
-    detects it is already on a pool worker and executes its subtasks
-    inline instead of re-entering the queue, so the pool can never
-    deadlock on its own tasks. *)
+    Worker domains are spawned lazily (up to the number of tasks asked
+    for) and kept for the life of the process, blocked on a task queue,
+    so the domain spawn cost is paid once.  [XNFDB_DOMAINS] (default:
+    the runtime's recommended domain count, i.e. the physical cores)
+    sizes the daemon's worker warm-up. *)
 
 (** Configured parallelism: [XNFDB_DOMAINS], or the hardware's
     recommended domain count.  The daemon warms up this many workers. *)
@@ -30,14 +23,7 @@ let nonempty = Condition.create ()
 let queue : (unit -> unit) Queue.t = Queue.create ()
 let n_workers = ref 0
 
-(* set on pool worker domains; {!run} from inside a worker degrades to
-   inline execution *)
-let on_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let in_worker () = Domain.DLS.get on_worker
-
 let worker_main () =
-  Domain.DLS.set on_worker true;
   let rec loop () =
     Mutex.lock mutex;
     while Queue.is_empty queue do
@@ -105,37 +91,3 @@ let await (h : handle) : unit =
   done;
   Mutex.unlock h.hm;
   match h.error with Some e -> raise e | None -> ()
-
-(** Run [f 0 .. f (domains-1)] to completion, the caller executing [f 0]
-    itself.  Inline (sequential) when [domains <= 1] or when already on
-    a pool worker. *)
-let run ~domains (f : int -> unit) : unit =
-  if domains <= 1 || in_worker () then
-    for i = 0 to max 0 (domains - 1) do
-      f i
-    done
-  else begin
-    let h = launch ~n:(domains - 1) (fun i -> f (i + 1)) in
-    let mine = match f 0 with () -> None | exception e -> Some e in
-    (match await h with
-    | () -> ()
-    | exception e -> ( match mine with Some _ -> () | None -> raise e));
-    match mine with Some e -> raise e | None -> ()
-  end
-
-(** Morsel-style dynamic scheduling: [domains] participants pull morsel
-    indexes [0 .. morsels-1] from a shared atomic counter and run [f] on
-    each — fast workers take more morsels. *)
-let for_morsels ~domains ~morsels (f : int -> unit) : unit =
-  if morsels > 0 then begin
-    let next = Atomic.make 0 in
-    run ~domains:(min domains morsels) (fun _ ->
-        let rec go () =
-          let m = Atomic.fetch_and_add next 1 in
-          if m < morsels then begin
-            f m;
-            go ()
-          end
-        in
-        go ())
-  end

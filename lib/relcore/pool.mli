@@ -1,15 +1,10 @@
-(** Shared domain pool: persistent worker domains behind parallel
-    table-queue execution.  Workers are spawned lazily, up to the
-    parallelism a query asks for, and reused across queries. *)
+(** Shared domain pool: persistent worker domains that run the daemon's
+    requests.  Workers are spawned lazily, up to the number of tasks
+    asked for, and reused for the life of the process. *)
 
 val default_domains : unit -> int
 (** [XNFDB_DOMAINS], or [Domain.recommended_domain_count ()]: the
-    worker count the daemon warms up at start, and the fallback for a
-    parallel entry point called without [~domains]. *)
-
-val in_worker : unit -> bool
-(** Is the current domain a pool worker?  ({!run} from a worker executes
-    inline, so nested parallelism cannot deadlock the pool.) *)
+    worker count the daemon warms up at start. *)
 
 type handle
 
@@ -21,12 +16,3 @@ val launch : n:int -> (int -> unit) -> handle
 val await : handle -> unit
 (** Block until every task of the handle finished; re-raises the first
     task exception. *)
-
-val run : domains:int -> (int -> unit) -> unit
-(** [run ~domains f] executes [f 0 .. f (domains-1)] to completion, the
-    caller running [f 0] itself.  Inline when [domains <= 1] or when
-    already on a pool worker. *)
-
-val for_morsels : domains:int -> morsels:int -> (int -> unit) -> unit
-(** Dynamic (morsel-style) scheduling: participants pull indexes
-    [0 .. morsels-1] from a shared counter; fast workers take more. *)

@@ -51,7 +51,7 @@ type t = {
   epoch : int; (* process-unique pin id, for stats / diagnostics *)
   versions : (int, int) Hashtbl.t; (* tid -> pinned committed version *)
   frozen : (int, Tuple.t option array) Hashtbl.t; (* tid -> pre-image *)
-  fmu : Mutex.t; (* parallel scan workers race the lazy freeze *)
+  fmu : Mutex.t; (* guards the lazy freeze: a pin may be read from any domain *)
 }
 
 let pin cat =

@@ -1,7 +1,7 @@
 (** EXPLAIN ANALYZE attribution.
 
-    Covers the per-operator accumulator (rows-in/out invariants on the
-    serial and the 4-domain executor), byte-identity of query results
+    Covers the per-operator accumulator (rows-in/out invariants),
+    byte-identity of query results
     with analysis armed vs off across the four workload databases, and
     the EXPLAIN (ANALYZE) report text with its per-statement counter
     sections. *)
@@ -12,22 +12,15 @@ module Plan = Optimizer.Plan
 module Opstats = Executor.Opstats
 
 (* run [sql] with the per-operator accumulator armed *)
-let run_compiled ?domains db sql =
+let run_compiled db sql =
   let c = Db.compile_query db sql in
   let acc = Opstats.create1 c in
   let ctx = Executor.Exec.make_ctx () in
   ctx.Executor.Exec.analyze <- Some acc;
-  let bs =
-    match domains with
-    | Some d when d > 1 ->
-      (* threshold 1 forces the fan-out even on test-sized tables *)
-      Executor.Exec_par.run_batches ~ctx ~domains:d ~threshold:1 c
-    | _ -> Executor.Exec.run_batches ~ctx c
-  in
-  (c, acc, Batch.list_to_rows bs)
+  (c, acc, Executor.Exec.run ~ctx c)
 
-let run_analyzed ?domains db sql =
-  let _, acc, rows = run_compiled ?domains db sql in
+let run_analyzed db sql =
+  let _, acc, rows = run_compiled db sql in
   (acc, rows)
 
 (* The structural invariants every analyzed run must satisfy:
@@ -74,35 +67,6 @@ let test_serial_attribution () =
   let rendered = Opstats.render acc in
   Alcotest.(check bool) "render mentions est=" true (Helpers.contains ~affix:"est=" rendered)
 
-let test_parallel_attribution () =
-  let db =
-    Workloads.Org.generate
-      { Workloads.Org.default with Workloads.Org.n_depts = 40; seed = 3 }
-  in
-  let sql =
-    "SELECT e.eno, d.dno FROM emp e, dept d WHERE e.edno = d.dno AND d.loc = \
-     'ARC'"
-  in
-  let plain = Db.query_rows db sql in
-  let acc, rows = run_analyzed ~domains:4 db sql in
-  Helpers.check_rows "parallel analyzed rows unchanged" plain rows;
-  check_invariants "parallel" acc rows
-
-let test_parallel_blocking_attribution () =
-  (* aggregate + sort exercise the drain-level attribution (blocking
-     operators record rows at the drain, not through worker partials) *)
-  let db =
-    Workloads.Org.generate
-      { Workloads.Org.default with Workloads.Org.n_depts = 40; seed = 4 }
-  in
-  let sql =
-    "SELECT edno, COUNT(*) FROM emp GROUP BY edno ORDER BY edno"
-  in
-  let plain = Db.query_rows db sql in
-  let acc, rows = run_analyzed ~domains:4 db sql in
-  Helpers.check_rows "parallel agg rows unchanged" plain rows;
-  check_invariants "parallel blocking" acc rows
-
 (* the four workload databases with one representative query each *)
 let workload_cases () =
   [
@@ -129,11 +93,7 @@ let test_analyze_identity () =
     (fun (name, db, sql) ->
       let baseline = Db.query_rows db sql in
       let _, serial_on = run_analyzed db sql in
-      Helpers.check_rows (name ^ ": serial analyze identity") baseline serial_on;
-      let par_off = Db.query_rows ~domains:4 db sql in
-      Helpers.check_rows (name ^ ": parallel off identity") baseline par_off;
-      let _, par_on = run_analyzed ~domains:4 db sql in
-      Helpers.check_rows (name ^ ": parallel analyze identity") baseline par_on)
+      Helpers.check_rows (name ^ ": serial analyze identity") baseline serial_on)
     (workload_cases ())
 
 (* Every est= EXPLAIN ANALYZE prints is the planner's own number for that
@@ -171,11 +131,8 @@ let check_one_estimator msg (c : Plan.compiled) (acc : Opstats.t) =
 let test_one_estimator () =
   List.iter
     (fun (name, db, sql) ->
-      List.iter
-        (fun domains ->
-          let c, acc, _ = run_compiled ~domains db sql in
-          check_one_estimator (Printf.sprintf "%s, %d domains" name domains) c acc)
-        [ 1; 4 ])
+      let c, acc, _ = run_compiled db sql in
+      check_one_estimator name c acc)
     (workload_cases ())
 
 (* The OO1 parts graph's IndexJoin (parts -> conns on pid = cfrom) was
@@ -247,9 +204,6 @@ let test_explain_per_statement_counters () =
 let suite =
   [
     Alcotest.test_case "serial attribution" `Quick test_serial_attribution;
-    Alcotest.test_case "parallel attribution" `Quick test_parallel_attribution;
-    Alcotest.test_case "parallel blocking attribution" `Quick
-      test_parallel_blocking_attribution;
     Alcotest.test_case "analyze on/off identity" `Quick test_analyze_identity;
     Alcotest.test_case "one estimator: est is the planner's" `Quick
       test_one_estimator;

@@ -275,8 +275,8 @@ let test_concurrent_cached_extraction () =
   let c = Xnf.Xnf_compile.compile db Workloads.Org.deps_arc_query in
   let reference = Xnf.Xnf_compile.extract ~cache:false c in
   (* several client domains hammer the shared cache (hits, misses and
-     stores race through the mutex) while the main domain drives the
-     parallel extractor over the same compiled query *)
+     stores race through the mutex) while the main domain extracts the
+     same compiled query, as concurrent daemon sessions do *)
   let workers =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -287,18 +287,16 @@ let test_concurrent_cached_extraction () =
             done;
             !ok))
   in
-  let par_ok = ref true in
+  let main_ok = ref true in
   for _ = 1 to 3 do
-    par_ok :=
-      !par_ok
-      && H.equal reference
-           (Xnf.Xnf_compile.extract_parallel ~domains:4 ~cache:true c)
+    main_ok :=
+      !main_ok && H.equal reference (Xnf.Xnf_compile.extract ~cache:true c)
   done;
   List.iter
     (fun d ->
       Alcotest.(check bool) "worker saw identical streams" true (Domain.join d))
     workers;
-  Alcotest.(check bool) "parallel extraction identical" true !par_ok
+  Alcotest.(check bool) "main-domain extraction identical" true !main_ok
 
 let suite =
   [

@@ -12,7 +12,6 @@ open Helpers
 open Relcore
 module Db = Engine.Database
 module Exec = Executor.Exec
-module Exec_par = Executor.Exec_par
 module Qgm = Starq.Qgm
 
 (* ------------------------------------- Int/Float boundary (Value.t) -- *)
@@ -376,21 +375,13 @@ let hetstream_testable : Xnf.Hetstream.t Alcotest.testable =
       Format.fprintf fmt "stream of %d items" (Xnf.Hetstream.total_items s))
     Xnf.Hetstream.equal
 
-let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
-
-(* row-store baseline with the knob off, then the columnar path serial
-   and parallel, all compared ordered *)
+(* row-store baseline with the knob off, then the columnar path,
+   compared ordered *)
 let check_sql_equiv name db sql =
   let c = Db.compile_query db sql in
   let expected = with_colstore false (fun () -> Exec.run c) in
   with_colstore true (fun () ->
-      check_rows (name ^ " (serial)") expected (Exec.run c);
-      List.iter
-        (fun domains ->
-          check_rows
-            (Printf.sprintf "%s (@ %d domains)" name domains)
-            expected (par_run ~domains c))
-        [ 1; 4 ])
+      check_rows (name ^ " (serial)") expected (Exec.run c))
 
 let sql_equiv_oo1 sfx oo1 =
   check_sql_equiv ("oo1 scan+filter" ^ sfx) oo1
@@ -438,14 +429,6 @@ let check_extraction_equiv name db query =
   with_colstore true (fun () ->
       Alcotest.check hetstream_testable (name ^ " (serial)") baseline
         (Xnf.Xnf_compile.extract ~cache:false c);
-      List.iter
-        (fun domains ->
-          Alcotest.check hetstream_testable
-            (Printf.sprintf "%s (@ %d domains)" name domains)
-            baseline
-            (Xnf.Xnf_compile.extract_parallel ~domains ~threshold:1
-               ~morsel_rows:17 ~cache:false c))
-        [ 1; 4 ];
       (* caches on: first call fills from the columnar path, second is
          served from the cache; both must equal the row-store result *)
       Alcotest.check hetstream_testable (name ^ " (cache fill)") baseline
@@ -553,7 +536,7 @@ let suite =
 (* ------------------------------ knob equivalence over many chunks -- *)
 
 (* The equivalence checks again over databases built at 16-row chunks,
-   so scans, joins and morsels cross hundreds of chunk boundaries.
+   so scans and joins cross hundreds of chunk boundaries.
    Registered as the suite [spill]: the suite and case names date from
    when these cases also ran under a spill budget. *)
 let at_16_row_chunks body () =

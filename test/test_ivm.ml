@@ -217,7 +217,7 @@ let random_dml rng (t : BT.t) =
    check of the maintained cached stream against a cold recomputation.
    Every fourth round wraps its batch in BEGIN..ROLLBACK, so the
    maintained stream must also survive discarded transactions. *)
-let soak ?(rounds = 10) ?(domains = 1) ~seed db query table_names =
+let soak ?(rounds = 10) ~seed db query table_names =
   with_result_cache @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let tables =
@@ -234,10 +234,7 @@ let soak ?(rounds = 10) ?(domains = 1) ~seed db query table_names =
     done;
     if rollback then ignore (Db.exec db "ROLLBACK");
     let cold = XC.extract ~cache:false c in
-    let warm =
-      if domains > 1 then XC.extract_parallel ~domains ~cache:true c
-      else XC.extract ~cache:true c
-    in
+    let warm = XC.extract ~cache:true c in
     Alcotest.(check bool)
       (Printf.sprintf "round %d: maintained stream = cold recomputation"
          round)
@@ -333,11 +330,6 @@ let test_soak_bom_recursive () =
   Alcotest.(check bool) "recursive CO has no cache key" true
     (XC.stream_cache_key c = None);
   soak ~seed:41 db Workloads.Bom.assembly_query [ "part"; "contains" ]
-
-let test_soak_parallel_domains () =
-  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 300 } in
-  soak ~seed:53 ~domains:4 db Workloads.Oo1.parts_graph_query
-    [ "parts"; "conns" ]
 
 (* With a zero-capacity delta log every window overflows, so each read
    after a write recomputes: same answers, no patches. *)
@@ -600,7 +592,6 @@ let suite =
     Alcotest.test_case "soak: shop region" `Quick test_soak_shop;
     Alcotest.test_case "soak: bom recursive fixpoint" `Quick
       test_soak_bom_recursive;
-    Alcotest.test_case "soak: 4 domains" `Quick test_soak_parallel_domains;
     Alcotest.test_case "soak: recompute (delta log off)" `Quick
       test_soak_recompute;
     Alcotest.test_case "published streams are immutable" `Quick

@@ -14,7 +14,6 @@ open Helpers
 open Relcore
 module Db = Engine.Database
 module Exec = Executor.Exec
-module Exec_par = Executor.Exec_par
 module Plan = Optimizer.Plan
 module Qgm = Starq.Qgm
 
@@ -311,18 +310,6 @@ let test_multi_key_filter () =
   let ex = Db.explain db sql in
   Alcotest.(check bool) "planner hints the tuple-key filter" true
     (contains ~affix:"jfilter(pass~" ex);
-  (* parallel probe: same result, same counters *)
-  List.iter
-    (fun domains ->
-      let ctx = Exec.make_ctx () in
-      check_rows
-        (Printf.sprintf "parallel @ %d domains" domains)
-        expected
-        (Exec_par.run ~ctx ~domains ~threshold:1 ~morsel_rows:17 c);
-      Alcotest.(check int) "parallel builds one filter" 1 ctx.Exec.jf_built;
-      Alcotest.(check bool) "parallel skips rows" true
-        (ctx.Exec.jf_rows_skipped > 0))
-    [ 1; 4 ];
   (* without the hint: no filter, identical rows *)
   let ctx = Exec.make_ctx () in
   check_rows "unhinted result" expected (Exec.run ~ctx (strip_compiled c));
@@ -424,10 +411,8 @@ let hetstream_testable : Xnf.Hetstream.t Alcotest.testable =
       Format.fprintf fmt "stream of %d items" (Xnf.Hetstream.total_items s))
     Xnf.Hetstream.equal
 
-let par_run ~domains c = Exec_par.run ~domains ~threshold:1 ~morsel_rows:17 c
-
-(* filter-free scalar baseline, then the filtered path serial and
-   parallel, with the columnar probe path both off and on *)
+(* filter-free scalar baseline, then the filtered path, with the
+   columnar probe path both off and on *)
 let check_sql_equiv name db sql =
   let c = Db.compile_query db sql in
   let expected = Exec_scalar.run c in
@@ -435,13 +420,7 @@ let check_sql_equiv name db sql =
     (fun colstore ->
       with_colstore colstore @@ fun () ->
       let tag = Printf.sprintf "%s (colstore %b)" name colstore in
-      check_rows (tag ^ " serial") expected (Exec.run c);
-      List.iter
-        (fun domains ->
-          check_rows
-            (Printf.sprintf "%s @ %d domains" tag domains)
-            expected (par_run ~domains c))
-        [ 1; 4 ])
+      check_rows (tag ^ " serial") expected (Exec.run c))
     [ false; true ]
 
 let test_sql_equiv_workloads () =
@@ -480,14 +459,6 @@ let check_extraction_equiv name db query =
   in
   Alcotest.check hetstream_testable (name ^ " (serial)") baseline
     (Xnf.Xnf_compile.extract ~cache:false c);
-  List.iter
-    (fun domains ->
-      Alcotest.check hetstream_testable
-        (Printf.sprintf "%s (@ %d domains)" name domains)
-        baseline
-        (Xnf.Xnf_compile.extract_parallel ~domains ~threshold:1 ~morsel_rows:17
-           ~cache:false c))
-    [ 1; 4 ];
   Alcotest.check hetstream_testable (name ^ " (cache fill)") baseline
     (Xnf.Xnf_compile.extract ~cache:true c);
   Alcotest.check hetstream_testable (name ^ " (cache hit)") baseline

@@ -305,22 +305,6 @@ let composition_suite =
 
 let suite = suite @ composition_suite
 
-let test_parallel_extraction_equivalent () =
-  let db = Workloads.Org.generate { Workloads.Org.default with n_depts = 20 } in
-  let c = Xnf.Xnf_compile.compile db Workloads.Org.deps_arc_query in
-  let seq = Xnf.Xnf_compile.extract c in
-  let par = Xnf.Xnf_compile.extract_parallel ~domains:4 c in
-  Alcotest.(check (list (pair string int)))
-    "parallel extraction agrees with sequential" (H.counts seq) (H.counts par);
-  Alcotest.(check int) "same item count" (H.total_items seq) (H.total_items par)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "parallel extraction" `Quick
-        test_parallel_extraction_equivalent;
-    ]
-
 let test_aggregate_over_component_join () =
   (* regression: column pruning must not narrow a DISTINCT derivation *)
   let db = Workloads.Org.generate { Workloads.Org.default with n_depts = 6 } in
@@ -814,15 +798,7 @@ let test_golden_stream_digests () =
   List.iter
     (fun (name, want) ->
       Alcotest.(check string) name want (List.assoc name actual))
-    golden_digests;
-  let par =
-    Xnf.Xnf_compile.extract_parallel ~domains:4 ~cache:false
-      (Xnf.Xnf_compile.compile ~cache:false (oo1 ())
-         Workloads.Oo1.parts_graph_query)
-  in
-  Alcotest.(check string) "oo1 parts_graph, 4 domains"
-    (List.assoc "oo1 parts_graph" golden_digests)
-    (stream_digest par)
+    golden_digests
 
 let suite =
   suite
