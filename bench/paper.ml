@@ -24,18 +24,24 @@ module H = Xnf.Hetstream
 
 let repeats = 5
 
-(** Median wall-clock milliseconds over [repeats] runs, after one
-    warm-up run. *)
-let time_ms f =
-  ignore (f ());
-  let samples =
-    List.init repeats (fun _ ->
+(** Median wall-clock milliseconds of [f x] over [repeats] runs, after
+    one warm-up run; each run gets a fresh [x = setup ()], untimed and
+    handed to [teardown] afterwards. *)
+let time_ms_on ~setup ~teardown f =
+  let run () =
+    let x = setup () in
+    Fun.protect
+      ~finally:(fun () -> teardown x)
+      (fun () ->
         let t0 = Unix.gettimeofday () in
-        ignore (f ());
+        ignore (f x);
         (Unix.gettimeofday () -. t0) *. 1000.)
-    |> List.sort compare
   in
+  ignore (run ());
+  let samples = List.init repeats (fun _ -> run ()) |> List.sort compare in
   List.nth samples (repeats / 2)
+
+let time_ms f = time_ms_on ~setup:ignore ~teardown:ignore f
 
 (* -- figures ------------------------------------------------------------ *)
 
@@ -206,9 +212,18 @@ let bench_e3 () =
     (String.equal (H.serialize bulk) ref_bytes);
   agree "E3: per-tuple stream equals the in-process extraction"
     (String.equal (H.serialize tuple) ref_bytes);
-  let t_bulk = time_ms (fun () -> Net.Client.extract cl "parts_co") in
-  let t_tuple = time_ms (fun () -> Net.Client.extract ~chunk:1 cl "parts_co") in
   Net.Client.close cl;
+  (* each sample on a connection of its own: a repeat on one connection
+     would ship only same-run frames for the chunks it already holds *)
+  let time_shipping ?chunk () =
+    time_ms_on
+      ~setup:(fun () ->
+        Net.Client.connect ~client_name:"paper" (Unix.ADDR_UNIX sock))
+      ~teardown:Net.Client.close
+      (fun cl -> Net.Client.extract ?chunk cl "parts_co")
+  in
+  let t_bulk = time_shipping () in
+  let t_tuple = time_shipping ~chunk:1 () in
   Net.Server.stop server;
   Domain.join server_domain;
   (try Sys.remove sock with Sys_error _ -> ());

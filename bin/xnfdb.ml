@@ -245,8 +245,8 @@ let execute_remote cl (input : string) =
       print_endline "error: plain EXPLAIN of XNF is local-only; use EXPLAIN \
                      ANALYZE or run without --connect"
     | None -> (
-      (* SQL EXPLAIN ANALYZE rides the dedicated analyze flag (read
-         path, no memo clearing) instead of the statement path *)
+      (* SQL EXPLAIN ANALYZE rides the dedicated analyze flag (the
+         read path: no writer lock) instead of the statement path *)
       match
         Option.bind (strip_keyword trimmed "EXPLAIN") (fun r ->
             strip_keyword r "ANALYZE")

@@ -57,17 +57,23 @@ let add_node ws store (node : Conode.t) =
    topology stays navigable — the paper's piggy-backed connections
    carry ids, not values. *)
 let resolve ws store tid =
-  match Int_tbl.find_opt ws.by_id tid with
-  | Some n -> n
-  | None ->
+  (* [find], not [find_opt]: no option allocated per partner *)
+  match Int_tbl.find ws.by_id tid with
+  | n -> n
+  | exception Not_found ->
     let stub = Conode.make ~id:tid ~comp:store.info.H.comp_name ~values:[||] in
     add_node ws store stub;
     stub
 
+(* Connection records are gathered in arrays of this many: one word per
+   record instead of a list cell's three, and each array small enough
+   to be allocated young (at most [Max_young_wosize] words). *)
+let conn_block = 256
+
 (** Build the workspace from a heterogeneous stream: rows become nodes,
     connections become pointers (in both directions).  One pass over
     the items makes the nodes and connection records; the records,
-    gathered newest first, are then consed onto their partners' lists,
+    walked newest first, are then consed onto their partners' lists,
     which leaves every list in arrival order. *)
 let of_stream (stream : H.t) : t =
   let components = stream.H.header.H.components in
@@ -75,7 +81,12 @@ let of_stream (stream : H.t) : t =
     {
       header = stream.H.header;
       stores = Hashtbl.create 16;
-      by_id = Int_tbl.create (List.length stream.H.items);
+      (* sized for the rows: connections are not looked up by id *)
+      by_id =
+        Int_tbl.create
+          (List.fold_left
+             (fun n -> function H.Row _ -> n + 1 | H.Conn _ -> n)
+             0 stream.H.items);
       next_local_id = -1;
       pending = [];
       conn_count = 0;
@@ -106,7 +117,18 @@ let of_stream (stream : H.t) : t =
         | `Node -> None)
       components
   in
-  let conns = ref [] in
+  (* the block being filled ([filled] records so far) and the full
+     ones, newest first *)
+  let block = ref [||] and filled = ref 0 and full = ref [] in
+  let keep conn =
+    if !filled = Array.length !block then begin
+      if !filled > 0 then full := !block :: !full;
+      block := Array.make conn_block conn;
+      filled := 0
+    end;
+    !block.(!filled) <- conn;
+    incr filled
+  in
   List.iter
     (fun item ->
       match item with
@@ -127,7 +149,7 @@ let of_stream (stream : H.t) : t =
         for i = 0 to k - 1 do
           cs.(i) <- resolve ws child_stores.(i) children.(i)
         done;
-        conns :=
+        keep
           {
             Conode.conn_id = id;
             rel = rel_name;
@@ -135,19 +157,24 @@ let of_stream (stream : H.t) : t =
             parent = p;
             children = cs;
             attrs;
-          }
-          :: !conns;
+          };
         ws.conn_count <- ws.conn_count + 1)
     stream.H.items;
-  List.iter
-    (fun (conn : Conode.conn) ->
-      let p = conn.Conode.parent in
-      p.Conode.out_conns <- conn :: p.Conode.out_conns;
-      for i = 0 to Array.length conn.Conode.children - 1 do
-        let c = conn.Conode.children.(i) in
-        c.Conode.in_conns <- conn :: c.Conode.in_conns
-      done)
-    !conns;
+  let link (conn : Conode.conn) =
+    let p = conn.Conode.parent in
+    p.Conode.out_conns <- conn :: p.Conode.out_conns;
+    for i = 0 to Array.length conn.Conode.children - 1 do
+      let c = conn.Conode.children.(i) in
+      c.Conode.in_conns <- conn :: c.Conode.in_conns
+    done
+  in
+  let link_block b n =
+    for i = n - 1 downto 0 do
+      link b.(i)
+    done
+  in
+  link_block !block !filled;
+  List.iter (fun b -> link_block b conn_block) !full;
   Hashtbl.iter (fun _ s -> s.nodes <- List.rev s.nodes) ws.stores;
   ws
 

@@ -59,7 +59,6 @@ type iter = unit -> Tuple.t option
 type batch_iter = unit -> Batch.t option
 
 val drain_batches : batch_iter -> Batch.t list
-val eval_pred : ctx -> Eval.frames -> Tuple.t -> Plan.ppred -> bool option
 
 val scan_victims : ctx -> Base_table.t -> Plan.ppred -> (Heap.rid * Tuple.t) list
 (** UPDATE/DELETE victim finding through the executor's batch layer:

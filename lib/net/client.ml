@@ -18,8 +18,18 @@ let () =
       Some (Printf.sprintf "Server_error(%s: %s)" kind msg)
     | _ -> None)
 
+(* The delta check-out's base: the items of this connection's last
+   extraction that ended in [Stream_end], under its (text, chunk) key.
+   The server keeps the same list for the session. *)
+type base = {
+  key : string * int;
+  items : H.item list;
+  len : int;
+}
+
 type t = {
   fd : Unix.file_descr;
+  mutable base : base option;
   mutable session_id : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
@@ -68,6 +78,7 @@ let tag_of = function
   | Wire.Row_end _ -> "row_end"
   | Wire.Stream_header _ -> "stream_header"
   | Wire.Stream_chunk _ -> "stream_chunk"
+  | Wire.Stream_same _ -> "stream_same"
   | Wire.Stream_end _ -> "stream_end"
   | Wire.Affected _ -> "affected"
   | Wire.Done _ -> "done"
@@ -94,6 +105,7 @@ let connect ?(client_name = "xnfdb-client") (addr : Unix.sockaddr) : t =
   let t =
     {
       fd;
+      base = None;
       session_id = 0;
       bytes_in = 0;
       bytes_out = 0;
@@ -143,38 +155,95 @@ let query_analyze t (sql : string) : string =
   | Wire.Done report -> report
   | r -> protocol_error "done" (tag_of r)
 
+(* A reply's items as they arrive, newest first: decoded chunk items
+   (reversed; consecutive chunks share one list), or a same run of [n]
+   base items starting at [run] that may reach the base's end. *)
+type segment =
+  | Decoded of H.item list
+  | Same of { run : H.item list; n : int; to_end : bool }
+
+(* the first [n] items of [src], in order, ahead of [rest] *)
+let[@tail_mod_cons] rec prepend n src rest =
+  if n = 0 then rest
+  else match src with x :: src -> x :: prepend (n - 1) src rest | [] -> rest
+
+let rec drop k items =
+  match items with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> items
+
+(* The stream's item list, built back to front: a same run that reaches
+   the base's end with nothing after it is the base's own tail, shared *)
+let assemble segments =
+  List.fold_left
+    (fun acc -> function
+      | Decoded rev -> List.rev_append rev acc
+      | Same { run; n; to_end } -> (
+        match acc with [] when to_end -> run | _ -> prepend n run acc))
+    [] segments
+
 (** Extract a CO stream ([text] is XNF query text or a view name),
     reassembled from its chunk frames.  [chunk] is the ship quantum in
-    stream items: unset = server default, [1] = tuple-at-a-time. *)
+    stream items: unset = server default, [1] = tuple-at-a-time.  With a
+    base for the same key the server may send [Stream_same] runs, which
+    are rebuilt from the base by position. *)
 let extract ?(chunk = 0) t (text : string) : H.t =
-  send t (Wire.Extract { text; chunk; analyze = false });
+  let key = (text, chunk) in
+  let base =
+    match t.base with
+    | Some b when b.key = key -> Some b
+    | _ -> None
+  in
+  (* dropped until this reply completes: any exception mid-stream
+     leaves the connection without a base *)
+  t.base <- None;
+  send t (Wire.Extract { text; chunk; analyze = false; base = Option.is_some base });
   let header =
     match recv_ok t with
     | Wire.Stream_header h -> h
     | r -> protocol_error "stream_header" (tag_of r)
   in
-  (* chunk items decode straight onto one reversed accumulator *)
-  let rec go acc n =
+  let base_items, base_len =
+    match base with Some b -> (b.items, b.len) | None -> ([], 0)
+  in
+  (* [pos] items so far; [cursor] is the base from [pos] on *)
+  let rec go segments pos cursor =
     let payload = recv_payload t in
-    match Wire.decode_chunk_rev payload acc with
-    | Some (acc, k) -> go acc (n + k)
+    let open_rev, older =
+      match segments with
+      | Decoded rev :: older -> (rev, older)
+      | _ -> ([], segments)
+    in
+    match Wire.decode_chunk_rev payload open_rev with
+    | Some (rev, k) -> go (Decoded rev :: older) (pos + k) (drop k cursor)
     | None -> (
       match raise_on_error (Wire.decode_response payload) with
+      | Wire.Stream_same { items = n } ->
+        if n > base_len - pos then
+          raise
+            (Wire.Malformed
+               (Printf.sprintf "same run of %d items at %d past a %d-item base"
+                  n pos base_len));
+        let to_end = pos + n = base_len in
+        go
+          (Same { run = cursor; n; to_end } :: segments)
+          (pos + n)
+          (if to_end then [] else drop n cursor)
       | Wire.Stream_end { items } ->
-        if n <> items then
+        if pos <> items then
           protocol_error
             (Printf.sprintf "%d items" items)
-            (Printf.sprintf "%d items" n);
-        List.rev acc
-      | r -> protocol_error "stream_chunk/stream_end" (tag_of r))
+            (Printf.sprintf "%d items" pos);
+        (assemble segments, pos)
+      | r -> protocol_error "stream_chunk/stream_same/stream_end" (tag_of r))
   in
-  { H.header; items = go [] 0 }
+  let items, len = go [] 0 base_items in
+  t.base <- Some { key; items; len };
+  { H.header; items }
 
 (** Instrumented extraction over the wire: the server runs the XNF
     query (or view) under an instrumented context and ships back the
     per-operator report instead of a stream. *)
 let extract_analyze t (text : string) : string =
-  send t (Wire.Extract { text; chunk = 0; analyze = true });
+  send t (Wire.Extract { text; chunk = 0; analyze = true; base = false });
   match recv_ok t with
   | Wire.Done report -> report
   | r -> protocol_error "done" (tag_of r)

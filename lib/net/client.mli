@@ -28,7 +28,18 @@ val query_analyze : t -> string -> string
 val extract : ?chunk:int -> t -> string -> H.t
 (** Extract a CO stream ([text] is XNF query text or a view name).
     [chunk] is the ship quantum in stream items per frame: unset =
-    server default, [1] = tuple-at-a-time. *)
+    server default, [1] = tuple-at-a-time.
+
+    The connection keeps the items of its last completed extraction as
+    a base.  Extracting the same [text] at the same [chunk] again is a
+    delta check-out: the server sends each run of unchanged chunks as
+    one [Stream_same] frame, and they are rebuilt from the base.  So
+    the returned items may be shared with earlier extractions' (and the
+    next ones'), and must not be mutated; {!Cocache.Workspace.update}
+    copies on write.  A different [text] or [chunk] replaces the base,
+    and an exception mid-stream drops it, so the next extraction ships
+    in full.  @raise Wire.Malformed on a [Stream_same] past the base's
+    end. *)
 
 val extract_analyze : t -> string -> string
 (** Instrumented extraction: per-operator report for an XNF query or

@@ -172,6 +172,11 @@ type session = {
   mutable s_snap_falls : int;  (* snapshot attempts that fell back to the lock *)
   mutable s_gc_commits : int;  (* COMMITs routed through group commit *)
   mutable s_gc_max_batch : int;  (* largest drain one of them rode in *)
+  (* the delta check-out's base: the (text, chunk) key and item list of
+     this session's last extraction pushed up to [Stream_end] — what the
+     client holds too.  Only the worker serving the session's one
+     in-flight request touches it. *)
+  mutable base : ((string * int) * H.item list) option;
 }
 
 type t = {
@@ -218,42 +223,7 @@ type t = {
   snap_cond : Condition.t;
   mutable snap_active : int;
   mutable snap_blocked : bool;
-  (* encoded-frame memo for extractions: the same view shipped twice
-     costs one encoding.  Keyed by (text, chunk); cleared on any
-     statement (DML, DDL, txn control) and on session teardown (the
-     implicit rollback mutates shared tables) — always under the writer
-     lock, before the mutation.  Frames are encoded after the reader
-     lock is released, so validity is by generation: every clear bumps
-     [memo_gen]; a miss reads it while still holding the reader lock,
-     and the finished frames are stored only if it has not moved since,
-     so an entry can never outlive the state it encoded. *)
-  memo_mu : Mutex.t;  (* guards [frame_memo] and [memo_gen] *)
-  frame_memo : (string * int, string list) Hashtbl.t;
-  mutable memo_gen : int;
 }
-
-let memo_cap = 64
-
-let clear_memo t =
-  Mutex.protect t.memo_mu (fun () ->
-      Hashtbl.reset t.frame_memo;
-      t.memo_gen <- t.memo_gen + 1)
-
-(* Under the reader lock: the memoized frames, or the generation a
-   fresh encoding must still match when it is stored. *)
-let memo_find t key =
-  Mutex.protect t.memo_mu (fun () ->
-      match Hashtbl.find_opt t.frame_memo key with
-      | Some frames -> `Hit frames
-      | None -> `Miss t.memo_gen)
-
-let memo_store t key gen frames =
-  Mutex.protect t.memo_mu (fun () ->
-      if t.memo_gen = gen then begin
-        if Hashtbl.length t.frame_memo >= memo_cap then
-          Hashtbl.reset t.frame_memo;
-        Hashtbl.replace t.frame_memo key frames
-      end)
 
 type counters = {
   active_sessions : int;
@@ -347,9 +317,6 @@ let create ?config (db : Db.t) : t =
     snap_cond = Condition.create ();
     snap_active = 0;
     snap_blocked = false;
-    memo_mu = Mutex.create ();
-    frame_memo = Hashtbl.create 16;
-    memo_gen = 0;
   }
 
 (** Wake the event loop out of [select] (worker → loop, signal-safe). *)
@@ -410,8 +377,10 @@ let stats_text t : string =
     (Printf.sprintf "  requests: %d queries, %d extracts, %d stmts, %d errors\n"
        c.queries c.extracts c.stmts c.errors);
   Buffer.add_string buf
-    (Printf.sprintf "  frame memo: %d hits, %d entries\n" c.memo_hits
-       (Mutex.protect t.memo_mu (fun () -> Hashtbl.length t.frame_memo)));
+    (Printf.sprintf
+       "  frame memo: %d extractions shipped unchanged chunks as same-run \
+        frames\n"
+       c.memo_hits);
   Buffer.add_string buf
     (Printf.sprintf
        "  snapshot: %d lock-free reads, %d fallbacks; epochs %d pinned / \
@@ -491,7 +460,7 @@ let catalog_clean t =
     A session inside its own transaction takes the blocking lock, so it
     sees its own uncommitted writes.  Otherwise a free lock over a
     fully-committed catalog serves [locked] under a non-blocking read
-    acquisition (result cache, frame memo and IVM all stay valid); a
+    acquisition (result cache and IVM both stay valid); a
     busy lock — or another session's uncommitted rows — serves
     committed pre-images lock-free; a stale undo window or pending DDL
     falls back to the blocking lock, which serves only a clean catalog:
@@ -583,12 +552,22 @@ let is_commit sql =
   | [ Ident "commit"; Eof ] | [ Ident "commit"; Punct ";"; Eof ] -> true
   | _ -> false
 
-(* What an extraction computed under its lock or pin: memoized frames,
-   or a fresh stream plus the memo generation it was computed at ([None]
-   off a snapshot, which never fills the memo). *)
-type extraction =
-  | Memoized of string list
-  | Computed of H.t * int option
+(* [Some (n, rest, base_rest)] when the first [n = min chunk (length
+   items)] of [items] are physically the first [n] of [base]: their
+   bytes are the ones the client already holds at these positions. *)
+let same_prefix chunk items base =
+  let rec go k items base =
+    if k = chunk then Some (k, items, base)
+    else
+      match (items, base) with
+      | [], _ -> Some (k, [], base)
+      | i :: items, b :: base when i == b -> go (k + 1) items base
+      | _ -> None
+  in
+  go 0 items base
+
+let rec drop k items =
+  match items with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> items
 
 (** Answer one request, handing each encoded frame to [push] as soon as
     it is encoded.  Locks and snapshot pins cover only the computation
@@ -649,10 +628,10 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
         0 batches
     in
     send (Wire.Row_end { rows = total })
-  | Wire.Extract { text; chunk = _; analyze = true } ->
+  | Wire.Extract { text; chunk = _; analyze = true; base = _ } ->
     Atomic.incr t.c_extracts;
-    (* never consults or fills the frame memo: the reply carries live
-       timings, not reusable frames *)
+    (* leaves the base alone: the reply carries live timings, not a
+       stream *)
     let report =
       Rwlock.read t.lock (fun () ->
           let text =
@@ -662,58 +641,67 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
           Xnf.Xnf_compile.explain_analyze sess.sdb text)
     in
     send (Wire.Done report)
-  | Wire.Extract { text; chunk; analyze = _ } ->
+  | Wire.Extract { text; chunk; analyze = _; base = has_base } ->
     Atomic.incr t.c_extracts;
     let chunk = if chunk > 0 then chunk else stream_chunk in
     let key = (text, chunk) in
+    (* cleared before the reply starts: one that fails leaves no base *)
+    let base =
+      match sess.base with
+      | Some (k, items) when has_base && k = key -> Some items
+      | _ -> None
+    in
+    sess.base <- None;
     let run ?ctx () =
       if Xnf.Xnf_parser.is_xnf_text text then
         Xnf.Xnf_compile.run ?ctx sess.sdb text
       else Xnf.Xnf_compile.run_view ?ctx sess.sdb text
     in
-    let locked () =
-      match memo_find t key with
-      | `Hit frames -> Memoized frames
-      | `Miss gen -> Computed (run (), Some gen)
+    (* a snapshot-served stream is computed afresh (no result cache), so
+       nothing in it can be physically the base's *)
+    let stream, base =
+      serve_read t sess
+        ~locked:(fun () -> (run (), base))
+        ~snap:(fun s ->
+          let ctx =
+            Executor.Exec.make_ctx ~result_cache:false
+              ~snapshot:(Snapshot.rows s) ()
+          in
+          (run ~ctx (), None))
     in
-    (* the snapshot path never touches the frame memo: frames of an
-       older pinned epoch must not outlive a commit that already
-       cleared the memo *)
-    let snap s =
-      let ctx =
-        Executor.Exec.make_ctx ~result_cache:false ~snapshot:(Snapshot.rows s)
-          ()
-      in
-      Computed (run ~ctx (), None)
+    send (Wire.Stream_header stream.H.header);
+    (* chunk by chunk, walking the base in step: a run of chunks the
+       client holds already ships as one [Stream_same] *)
+    let sames = ref 0 in
+    let flush same =
+      if same > 0 then begin
+        incr sames;
+        send (Wire.Stream_same { items = same })
+      end
     in
-    (match serve_read t sess ~locked ~snap with
-    | Memoized frames ->
-      Atomic.incr t.c_memo_hits;
-      List.iter push frames
-    | Computed (stream, gen) ->
-      (* frames are kept only when this encoding may fill the memo *)
-      let kept = ref [] in
-      let emit_frame f =
-        if gen <> None then kept := f :: !kept;
-        push f
-      in
-      let emit r = emit_frame (Wire.encode_response r) in
-      emit (Wire.Stream_header stream.H.header);
-      let rec ship n = function
-        | [] -> n
-        | items ->
+    let rec ship n same items base =
+      match items with
+      | [] ->
+        flush same;
+        n
+      | _ -> (
+        match same_prefix chunk items base with
+        | Some (k, rest, base) -> ship (n + k) (same + k) rest base
+        | None ->
+          flush same;
           let f, k, rest = Wire.encode_chunk ~chunk items in
-          emit_frame f;
-          ship (n + k) rest
-      in
-      emit (Wire.Stream_end { items = ship 0 stream.H.items });
-      Option.iter (fun gen -> memo_store t key gen (List.rev !kept)) gen)
+          push f;
+          ship (n + k) 0 rest (drop k base))
+    in
+    let n = ship 0 0 stream.H.items (Option.value base ~default:[]) in
+    (* counted before the last frame: a client that has read it sees the
+       count *)
+    if !sames > 0 then Atomic.incr t.c_memo_hits;
+    send (Wire.Stream_end { items = n });
+    sess.base <- Some (key, stream.H.items)
   | Wire.Stmt { sql } ->
     Atomic.incr t.c_stmts;
     let execute () =
-      (* any statement may mutate shared state (DML, DDL, txn
-         control, rollback) — drop memoized extraction frames *)
-      clear_memo t;
       match Db.exec sess.sdb sql with
       | Db.Rows (schema, rows) ->
         [
@@ -729,7 +717,7 @@ let respond t (sess : session) (req : Wire.request) ~(push : string -> unit) :
     let replies =
       if is_commit sql then begin
         (* concurrent sessions' COMMITs drain in one exclusive section:
-           one lock acquisition, one memo clear, one publication burst *)
+           one lock acquisition, one publication burst *)
         let replies = ref [] in
         let batch =
           Engine.Group_commit.submit t.gc
@@ -902,11 +890,9 @@ let finalize t sess =
       Pool.launch ~n:1 (fun _ ->
           Rwlock.write t.lock (fun () ->
               if Txn.is_active (Db.txn sess.sdb) then
-                Txn.rollback (Db.txn sess.sdb);
-              (* the undo mutated shared tables — memoized frames are
-                 stale *)
-              clear_memo t))
+                Txn.rollback (Db.txn sess.sdb)))
       :: t.cleanup;
+  sess.base <- None;
   (try Unix.close sess.fd with Unix.Unix_error _ -> ());
   Mutex.lock t.sessions_mu;
   t.sessions <- List.filter (fun s -> s.sid <> sess.sid) t.sessions;
@@ -959,6 +945,7 @@ let accept_all t =
             s_snap_falls = 0;
             s_gc_commits = 0;
             s_gc_max_batch = 0;
+            base = None;
           }
         in
         Mutex.lock t.sessions_mu;

@@ -8,7 +8,9 @@
     the backpressure.  Locks and snapshot pins cover only computing a
     result; its frames are encoded and pushed after release.  Sessions
     share the catalog, result cache, and IVM state but carry their own
-    transaction and prepared plans ({!Engine.Database.session}).  Writes
+    transaction and prepared plans ({!Engine.Database.session}), and
+    each keeps the last stream it shipped as the base of a delta
+    check-out (see {!Wire.request}), released at teardown.  Writes
     serialize behind a process-wide writer lock at statement
     granularity, and every COMMIT drains through one group-commit
     exclusive section (a lone committer is a batch of one).  Reads
@@ -65,8 +67,10 @@ type counters = {
   stmts : int;
   errors : int;
   memo_hits : int;
-      (** extractions served from the encoded-frame memo (the same view
-          shipped twice costs one encoding; any statement clears it) *)
+      (** delta check-outs: extractions that shipped at least one
+          [Stream_same] run, because the session's base (its last
+          shipped stream for the same text and chunk) still held those
+          items physically *)
   snap_reads : int;
       (** reads served lock-free off a pinned snapshot epoch *)
   snap_fallbacks : int;

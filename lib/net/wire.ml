@@ -9,12 +9,17 @@
     are {e streamed}: a header frame, one frame per batch/chunk, then an
     end frame carrying the total — the paper's Sect. 5 bulk shipping,
     with the chunk size as the ship quantum (chunk 1 = the
-    tuple-at-a-time strawman). *)
+    tuple-at-a-time strawman).
+
+    A connection that already holds a stream for the same (text, chunk)
+    asks for a {e delta} check-out: a run of chunks whose items are
+    physically the ones the server last shipped it at the same
+    positions travels as one tiny [Stream_same] frame instead. *)
 
 open Relcore
 module H = Xnf.Hetstream
 
-let version = 2
+let version = 3
 
 (** Frames larger than this are rejected as malformed before any
     allocation happens — a garbage length prefix must not OOM the
@@ -31,12 +36,15 @@ type request =
       (** [analyze] requests EXPLAIN ANALYZE: the server executes the
           query, discards the rows and replies with a single [Done]
           frame carrying the per-operator attribution report. *)
-  | Extract of { text : string; chunk : int; analyze : bool }
+  | Extract of { text : string; chunk : int; analyze : bool; base : bool }
       (** [text] is XNF query text or a view name; [chunk] is the number
           of stream items per [Stream_chunk] frame (0 = server default,
           1 = tuple-at-a-time).  [analyze] requests an instrumented
           extraction: the reply is one [Done] frame with the
-          per-operator report instead of a stream. *)
+          per-operator report instead of a stream.  [base]: the client
+          holds the items of this connection's last full reply to the
+          same [text] and [chunk], so the server may answer with
+          [Stream_same] frames. *)
   | Stmt of { sql : string }  (** DML / DDL / BEGIN / COMMIT / ROLLBACK *)
   | Stats
   | Bye
@@ -48,6 +56,9 @@ type response =
   | Row_end of { rows : int }
   | Stream_header of H.header
   | Stream_chunk of H.item list
+  | Stream_same of { items : int }
+      (** the next [items] items are the base's items at these
+          positions *)
   | Stream_end of { items : int }
   | Affected of int
   | Done of string
@@ -86,11 +97,12 @@ let encode_request (r : request) : string =
     with_tag 'q' (fun b ->
         H.write_string b sql;
         H.write_int b (if analyze then 1 else 0))
-  | Extract { text; chunk; analyze } ->
+  | Extract { text; chunk; analyze; base } ->
     with_tag 'x' (fun b ->
         H.write_string b text;
         H.write_int b chunk;
-        H.write_int b (if analyze then 1 else 0))
+        H.write_int b (if analyze then 1 else 0);
+        H.write_int b (if base then 1 else 0))
   | Stmt { sql } -> with_tag 's' (fun b -> H.write_string b sql)
   | Stats -> with_tag 'S' (fun _ -> ())
   | Bye -> with_tag 'b' (fun _ -> ())
@@ -137,6 +149,7 @@ let encode_response (r : response) : string =
   | Stream_header h -> with_tag 'r' (fun b -> H.write_header b h)
   | Stream_chunk items ->
     with_tag 'i' (fun b -> write_chunk b (List.length items) items)
+  | Stream_same { items } -> with_tag 'm' (fun b -> H.write_int b items)
   | Stream_end { items } -> with_tag 'z' (fun b -> H.write_int b items)
   | Affected n -> with_tag 'A' (fun b -> H.write_int b n)
   | Done msg -> with_tag 'D' (fun b -> H.write_string b msg)
@@ -183,7 +196,8 @@ let decode_request (payload : string) : request =
         let text = H.read_string r in
         let chunk = H.read_int r in
         let analyze = H.read_int r <> 0 in
-        Extract { text; chunk; analyze })
+        let base = H.read_int r <> 0 in
+        Extract { text; chunk; analyze; base })
   | 's' -> decoding payload (fun r -> Stmt { sql = H.read_string r })
   | 'S' -> decoding payload (fun _ -> Stats)
   | 'b' -> decoding payload (fun _ -> Bye)
@@ -229,6 +243,11 @@ let decode_response (payload : string) : response =
   | 'E' -> decoding payload (fun r -> Row_end { rows = H.read_int r })
   | 'r' -> decoding payload (fun r -> Stream_header (H.read_header r))
   | 'i' -> Stream_chunk (List.rev (fst (read_chunk_rev payload [])))
+  | 'm' ->
+    decoding payload (fun r ->
+        let items = H.read_int r in
+        if items < 0 then malformed "negative same-run length";
+        Stream_same { items })
   | 'z' -> decoding payload (fun r -> Stream_end { items = H.read_int r })
   | 'A' -> decoding payload (fun r -> Affected (H.read_int r))
   | 'D' -> decoding payload (fun r -> Done (H.read_string r))

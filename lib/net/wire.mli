@@ -4,7 +4,11 @@
     tag byte + body in {!Xnf.Hetstream}'s varint/value encoding.  Query
     and extraction responses are streamed — header frame, one frame per
     batch/chunk, end frame — so a slow client backpressures the server
-    through its bounded outbox instead of forcing one giant blob. *)
+    through its bounded outbox instead of forcing one giant blob.
+
+    Version 3 adds the delta check-out: an [Extract] that says [base]
+    may be answered with [Stream_same] frames, each standing for a run
+    of items the connection already holds at the same positions. *)
 
 open Relcore
 module H = Xnf.Hetstream
@@ -25,11 +29,16 @@ type request =
       (** [analyze] requests EXPLAIN ANALYZE: the server executes the
           query and replies with one [Done] frame carrying the
           per-operator attribution report instead of a row stream. *)
-  | Extract of { text : string; chunk : int; analyze : bool }
+  | Extract of { text : string; chunk : int; analyze : bool; base : bool }
       (** [text] is XNF query text or a view name; [chunk] is the number
           of stream items per [Stream_chunk] frame (0 = server default,
           1 = tuple-at-a-time).  [analyze] replies with one [Done]
-          report frame instead of a stream. *)
+          report frame instead of a stream.  [base] says the client
+          holds a {e base} for this [(text, chunk)]: the item list of
+          this connection's last extraction that ended in
+          [Stream_end], which the server keeps too.  Only then may the
+          reply carry [Stream_same] frames; without it the reply's
+          frames are exactly a full shipment. *)
   | Stmt of { sql : string }  (** DML / DDL / BEGIN / COMMIT / ROLLBACK *)
   | Stats
   | Bye
@@ -41,6 +50,11 @@ type response =
   | Row_end of { rows : int }
   | Stream_header of H.header
   | Stream_chunk of H.item list
+  | Stream_same of { items : int }
+      (** The next [items] stream items are the base's items at the
+          same positions (the server found them physically equal to
+          what it last shipped; published streams are immutable, so
+          their bytes are too).  A negative count is {!Malformed}. *)
   | Stream_end of { items : int }
   | Affected of int
   | Done of string

@@ -92,8 +92,9 @@ let prop_requests_stable =
           Hello { client = s; version = Wire.version };
           Query { sql = s; analyze = false };
           Query { sql = s; analyze = true };
-          Extract { text = s; chunk = String.length s; analyze = false };
-          Extract { text = s; chunk = String.length s; analyze = true };
+          Extract { text = s; chunk = String.length s; analyze = false; base = false };
+          Extract { text = s; chunk = String.length s; analyze = true; base = false };
+          Extract { text = s; chunk = String.length s; analyze = false; base = true };
           Stmt { sql = s };
           Stats;
           Bye;
@@ -200,6 +201,7 @@ let two_pass_response (r : Wire.response) =
     framed 'i' (fun b ->
         H.write_int b (List.length items);
         List.iter (H.write_item b) items)
+  | Stream_same { items } -> framed 'm' (fun b -> H.write_int b items)
   | Stream_end { items } -> framed 'z' (fun b -> H.write_int b items)
   | Affected n -> framed 'A' (fun b -> H.write_int b n)
   | Done msg -> framed 'D' (fun b -> H.write_string b msg)
@@ -229,6 +231,7 @@ let test_one_pass_framing () =
       Stream_header stream.H.header;
       Stream_chunk stream.H.items;
       Stream_chunk [];
+      Stream_same { items = 512 };
       Stream_end { items = H.total_items stream };
       Affected 3;
       Done long;
@@ -549,7 +552,8 @@ let test_crash_isolation () =
              socket, never read *)
           let victim = Client.connect addr in
           Client.send_raw victim
-            (Wire.encode_request (Wire.Extract { text = "deps_arc"; chunk = 1; analyze = false }));
+            (Wire.encode_request (Wire.Extract
+               { text = "deps_arc"; chunk = 1; analyze = false; base = false }));
           Client.abort victim;
           (* the survivor keeps getting correct answers *)
           for _ = 1 to 3 do
@@ -718,10 +722,10 @@ let build_of (s : H.t) pid =
   | None -> Alcotest.failf "part %d missing from the stream" pid
 
 (* A committer races repeated extractions of the same view.  Frames
-   are encoded after the reader lock is released, so the frame memo may
-   only keep what was encoded for the generation read under the lock: no
-   extraction may ship a [build] older than a commit acknowledged before
-   its request was sent. *)
+   are encoded after the reader lock is released, and a repeat ships
+   whatever it shares with the connection's last stream as same-run
+   frames: no extraction may ship a [build] older than a commit
+   acknowledged before its request was sent. *)
 let test_memo_race () =
   with_server ~setup:oo1_setup (fun addr db t ->
       let pid = 1 in
@@ -750,8 +754,8 @@ let test_memo_race () =
                               (base + !k) pid));
                       if txn then ignore (Client.exec cl "COMMIT");
                       Atomic.set acked !k;
-                      (* leave each committed state up long enough for a
-                         stale memo entry to be served *)
+                      (* leave each committed state up long enough for
+                         stale bytes to be served *)
                       Unix.sleepf 0.001
                     done;
                     !k))
@@ -771,13 +775,19 @@ let test_memo_race () =
                      acknowledged"
                     i got floor
               done);
-          (* quiesced: a memo hit must equal in-process extraction *)
-          let first = Client.extract reader "parts_co" in
-          let hits = (Server.counters t).Server.memo_hits in
-          let again = Client.extract reader "parts_co" in
-          Alcotest.(check int)
-            "repeat extraction served from the memo" (hits + 1)
-            (Server.counters t).Server.memo_hits;
+          (* quiesced: a repeat that ships only same-run frames must
+             equal in-process extraction.  Same runs need a stable
+             stream identity, which only the result cache gives. *)
+          let first, again =
+            with_result_cache (fun () ->
+                let first = Client.extract reader "parts_co" in
+                let hits = (Server.counters t).Server.memo_hits in
+                let again = Client.extract reader "parts_co" in
+                Alcotest.(check int)
+                  "repeat extraction served from the memo" (hits + 1)
+                  (Server.counters t).Server.memo_hits;
+                (first, again))
+          in
           let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
           Alcotest.(check int) "last commit visible" !commits
             (build_of first pid - base);
@@ -878,6 +888,311 @@ let test_fallback_hides_uncommitted () =
               (kind ^ ": " ^ msg));
           ignore (Client.exec writer "ROLLBACK")))
 
+(* -- delta check-out ------------------------------------------------------- *)
+
+let test_same_frame_codec () =
+  List.iter
+    (fun n ->
+      let r = Wire.Stream_same { items = n } in
+      check_response_stable (Printf.sprintf "same run of %d" n) r;
+      match Wire.decode_response (payload_of (Wire.encode_response r)) with
+      | Wire.Stream_same { items } -> Alcotest.(check int) "run length" n items
+      | _ -> Alcotest.fail "not decoded as a same run")
+    [ 0; 1; 512; 1 lsl 40; max_int ];
+  List.iter
+    (fun base ->
+      let r = Wire.Extract { text = "parts_co"; chunk = 7; analyze = false; base } in
+      check_request_stable "extract with base flag" r;
+      match Wire.decode_request (payload_of (Wire.encode_request r)) with
+      | Wire.Extract e -> Alcotest.(check bool) "base flag" base e.base
+      | _ -> Alcotest.fail "not decoded as an extraction")
+    [ false; true ];
+  expect_malformed "negative same-run length" (fun () ->
+      ignore (Wire.decode_response ("m" ^ varint (-1))));
+  check_truncations "Stream_same"
+    (payload_of (Wire.encode_response (Wire.Stream_same { items = 1 lsl 40 })))
+    Wire.decode_response;
+  Alcotest.(check bool) "a same run is not a chunk" true
+    (Wire.decode_chunk_rev
+       (payload_of (Wire.encode_response (Wire.Stream_same { items = 3 })))
+       []
+    = None)
+
+(* The part row of [pid] in a parts_co stream: its position. *)
+let part_index (s : H.t) pid =
+  let c = H.find_comp s.H.header "xpart" in
+  let ipid = Relcore.Schema.find c.H.comp_schema "pid" in
+  let rec go i = function
+    | H.Row { comp; values; _ } :: _
+      when comp = c.H.comp_no && values.(ipid) = Relcore.Value.Int pid -> i
+    | _ :: rest -> go (i + 1) rest
+    | [] -> Alcotest.failf "part %d missing from the stream" pid
+  in
+  go 0 s.H.items
+
+(* The reply to a delta check-out of [s] at [chunk] whose base differs
+   from [s] only at the positions [changed]: every chunk holding one of
+   them in full, each run of the others as one same-run frame. *)
+let delta_frames ~chunk (s : H.t) changed =
+  let items = Array.of_list s.H.items in
+  let n = Array.length items in
+  let same k acc = if k > 0 then Wire.Stream_same { items = k } :: acc else acc in
+  let rec go lo run acc =
+    if lo >= n then List.rev (same run acc)
+    else
+      let hi = min n (lo + chunk) in
+      if List.exists (fun i -> i >= lo && i < hi) changed then
+        go hi 0
+          (Wire.Stream_chunk (Array.to_list (Array.sub items lo (hi - lo)))
+          :: same run acc)
+      else go hi (run + hi - lo) acc
+  in
+  (Wire.Stream_header s.H.header :: go 0 0 []) @ [ Wire.Stream_end { items = n } ]
+
+(* the reply that ships every chunk of [s] *)
+let full_reply ~chunk (s : H.t) =
+  delta_frames ~chunk s (List.init (H.total_items s) Fun.id)
+
+(* [Client.extract], checked to equal [reference] and to have received
+   exactly [expected]'s frames and bytes *)
+let extract_expecting cl ~chunk ~reference expected msg =
+  let f0 = Client.frames_in cl and b0 = Client.bytes_in cl in
+  let s = Client.extract ~chunk cl "parts_co" in
+  Alcotest.(check bool) (msg ^ ": equals in-process extraction") true
+    (H.equal reference s);
+  Alcotest.(check int) (msg ^ ": frames") (List.length expected)
+    (Client.frames_in cl - f0);
+  Alcotest.(check int) (msg ^ ": bytes")
+    (List.fold_left
+       (fun n r -> n + String.length (Wire.encode_response r))
+       0 expected)
+    (Client.bytes_in cl - b0)
+
+let bump cl pid =
+  ignore
+    (Client.exec cl
+       (Printf.sprintf "UPDATE parts SET build = build + 1 WHERE pid = %d" pid))
+
+(* Same runs need the stream's items to survive a value-only commit
+   physically, which the result cache's patch gives (off the delta
+   log). *)
+let with_patched_streams f =
+  with_env "XNFDB_DELTA_LOG" "4096" @@ fun () -> with_result_cache f
+
+let memo_hits t = (Server.counters t).Server.memo_hits
+
+let test_delta_after_update () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db t ->
+      let cl = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          let chunk = 100 in
+          let first = Client.extract ~chunk cl "parts_co" in
+          Alcotest.(check bool) "several chunks" true
+            (List.length (full_reply ~chunk first) > 6);
+          List.iter
+            (fun pid ->
+              bump cl pid;
+              let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+              let hits = memo_hits t in
+              extract_expecting cl ~chunk ~reference
+                (delta_frames ~chunk reference [ part_index reference pid ])
+                (Printf.sprintf "after updating part %d" pid);
+              Alcotest.(check int) "counted as a delta" (hits + 1) (memo_hits t))
+            [ 1; 150; 300 ];
+          (* nothing changed: one same run *)
+          let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+          extract_expecting cl ~chunk ~reference
+            (delta_frames ~chunk reference [])
+            "unchanged repeat"))
+
+(* A frame relay in front of the daemon at [upstream] for one client.
+   While [tamper] holds a function, each reply frame's payload passes
+   through it: [Some p] sends [p] in that frame's place and swallows the
+   rest of the reply, so the client meets an error or a bad frame
+   mid-stream while the connection stays in step. *)
+let with_relay upstream f =
+  let path = next_sock () in
+  let addr = Unix.ADDR_UNIX path in
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd addr;
+  Unix.listen lfd 1;
+  let tamper : (string -> string option) option Atomic.t = Atomic.make None in
+  let streaming p =
+    match Wire.decode_response p with
+    | Wire.Row_header _ | Wire.Row_batch _ | Wire.Stream_header _
+    | Wire.Stream_chunk _ | Wire.Stream_same _ ->
+      true
+    | _ -> false
+  in
+  let relay () =
+    let cfd, _ = Unix.accept ~cloexec:true lfd in
+    let sfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let rec reply () =
+      let p = Wire.recv_payload sfd in
+      match Option.bind (Atomic.get tamper) (fun f -> f p) with
+      | Some p' ->
+        Wire.send_frame cfd (Wire.frame p');
+        swallow p
+      | None ->
+        Wire.send_frame cfd (Wire.frame p);
+        if streaming p then reply ()
+    and swallow p = if streaming p then swallow (Wire.recv_payload sfd) in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close cfd;
+        Unix.close sfd)
+      (fun () ->
+        try
+          Unix.connect sfd upstream;
+          while true do
+            Wire.send_frame sfd (Wire.frame (Wire.recv_payload cfd));
+            reply ()
+          done
+        with Wire.Connection_lost -> ())
+  in
+  let d = Domain.spawn relay in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a body that failed before connecting leaves the relay in
+         [accept]: a connection that closes at once lets it finish *)
+      (try
+         let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         (try Unix.connect fd addr with Unix.Unix_error _ -> ());
+         Unix.close fd
+       with Unix.Unix_error _ -> ());
+      Domain.join d;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f addr tamper)
+
+(* a tamper that replaces the first frame after the stream header *)
+let after_header (r : Wire.response) p =
+  match Wire.decode_response p with
+  | Wire.Stream_header _ -> None
+  | _ -> Some (payload_of (Wire.encode_response r))
+
+let test_delta_error_mid_stream () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db t ->
+      with_relay addr (fun raddr tamper ->
+          let cl = Client.connect raddr in
+          Fun.protect
+            ~finally:(fun () -> Client.close cl)
+            (fun () ->
+              let chunk = 100 in
+              ignore (Client.extract ~chunk cl "parts_co");
+              bump cl 7;
+              (* the daemon finishes this reply and keeps its base; the
+                 client meets an error after the header *)
+              Atomic.set tamper
+                (Some (after_header (Wire.Error { kind = "relay"; msg = "cut" })));
+              (match Client.extract ~chunk cl "parts_co" with
+              | _ -> Alcotest.fail "the cut extraction returned"
+              | exception Client.Server_error { kind = "relay"; _ } -> ());
+              Atomic.set tamper None;
+              let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+              let hits = memo_hits t in
+              let s = Client.extract ~chunk cl "parts_co" in
+              Alcotest.(check bool) "the next extraction is correct" true
+                (H.equal reference s);
+              Alcotest.(check int) "and ships in full" hits (memo_hits t);
+              (* which re-establishes the base on both sides *)
+              extract_expecting cl ~chunk ~reference
+                (delta_frames ~chunk reference [])
+                "repeat after the full shipment")))
+
+let test_delta_same_past_base () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db _t ->
+      with_relay addr (fun raddr tamper ->
+          let cl = Client.connect raddr in
+          Fun.protect
+            ~finally:(fun () -> Client.close cl)
+            (fun () ->
+              let chunk = 100 in
+              let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+              let n = H.total_items reference in
+              ignore (Client.extract ~chunk cl "parts_co");
+              let expect_malformed_extract msg r =
+                Atomic.set tamper (Some (after_header r));
+                expect_malformed msg (fun () ->
+                    ignore (Client.extract ~chunk cl "parts_co"));
+                Atomic.set tamper None
+              in
+              expect_malformed_extract "a same run past the base's end"
+                (Wire.Stream_same { items = n + 1 });
+              (* the Malformed dropped the base: any same run is past it *)
+              expect_malformed_extract "a same run with no base"
+                (Wire.Stream_same { items = 1 });
+              extract_expecting cl ~chunk ~reference
+                (full_reply ~chunk reference)
+                "full shipment after the bad frames")))
+
+let test_delta_two_sessions () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db _t ->
+      let a = Client.connect addr
+      and b = Client.connect addr
+      and w = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> List.iter Client.close [ a; b; w ])
+        (fun () ->
+          (* different chunks too: each session's base is its own *)
+          let sessions = [| (a, 100, ref []); (b, 64, ref []) |] in
+          Array.iter
+            (fun (cl, chunk, _) -> ignore (Client.extract ~chunk cl "parts_co"))
+            sessions;
+          List.iteri
+            (fun k pid ->
+              bump w pid;
+              Array.iter (fun (_, _, pending) -> pending := pid :: !pending) sessions;
+              (* one session checks out after each commit, in turn *)
+              let cl, chunk, pending = sessions.(k mod 2) in
+              let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+              extract_expecting cl ~chunk ~reference
+                (delta_frames ~chunk reference
+                   (List.map (part_index reference) !pending))
+                (Printf.sprintf "session %d after commit %d" (k mod 2) k);
+              pending := [])
+            [ 3; 290; 120; 45; 200 ]))
+
+let test_delta_snapshot_read () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db t ->
+      let reader = Client.connect addr and writer = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close writer;
+          Client.close reader)
+        (fun () ->
+          let chunk = 100 in
+          let committed = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+          ignore (Client.extract ~chunk reader "parts_co");
+          ignore (Client.exec writer "BEGIN");
+          bump writer 5;
+          (* another session's uncommitted row: served off a snapshot,
+             which ships every chunk although the reader has a base *)
+          let snaps = (Server.counters t).Server.snap_reads in
+          let hits = memo_hits t in
+          extract_expecting reader ~chunk ~reference:committed
+            (full_reply ~chunk committed)
+            "snapshot read";
+          Alcotest.(check bool) "served off a snapshot" true
+            ((Server.counters t).Server.snap_reads > snaps);
+          Alcotest.(check int) "no same run" hits (memo_hits t);
+          ignore (Client.exec writer "ROLLBACK");
+          (* the snapshot's items are the base now: they share nothing
+             with the cached stream, so the next read ships whole *)
+          extract_expecting reader ~chunk ~reference:committed
+            (full_reply ~chunk committed)
+            "first read off the lock";
+          extract_expecting reader ~chunk ~reference:committed
+            (delta_frames ~chunk committed [])
+            "repeat off the lock"))
+
 let suite =
   [
     Alcotest.test_case "codec: empty frames" `Quick test_empty_batch;
@@ -922,4 +1237,16 @@ let suite =
     Alcotest.test_case "codec: chunk writer" `Quick test_chunk_writer;
     Alcotest.test_case "codec: every truncation is Malformed" `Quick
       test_truncated_payloads;
+    Alcotest.test_case "codec: same-run frame and base flag" `Quick
+      test_same_frame_codec;
+    Alcotest.test_case "daemon: delta check-out after a one-row UPDATE" `Quick
+      test_delta_after_update;
+    Alcotest.test_case "daemon: delta check-out after an error mid-stream"
+      `Quick test_delta_error_mid_stream;
+    Alcotest.test_case "daemon: same run past the base is Malformed" `Quick
+      test_delta_same_past_base;
+    Alcotest.test_case "daemon: two sessions keep their own bases" `Quick
+      test_delta_two_sessions;
+    Alcotest.test_case "daemon: snapshot-served read ships in full" `Quick
+      test_delta_snapshot_read;
   ]
