@@ -14,8 +14,8 @@ type t = {
   id : int; (* system-generated tuple identifier *)
   comp : string; (* component (node table) name *)
   mutable values : Tuple.t;
-  mutable out_conns : conn list; (* connections where this node is parent *)
-  mutable in_conns : conn list; (* connections where this node is a child *)
+  mutable out_conns : conn array; (* connections where this node is parent *)
+  mutable in_conns : conn array; (* connections where this node is a child *)
   mutable dirty : dirty;
 }
 
@@ -29,34 +29,55 @@ and conn = {
 }
 
 let make ~id ~comp ~values =
-  {
-    id;
-    comp;
-    values;
-    out_conns = [];
-    in_conns = [];
-    dirty = Clean;
-  }
+  { id; comp; values; out_conns = [||]; in_conns = [||]; dirty = Clean }
+
+(* The list getters below walk their array right to left and cons each
+   match, so the result comes out in arrival order with no intermediate
+   list. *)
+
+let with_rel (a : conn array) ~rel =
+  let acc = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    let c = a.(i) in
+    if String.equal c.rel rel then acc := c :: !acc
+  done;
+  !acc
 
 (** Connections of [node] under relationship [rel] where it is the
     parent, in arrival order. *)
-let conns_out node ~rel = List.filter (fun c -> c.rel = rel) node.out_conns
+let conns_out node ~rel = with_rel node.out_conns ~rel
 
-let conns_in node ~rel = List.filter (fun c -> c.rel = rel) node.in_conns
+let conns_in node ~rel = with_rel node.in_conns ~rel
 
 (** Children of [node] via [rel] (all partner positions, arrival order). *)
 let children node ~rel =
-  List.concat_map (fun c -> Array.to_list c.children) (conns_out node ~rel)
+  let a = node.out_conns and acc = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    let c = a.(i) in
+    if String.equal c.rel rel then
+      for j = Array.length c.children - 1 downto 0 do
+        acc := c.children.(j) :: !acc
+      done
+  done;
+  !acc
 
 (** Parents of [node] via [rel]. *)
-let parents node ~rel = List.map (fun c -> c.parent) (conns_in node ~rel)
+let parents node ~rel =
+  let a = node.in_conns and acc = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    let c = a.(i) in
+    if String.equal c.rel rel then acc := c.parent :: !acc
+  done;
+  !acc
 
 (** All distinct relationship names leaving (entering) this node. *)
 let out_rels node =
-  List.sort_uniq compare (List.map (fun c -> c.rel) node.out_conns)
+  List.sort_uniq compare
+    (Array.to_list (Array.map (fun c -> c.rel) node.out_conns))
 
 let in_rels node =
-  List.sort_uniq compare (List.map (fun c -> c.rel) node.in_conns)
+  List.sort_uniq compare
+    (Array.to_list (Array.map (fun c -> c.rel) node.in_conns))
 
 let is_deleted node = node.dirty = Deleted
 

@@ -1,5 +1,8 @@
 (** Nodes of the client-side CO cache; connections are plain record
-    references (pointer navigation, paper Sect. 5.1). *)
+    references (pointer navigation, paper Sect. 5.1).  A node's
+    connections sit in two arrays, each in the stream's arrival order;
+    {!Workspace.of_stream} sizes them exactly, and the update operators
+    replace them with fresh arrays. *)
 
 open Relcore
 
@@ -9,8 +12,9 @@ type t = {
   id : int; (* system-generated tuple identifier *)
   comp : string; (* component (node table) name *)
   mutable values : Tuple.t;
-  mutable out_conns : conn list; (* connections where this node is parent *)
-  mutable in_conns : conn list; (* connections where this node is a child *)
+  mutable out_conns : conn array; (* connections where this node is parent *)
+  mutable in_conns : conn array;
+      (* connections where this node is a child, once per partner slot *)
   mutable dirty : dirty;
 }
 
@@ -26,6 +30,8 @@ and conn = {
 val make : id:int -> comp:string -> values:Tuple.t -> t
 
 val conns_out : t -> rel:string -> conn list
+(** Connections under [rel] where the node is the parent, arrival order. *)
+
 val conns_in : t -> rel:string -> conn list
 
 val children : t -> rel:string -> t list

@@ -14,39 +14,53 @@ module H = Xnf.Hetstream
 let magic = "XNFCACHE2\n"
 
 (** Rebuild a heterogeneous stream from the cache's current state
-    (including local inserts/updates; deleted nodes are dropped). *)
+    (including local inserts/updates; deleted nodes are dropped).  Ids
+    are renumbered 1..N in the order written, rows then connections: a
+    stream carries no client-side negative ids, and its ids stay dense
+    however many nodes were deleted (see {!Workspace.of_stream}). *)
 let stream_of_workspace (ws : Workspace.t) : H.t =
-  let items = ref [] in
+  let items = ref [] and next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let renumbered = Workspace.Int_tbl.create 64 in
+  let id_of (n : Conode.t) = Workspace.Int_tbl.find renumbered n.Conode.id in
   let comp_no name = (Workspace.find_store ws name).Workspace.info.H.comp_no in
+  let live =
+    List.map
+      (fun comp -> (comp_no comp, Workspace.nodes ws comp))
+      (Workspace.node_component_names ws)
+  in
   List.iter
-    (fun comp ->
+    (fun (comp, nodes) ->
       List.iter
         (fun (n : Conode.t) ->
-          items :=
-            H.Row { comp = comp_no comp; id = n.Conode.id; values = n.Conode.values }
-            :: !items)
-        (Workspace.nodes ws comp))
-    (Workspace.node_component_names ws);
+          let id = fresh () in
+          Workspace.Int_tbl.replace renumbered n.Conode.id id;
+          items := H.Row { comp; id; values = n.Conode.values } :: !items)
+        nodes)
+    live;
   (* connections, once each (via parents) *)
   List.iter
-    (fun comp ->
+    (fun (_, nodes) ->
       List.iter
         (fun (n : Conode.t) ->
-          List.iter
+          Array.iter
             (fun (c : Conode.conn) ->
               items :=
                 H.Conn
                   {
                     rel = comp_no c.Conode.rel;
-                    id = c.Conode.conn_id;
-                    parent = c.Conode.parent.Conode.id;
-                    children = Array.map (fun ch -> ch.Conode.id) c.Conode.children;
+                    id = fresh ();
+                    parent = id_of c.Conode.parent;
+                    children = Array.map id_of c.Conode.children;
                     attrs = c.Conode.attrs;
                   }
                 :: !items)
             n.Conode.out_conns)
-        (Workspace.nodes ws comp))
-    (Workspace.node_component_names ws);
+        nodes)
+    live;
   { H.header = ws.Workspace.header; items = List.rev !items }
 
 let write_op buf (op : Workspace.pending_op) =

@@ -1,9 +1,9 @@
 (** The XNF cache: client-side main-memory representation of an
     extracted CO (paper Sect. 5, Fig. 7).
 
-    Built in one pass over the heterogeneous stream; connection tuples
-    become pointers.  Update operators record pending operations for
-    write-back (see {!Update}). *)
+    Built in three flat passes over the heterogeneous stream; connection
+    tuples become pointers.  Update operators record pending operations
+    for write-back (see {!Update}). *)
 
 open Relcore
 module H = Xnf.Hetstream
@@ -17,7 +17,9 @@ type pending_op =
 
 type component_store = {
   info : H.comp_info;
-  mutable nodes : Conode.t list;
+  mutable nodes : Conode.t array;
+      (** The first [count] slots hold the component's nodes (deleted
+          ones too) in arrival order; client inserts append. *)
   mutable count : int;
 }
 
@@ -26,7 +28,12 @@ module Int_tbl : Hashtbl.S with type key = int
 type t = {
   header : H.header;
   stores : (string, component_store) Hashtbl.t;
-  by_id : Conode.t Int_tbl.t;
+  index : Conode.t array;
+      (** Stream id -> node, by position: a server numbers rows and
+          connections from 1, so this is dense.  Use {!find_by_id}. *)
+  off_index : Conode.t Int_tbl.t;
+      (** By id, the nodes [index] does not cover: client-side inserts
+          (negative ids) and stream ids past the dense range. *)
   mutable next_local_id : int;
   mutable pending : pending_op list; (* reverse order *)
   mutable conn_count : int;
@@ -37,10 +44,20 @@ val schema : t -> string -> Schema.t
 val rel_meta : t -> string -> H.rel_meta
 
 val of_stream : H.t -> t
-(** One pass over the stream's items, then one over its connections:
-    every node list and every node's [out_conns]/[in_conns] are in
-    arrival order, and a partner named before its row arrives (or never
-    shipped) is a value-less stub. *)
+(** Three passes over the stream's items (check the ids, count degrees,
+    build), with no closure or table entry per item: each node's
+    [out_conns]/[in_conns] array is made at its exact size and filled in
+    arrival order, and partners are found in {!t.index}.  One node per
+    stream id (object sharing): a partner named before its row arrives
+    is that row's node, a value-less stub until the row fills its values
+    in place, and stays a stub if the row never ships (its component is
+    not in TAKE).  Every node list is in order of each node's first
+    mention.  Ids past [4 * items + 1024] (rows outside TAKE take ids
+    too) are found through {!t.off_index}; no array is sized from an
+    id.  Raises {!Relcore.Errors.Db_error} on a negative id, two rows
+    under one id, a row whose id was named as a partner in another
+    component, or an item naming a component number of the wrong
+    kind. *)
 
 val nodes : t -> string -> Conode.t list
 (** Live nodes of a component, arrival order. *)
@@ -48,6 +65,8 @@ val nodes : t -> string -> Conode.t list
 val node_count : t -> string -> int
 val connection_count : t -> int
 val find_by_id : t -> int -> Conode.t option
+(** A stream id's node (deleted ones too), or a client insert's by its
+    negative id. *)
 
 val is_stub : t -> Conode.t -> bool
 (** A value-less stub: partner of a shipped connection whose component
@@ -68,6 +87,8 @@ val update : t -> Conode.t -> (string * Value.t) list -> unit
     was loaded from (which a result cache may hold) never changes. *)
 
 val delete : t -> Conode.t -> unit
+(** Marks the node deleted and drops its connections from its partners'
+    arrays; {!connection_count} loses each of them once. *)
 
 val connect : t -> rel:string -> Conode.t -> Conode.t -> Conode.conn
 (** Binary relationships only. *)

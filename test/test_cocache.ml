@@ -55,7 +55,7 @@ let test_hub_arrival_order () =
     }
   in
   let n = 2000 in
-  let leaf i = 1 + i in
+  let leaf i = 2 + i in
   let conn rel id parent child =
     H.Conn { rel; id; parent; children = [| child |]; attrs = [||] }
   in
@@ -605,10 +605,10 @@ let suite =
         test_truncated_cache_file_rejected;
     ]
 
-(* A hand-made stream covering what the one-pass load must get right: a
-   connection naming a partner before its row arrives (a stub, then the
-   row), a partner component outside TAKE (stubs only), and one node
-   with three connections in and three out. *)
+(* A hand-made stream covering what the load must get right: a
+   connection naming a partner before its row arrives (one node, a stub
+   until the row fills it in place), a partner component outside TAKE
+   (stubs only), and one node with three connections in and three out. *)
 let test_load_order_and_stubs () =
   let open Relcore in
   let module C = Cocache.Conode in
@@ -653,28 +653,31 @@ let test_load_order_and_stubs () =
   let ids = List.map (fun (n : C.t) -> n.C.id) in
   let conn_ids = List.map (fun (c : C.conn) -> c.C.conn_id) in
   let parts = Ws.nodes ws "part" in
-  Alcotest.(check (list int)) "part nodes in arrival order" [ 1; 2; 2; 3 ]
+  Alcotest.(check (list int)) "part nodes in arrival order" [ 1; 2; 3 ]
     (ids parts);
-  Alcotest.(check (list bool)) "the first node 2 is the stub"
-    [ false; true; false; false ]
+  Alcotest.(check (list bool)) "no part is a stub" [ false; false; false ]
     (List.map (Ws.is_stub ws) parts);
   Alcotest.(check (list int)) "supplier stubs" [ 50 ] (ids (Ws.nodes ws "supplier"));
   let node id = Option.get (Ws.find_by_id ws id) in
-  let stub2 = List.nth parts 1 and row2 = List.nth parts 2 in
+  let row2 = List.nth parts 1 in
   Alcotest.(check bool) "find_by_id 2 is the row" true (node 2 == row2);
+  Alcotest.(check bool) "row 2 has its values" true
+    (row2.C.values = [| Value.Int 2 |]);
   Alcotest.(check bool) "find_by_id 50 is a stub" true (Ws.is_stub ws (node 50));
   Alcotest.(check bool) "find_by_id 99" true (Ws.find_by_id ws 99 = None);
   let hub = node 1 in
+  let conn_ids a = conn_ids (Array.to_list a) in
   Alcotest.(check (list int)) "hub out_conns" [ 100; 101; 104 ]
     (conn_ids hub.C.out_conns);
   Alcotest.(check (list int)) "hub in_conns" [ 200; 102; 103 ]
     (conn_ids hub.C.in_conns);
   Alcotest.(check (list int)) "hub children" [ 2; 3; 2 ]
     (ids (C.children hub ~rel:"uses"));
-  Alcotest.(check bool) "conn 100 points at the stub" true
-    (List.hd (C.children hub ~rel:"uses") == stub2);
-  Alcotest.(check (list int)) "stub in_conns" [ 100 ] (conn_ids stub2.C.in_conns);
-  Alcotest.(check (list int)) "row 2 in_conns" [ 104 ] (conn_ids row2.C.in_conns);
+  Alcotest.(check bool) "conns 100 and 104 both reach row 2" true
+    (match C.children hub ~rel:"uses" with
+    | [ a; _; b ] -> a == row2 && b == row2
+    | _ -> false);
+  Alcotest.(check (list int)) "row 2 in_conns" [ 100; 104 ] (conn_ids row2.C.in_conns);
   Alcotest.(check (list int)) "row 2 out_conns" [ 103 ] (conn_ids row2.C.out_conns);
   Alcotest.(check (list int)) "supplier out_conns" [ 200 ]
     (conn_ids (node 50).C.out_conns);
@@ -682,7 +685,7 @@ let test_load_order_and_stubs () =
   let fresh = Ws.insert ws "part" [ Value.Int 9 ] in
   Alcotest.(check int) "insert takes a negative id" (-1) fresh.C.id;
   Alcotest.(check bool) "found under its negative id" true (node (-1) == fresh);
-  Alcotest.(check (list int)) "inserted node last" [ 1; 2; 2; 3; -1 ]
+  Alcotest.(check (list int)) "inserted node last" [ 1; 2; 3; -1 ]
     (ids (Ws.nodes ws "part"))
 
 let suite =
@@ -690,4 +693,167 @@ let suite =
   @ [
       Alcotest.test_case "load: arrival order, stubs, find_by_id" `Quick
         test_load_order_and_stubs;
+    ]
+
+(* A one-component graph for hand-made streams: "uses" is binary,
+   "pair" names two children, "supplies" comes from a second component
+   outside TAKE. *)
+let graph_header =
+  let open Relcore in
+  let col name = Schema.make [ Schema.column name Dtype.Tint ] in
+  let comp comp_no comp_name comp_kind comp_schema in_take =
+    { H.comp_no; comp_name; comp_kind; comp_schema; take_cols = None; in_take }
+  in
+  let rel role parent children =
+    `Rel { H.rm_role = role; rm_parent = parent; rm_children = children }
+  in
+  {
+    H.components =
+      [|
+        comp 0 "part" `Node (col "k") true;
+        comp 1 "supplier" `Node (col "s") false;
+        comp 2 "uses" (rel "USES" "part" [ "part" ]) (Schema.make []) true;
+        comp 3 "pair" (rel "PAIR" "part" [ "part"; "part" ]) (Schema.make []) true;
+        comp 4 "supplies" (rel "SUPPLIES" "supplier" [ "part" ]) (Schema.make [])
+          true;
+      |];
+    root_components = [ "part" ];
+  }
+
+let part id = H.Row { comp = 0; id; values = [| Relcore.Value.Int id |] }
+
+let conn rel id parent children =
+  H.Conn { rel; id; parent; children; attrs = [||] }
+
+let save_and_load ws =
+  let path = Filename.temp_file "xnfcache" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cocache.Persist.save ws path;
+      Cocache.Persist.load path)
+
+(* Deleting a node drops each of its connections from the count once,
+   so the count agrees with the same workspace after a save/load. *)
+let test_delete_connection_count () =
+  let module C = Cocache.Conode in
+  let db = org_db () in
+  let ws = load_workspace db in
+  let anna =
+    List.find
+      (fun n -> Relcore.Value.to_string (Ws.get ws n "ename") = "anna")
+      (Ws.nodes ws "xemp")
+  in
+  let outs = Array.length anna.C.out_conns and ins = Array.length anna.C.in_conns in
+  Alcotest.(check bool) "anna is connected both ways" true (outs > 0 && ins > 0);
+  let before = Ws.connection_count ws in
+  Ws.delete ws anna;
+  Alcotest.(check int) "count loses anna's connections" (before - outs - ins)
+    (Ws.connection_count ws);
+  (* a client insert's negative ids are renumbered on save *)
+  let zoe = Ws.insert ws "xemp" [ vi 88; vs "zoe"; vi 70; vnull ] in
+  let tools = List.hd (Cocache.Conode.parents (List.hd (Ws.nodes ws "xemp")) ~rel:"employment") in
+  ignore (Ws.connect ws ~rel:"employment" tools zoe);
+  let ws' = save_and_load ws in
+  Alcotest.(check int) "count survives save/load" (Ws.connection_count ws)
+    (Ws.connection_count ws');
+  Alcotest.(check int) "nodes survive save/load" (Ws.size ws) (Ws.size ws');
+  Alcotest.(check (list string)) "insert reloaded under a stream id" [ "zoe" ]
+    (List.filter_map
+       (fun (n : C.t) ->
+         if n.C.id > 0 && Ws.get ws' n "ename" = vs "zoe" then Some "zoe" else None)
+       (Ws.nodes ws' "xemp"));
+  (* a self-loop and a connection naming the node twice count once *)
+  let items =
+    [
+      part 1;
+      part 2;
+      conn 2 100 1 [| 1 |];
+      conn 2 101 1 [| 2 |];
+      conn 2 102 2 [| 1 |];
+      conn 3 103 2 [| 1; 1 |];
+      conn 3 104 2 [| 2; 2 |];
+    ]
+  in
+  let ws = Ws.of_stream { H.header = graph_header; items } in
+  let one = Option.get (Ws.find_by_id ws 1) and two = Option.get (Ws.find_by_id ws 2) in
+  Alcotest.(check int) "node 1 fills in_conns per slot" 4 (Array.length one.C.in_conns);
+  Ws.delete ws one;
+  Alcotest.(check int) "four connections gone" 1 (Ws.connection_count ws);
+  Alcotest.(check (list int)) "node 2 keeps only its own pair" [ 104 ]
+    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list two.C.out_conns));
+  Alcotest.(check (list int)) "node 2 in_conns" [ 104; 104 ]
+    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list two.C.in_conns));
+  Alcotest.(check int) "save/load agrees" 1 (Ws.connection_count (save_and_load ws))
+
+(* Ids that break the one-node-per-id contract are refused with a typed
+   error before any node is made. *)
+let test_load_malformed_ids () =
+  let refused what items =
+    Alcotest.(check bool) what true
+      (match Ws.of_stream { H.header = graph_header; items } with
+      | _ -> false
+      | exception Relcore.Errors.Db_error (Relcore.Errors.Execution_error, _) ->
+        true)
+  in
+  refused "negative row id" [ part 1; part (-3) ];
+  refused "negative partner id" [ part 1; conn 2 100 1 [| -2 |] ];
+  refused "negative parent id" [ part 1; conn 2 100 min_int [| 1 |] ];
+  refused "two rows under one id" [ part 1; part 2; part 1 ];
+  refused "two rows under one id, other component"
+    [ part 1; H.Row { comp = 1; id = 1; values = [| Relcore.Value.Int 7 |] } ];
+  refused "row stubbed in another component"
+    [ part 1; conn 4 200 5 [| 1 |]; part 5 ];
+  refused "row of a relationship component"
+    [ H.Row { comp = 2; id = 1; values = [||] } ];
+  refused "component number out of range" [ conn 9 100 1 [| 1 |] ];
+  refused "too many children" [ part 1; conn 2 100 1 [| 1; 1 |] ]
+
+(* Ids past the dense range are legitimate (rows outside TAKE take ids
+   too) and are found through the side table; no array is sized from
+   them, max_int included. *)
+let test_load_sparse_ids () =
+  let module C = Cocache.Conode in
+  let items = [ part 1; part max_int; conn 2 2 1 [| max_int |] ] in
+  let ws = Ws.of_stream { H.header = graph_header; items } in
+  let far = Option.get (Ws.find_by_id ws max_int) in
+  Alcotest.(check (list int)) "child past the range" [ max_int ]
+    (List.map (fun (n : C.t) -> n.C.id)
+       (C.children (Option.get (Ws.find_by_id ws 1)) ~rel:"uses"));
+  Alcotest.(check bool) "far row has its values" false (Ws.is_stub ws far);
+  Alcotest.(check bool) "unused id in range" true (Ws.find_by_id ws 3 = None);
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  ignore (Ws.of_stream { H.header = graph_header; items = [ part 2_000_000 ] });
+  Alcotest.(check bool) "no array sized from a large id" true
+    (words () -. w0 < 100_000.);
+  (* a query whose shipped component follows a larger one outside TAKE *)
+  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 2000 } in
+  let s =
+    Xnf.Xnf_compile.run ~cache:false db
+      "OUT OF ROOT xpart AS parts, ROOT few AS (SELECT * FROM parts WHERE pid \
+       <= 5) TAKE few"
+  in
+  let ids =
+    List.map (function H.Row { id; _ } -> id | H.Conn { id; _ } -> id) s.H.items
+  in
+  Alcotest.(check bool) "ids past the dense range" true
+    (List.for_all (fun id -> id > (4 * List.length ids) + 1024) ids);
+  let ws = Ws.of_stream s in
+  Alcotest.(check int) "all five rows" 5 (Ws.node_count ws "few");
+  Alcotest.(check bool) "each found by id" true
+    (List.for_all (fun id -> (Option.get (Ws.find_by_id ws id)).C.id = id) ids)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "delete: connection_count and save/load agree" `Quick
+        test_delete_connection_count;
+      Alcotest.test_case "load: malformed ids refused" `Quick
+        test_load_malformed_ids;
+      Alcotest.test_case "load: ids past the dense range" `Quick
+        test_load_sparse_ids;
     ]

@@ -749,3 +749,216 @@ let prop_assemble_matches_reference =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_assemble_matches_reference ]
+
+(* -- workspace load against a list-based reference ------------------- *)
+
+module Hs = Xnf.Hetstream
+module C = Cocache.Conode
+module Ws = Cocache.Workspace
+
+(* A random stream that keeps the stream contract: one id per node and
+   per connection, numbered from 1, and every partner inside its
+   relationship's declared component.  Node components may be outside
+   TAKE (their nodes appear only as partners), relationships name one to
+   three children and may carry an attribute, and the items are shuffled
+   so that partners are often named before their rows. *)
+let load_stream_gen : Hs.t QCheck.Gen.t =
+ fun st ->
+  let int n = Random.State.int st n in
+  let schema cols =
+    Schema.make (List.map (fun c -> Schema.column c Dtype.Tint) cols)
+  in
+  let n_nodes = 1 + int 3 and n_rels = 1 + int 3 in
+  let nodes =
+    Array.init n_nodes (fun c ->
+        {
+          Hs.comp_no = c;
+          comp_name = Printf.sprintf "n%d" c;
+          comp_kind = `Node;
+          comp_schema = schema [ "k" ];
+          take_cols = None;
+          in_take = c = 0 || Random.State.bool st;
+        })
+  in
+  let parent = Array.init n_rels (fun _ -> int n_nodes) in
+  let children = Array.init n_rels (fun _ -> Array.init (1 + int 3) (fun _ -> int n_nodes)) in
+  let has_attr = Array.init n_rels (fun _ -> Random.State.bool st) in
+  let rels =
+    Array.init n_rels (fun r ->
+        let name c = nodes.(c).Hs.comp_name in
+        {
+          Hs.comp_no = n_nodes + r;
+          comp_name = Printf.sprintf "r%d" r;
+          comp_kind =
+            `Rel
+              {
+                Hs.rm_role = "R";
+                rm_parent = name parent.(r);
+                rm_children = Array.to_list (Array.map name children.(r));
+              };
+          comp_schema = schema (if has_attr.(r) then [ "w" ] else []);
+          take_cols = None;
+          in_take = true;
+        })
+  in
+  let next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let members = Array.init n_nodes (fun _ -> Array.init (1 + int 6) (fun _ -> fresh ())) in
+  let rows =
+    List.concat
+      (List.init n_nodes (fun c ->
+           if not nodes.(c).Hs.in_take then []
+           else
+             Array.to_list
+               (Array.map
+                  (fun id -> Hs.Row { comp = c; id; values = [| Value.Int (int 100) |] })
+                  members.(c))))
+  in
+  let pick c = members.(c).(int (Array.length members.(c))) in
+  let conns =
+    List.init (int 30) (fun _ ->
+        let r = int n_rels in
+        Hs.Conn
+          {
+            rel = n_nodes + r;
+            id = fresh ();
+            parent = pick parent.(r);
+            children = Array.map pick children.(r);
+            attrs = (if has_attr.(r) then [| Value.Int (int 9) |] else [||]);
+          })
+  in
+  let items = Array.of_list (rows @ conns) in
+  for i = Array.length items - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = items.(i) in
+    items.(i) <- items.(j);
+    items.(j) <- t
+  done;
+  {
+    Hs.header = { Hs.components = Array.append nodes rels; root_components = [ "n0" ] };
+    items = Array.to_list items;
+  }
+
+let print_load_stream (s : Hs.t) =
+  String.concat "; "
+    (List.map
+       (function
+         | Hs.Row { comp; id; _ } -> Printf.sprintf "row n%d #%d" comp id
+         | Hs.Conn { rel; id; parent; children; _ } ->
+           Printf.sprintf "conn %d #%d %d->[%s]" rel id parent
+             (String.concat "," (Array.to_list (Array.map string_of_int children))))
+       s.Hs.items)
+
+(* The load contract, list by list: a node per id, made at its first
+   mention in the component that mentions it; its values from its row,
+   if one arrives; its connections in arrival order, in [in_conns] once
+   per child slot. *)
+type ref_node = {
+  r_comp : string;
+  mutable r_values : Tuple.t option;
+  mutable r_out : int list; (* connection ids, newest first *)
+  mutable r_in : int list;
+}
+
+let reference_load (s : Hs.t) =
+  let comps = s.Hs.header.Hs.components in
+  let by_id = Hashtbl.create 16 and order = Hashtbl.create 8 in
+  let conns = Hashtbl.create 16 in
+  let mention comp id =
+    match Hashtbl.find_opt by_id id with
+    | Some n -> n
+    | None ->
+      let n = { r_comp = comp; r_values = None; r_out = []; r_in = [] } in
+      Hashtbl.add by_id id n;
+      Hashtbl.replace order comp
+        (id :: Option.value (Hashtbl.find_opt order comp) ~default:[]);
+      n
+  in
+  List.iter
+    (function
+      | Hs.Row { comp; id; values } ->
+        (mention comps.(comp).Hs.comp_name id).r_values <- Some values
+      | Hs.Conn { rel; id; parent; children; _ } ->
+        let m =
+          match comps.(rel).Hs.comp_kind with `Rel m -> m | `Node -> assert false
+        in
+        let p = mention m.Hs.rm_parent parent in
+        p.r_out <- id :: p.r_out;
+        Array.iteri
+          (fun i c ->
+            let n = mention (List.nth m.Hs.rm_children i) c in
+            n.r_in <- id :: n.r_in)
+          children;
+        Hashtbl.add conns id (comps.(rel).Hs.comp_name, children))
+    s.Hs.items;
+  (by_id, (fun comp -> List.rev (Option.value (Hashtbl.find_opt order comp) ~default:[])), conns)
+
+(* A workspace as positions: per node component, each live node's
+   values, its out-connections (relationship, attributes, children as
+   component and position) in order, and its in-connections as a sorted
+   list (a save writes connections grouped by parent). *)
+let canonical_graph ws =
+  let pos = Hashtbl.create 64 in
+  let names = Ws.node_component_names ws in
+  List.iter
+    (fun comp -> List.iteri (fun i (n : C.t) -> Hashtbl.replace pos n.C.id (comp, i)) (Ws.nodes ws comp))
+    names;
+  let at (n : C.t) = Hashtbl.find pos n.C.id in
+  List.map
+    (fun comp ->
+      List.map
+        (fun (n : C.t) ->
+          ( n.C.values,
+            Array.to_list
+              (Array.map
+                 (fun (c : C.conn) ->
+                   (c.C.rel, c.C.attrs, Array.to_list (Array.map at c.C.children)))
+                 n.C.out_conns),
+            List.sort compare
+              (Array.to_list (Array.map (fun (c : C.conn) -> (c.C.rel, at c.C.parent)) n.C.in_conns)) ))
+        (Ws.nodes ws comp))
+    names
+
+let prop_load_matches_reference =
+  QCheck.Test.make ~name:"workspace load = list-based reference" ~count:300
+    (QCheck.make ~print:print_load_stream load_stream_gen)
+    (fun s ->
+      let ws = Ws.of_stream s in
+      let by_id, order, conns = reference_load s in
+      let ids = List.map (fun (n : C.t) -> n.C.id) in
+      let conn_ids a = Array.to_list (Array.map (fun (c : C.conn) -> c.C.conn_id) a) in
+      let rels = Ws.rel_component_names ws in
+      let children_of out rel =
+        List.concat_map
+          (fun id ->
+            let r, cs = Hashtbl.find conns id in
+            if r = rel then Array.to_list cs else [])
+          out
+      in
+      let node_ok id r =
+        match Ws.find_by_id ws id with
+        | None -> false
+        | Some n ->
+          n.C.id = id
+          && n.C.comp = r.r_comp
+          && conn_ids n.C.out_conns = List.rev r.r_out
+          && conn_ids n.C.in_conns = List.rev r.r_in
+          && Ws.is_stub ws n = (r.r_values = None)
+          && (match r.r_values with Some v -> n.C.values == v | None -> true)
+          && List.for_all
+               (fun rel -> ids (C.children n ~rel) = children_of (List.rev r.r_out) rel)
+               rels
+      in
+      let reloaded = Ws.of_stream (Cocache.Persist.stream_of_workspace ws) in
+      List.for_all (fun comp -> ids (Ws.nodes ws comp) = order comp) (Ws.node_component_names ws)
+      && Hashtbl.fold (fun id r ok -> ok && node_ok id r) by_id true
+      && Ws.find_by_id ws 0 = None
+      && Ws.find_by_id ws (Hs.total_items s + 1000) = None
+      && Ws.connection_count ws = Hashtbl.length conns
+      && Ws.connection_count reloaded = Ws.connection_count ws
+      && canonical_graph reloaded = canonical_graph ws)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_load_matches_reference ]
