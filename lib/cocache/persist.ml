@@ -25,7 +25,7 @@ let stream_of_workspace (ws : Workspace.t) : H.t =
     !next
   in
   let renumbered = Workspace.Int_tbl.create 64 in
-  let id_of (n : Conode.t) = Workspace.Int_tbl.find renumbered n.Conode.id in
+  let renumber id = Workspace.Int_tbl.find renumbered id in
   let comp_no name = (Workspace.find_store ws name).Workspace.info.H.comp_no in
   let live =
     List.map
@@ -42,23 +42,26 @@ let stream_of_workspace (ws : Workspace.t) : H.t =
         nodes)
     live;
   (* connections, once each (via parents) *)
+  let components = ws.Workspace.header.H.components in
   List.iter
     (fun (_, nodes) ->
       List.iter
         (fun (n : Conode.t) ->
           Array.iter
-            (fun (c : Conode.conn) ->
-              items :=
-                H.Conn
-                  {
-                    rel = comp_no c.Conode.rel;
-                    id = fresh ();
-                    parent = id_of c.Conode.parent;
-                    children = Array.map id_of c.Conode.children;
-                    attrs = c.Conode.attrs;
-                  }
-                :: !items)
-            n.Conode.out_conns)
+            (function
+              | H.Conn { rel; parent; children; attrs; _ } ->
+                items :=
+                  H.Conn
+                    {
+                      rel = components.(rel).H.comp_no;
+                      id = fresh ();
+                      parent = renumber parent;
+                      children = Array.map renumber children;
+                      attrs;
+                    }
+                  :: !items
+              | H.Row _ -> ())
+            (Conode.out_items n))
         nodes)
     live;
   { H.header = ws.Workspace.header; items = List.rev !items }

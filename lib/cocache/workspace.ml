@@ -22,15 +22,12 @@ type component_store = {
   mutable count : int;
 }
 
-module Int_tbl = Hashtbl.Make (Int)
+module Int_tbl = Conode.Int_tbl
 
 type t = {
   header : H.header;
   stores : (string, component_store) Hashtbl.t;
-  index : Conode.t array; (* stream id -> node, [absent] where none *)
-  off_index : Conode.t Int_tbl.t;
-      (* by id, the nodes [index] does not cover: client-side inserts
-         (negative ids) and stream ids past the dense range *)
+  adj : Conode.adj; (* connections, and nodes by id *)
   mutable next_local_id : int; (* negative ids for client-side inserts *)
   mutable pending : pending_op list; (* reverse order *)
   mutable conn_count : int;
@@ -48,19 +45,7 @@ let rel_meta ws rel =
   | `Rel m -> m
   | `Node -> Errors.semantic_error "%S is a node component, not a relationship" rel
 
-(* Placeholders for the slots of an array that is filled later; a loaded
-   workspace never hands them out. *)
-let absent = Conode.make ~id:0 ~comp:"" ~values:[||]
-
-let absent_conn =
-  {
-    Conode.conn_id = 0;
-    rel = "";
-    role = "";
-    parent = absent;
-    children = [||];
-    attrs = [||];
-  }
+let absent = Conode.absent
 
 (* Append in amortized O(1); a loaded store is sized exactly and only
    client inserts grow it. *)
@@ -73,13 +58,19 @@ let push store node =
   store.nodes.(store.count) <- node;
   store.count <- store.count + 1
 
-(* A relationship component's name, role and partner component numbers. *)
-type rel_info = {
-  r_name : string;
-  r_role : string;
-  r_parent : int;
-  r_children : int array;
-}
+(* The position of component [name] in the header: the number an item
+   names it by. *)
+let comp_no (components : H.comp_info array) name =
+  let rec go c =
+    if c = Array.length components then
+      Errors.semantic_error "unknown CO component %S" name
+    else if String.equal components.(c).H.comp_name name then c
+    else go (c + 1)
+  in
+  go 0
+
+(* A relationship component's partner component numbers. *)
+type rel_info = { r_parent : int; r_children : int array }
 
 (* The dense range of stream ids for a stream of this many items.  The
    ids a server assigns run from 1 (one per assembled row and
@@ -90,15 +81,20 @@ let dense_limit n_items = (4 * n_items) + 1024
 
 let malformed fmt = Errors.execution_error ("malformed stream: " ^^ fmt)
 
+(* Filler for the item arrays' slots until the load writes them. *)
+let no_item = H.Row { comp = -1; id = 0; values = [||] }
+
 (** Build the workspace from a heterogeneous stream: rows become nodes,
-    connections become pointers (in both directions).  Three passes
-    over the items, none allocating per item beyond what it returns:
-    the first checks the items and gives every node id a slot (itself
-    when in the dense range); the second counts each slot's out- and
-    in-degree and each component's nodes into int arrays, and checks
-    that an id names one node; the third makes each node once, its
-    connection arrays at their exact size, and fills them in arrival
-    order, finding partners in a node array indexed by slot. *)
+    connections become a CSR index over the stream's own [Conn] items
+    (in both directions).  Three passes over the items, none allocating
+    per item beyond the nodes it returns: the first checks the items and
+    gives every node id a slot (itself when in the dense range); the
+    second counts each slot's out- and in-degree and each component's
+    nodes, and checks that an id names one node; the third makes each
+    node once and writes each connection item into its partners' rows
+    in arrival order.  No connection data is copied: int columns would
+    be large arrays, which OCaml allocates straight in the major heap,
+    where they pace the major GC (DESIGN.md). *)
 let of_stream (stream : H.t) : t =
   let components = stream.H.header.H.components in
   let n_comps = Array.length components in
@@ -111,14 +107,6 @@ let of_stream (stream : H.t) : t =
         s)
       components
   in
-  let comp_no name =
-    let rec go c =
-      if c = n_comps then Errors.semantic_error "unknown CO component %S" name
-      else if String.equal components.(c).H.comp_name name then c
-      else go (c + 1)
-    in
-    go 0
-  in
   let rels =
     Array.map
       (fun (info : H.comp_info) ->
@@ -126,10 +114,9 @@ let of_stream (stream : H.t) : t =
         | `Rel m ->
           Some
             {
-              r_name = info.H.comp_name;
-              r_role = m.H.rm_role;
-              r_parent = comp_no m.H.rm_parent;
-              r_children = Array.of_list (List.map comp_no m.H.rm_children);
+              r_parent = comp_no components m.H.rm_parent;
+              r_children =
+                Array.of_list (List.map (comp_no components) m.H.rm_children);
             }
         | `Node -> None)
       components
@@ -163,12 +150,16 @@ let of_stream (stream : H.t) : t =
         Array.iter note children)
     stream.H.items;
   let dense = !top + 1 in
-  let slot id = if id <= limit then id else dense + Int_tbl.find far id in
-  (* pass 2: degrees and node counts.  [owner.(slot)] is [c + 1] once a
-     row of component [c] arrived under its id, [-(c + 1)] while the id
-     is only a partner in a component-[c] slot, 0 before either. *)
+  let slot id = if id < dense then id else dense + Int_tbl.find far id in
+  (* pass 2: degrees and node counts.  Slot [s]'s out-degree is counted
+     in [out_off.(s + 2)], so that after the prefix sums [out_off.(s + 1)]
+     is where its items start; the third pass advances it past each item
+     it writes, which leaves [out_off.(s)] where they start.  Likewise
+     [in_off].  [owner.(slot)] is [c + 1] once a row of component [c]
+     arrived under its id, [-(c + 1)] while the id is only a partner in a
+     component-[c] slot, 0 before either. *)
   let len = dense + Int_tbl.length far in
-  let out_deg = Array.make len 0 and in_deg = Array.make len 0 in
+  let out_off = Array.make (len + 2) 0 and in_off = Array.make (len + 2) 0 in
   let owner = Array.make len 0 and counts = Array.make n_comps 0 in
   let claim c k =
     if owner.(k) = 0 then begin
@@ -194,26 +185,48 @@ let of_stream (stream : H.t) : t =
         let r = rel_of rel in
         incr conns;
         let k = slot parent in
-        out_deg.(k) <- out_deg.(k) + 1;
+        out_off.(k + 2) <- out_off.(k + 2) + 1;
         claim r.r_parent k;
         for i = 0 to Array.length children - 1 do
           let k = slot children.(i) in
-          in_deg.(k) <- in_deg.(k) + 1;
+          in_off.(k + 2) <- in_off.(k + 2) + 1;
           claim r.r_children.(i) k
         done)
     stream.H.items;
+  for s = 2 to len + 1 do
+    out_off.(s) <- out_off.(s) + out_off.(s - 1);
+    in_off.(s) <- in_off.(s) + in_off.(s - 1)
+  done;
   Array.iteri (fun c s -> s.nodes <- Array.make counts.(c) absent) comps;
-  (* pass 3: nodes and connections.  Once a node's arrays are made, its
-     degree slots count the connections filled in so far. *)
-  let index = Array.make len absent in
-  let sized d = if d = 0 then [||] else Array.make d absent_conn in
-  (* The node under [id], made in component [c] at its first mention.
-     Made for a partner, it is a value-less stub until its row arrives;
-     its row may never ship (component not in TAKE), and the stub keeps
-     the topology navigable: connections carry ids, not values. *)
-  let node_at c id =
-    let k = slot id in
-    let n = index.(k) in
+  (* pass 3: nodes, and each connection item into its partners' rows *)
+  let index = Array.make dense absent in
+  let far_nodes = Array.make (len - dense) absent in
+  let adj =
+    {
+      Conode.comp_names = Array.map (fun (c : H.comp_info) -> c.H.comp_name) components;
+      roles =
+        Array.map
+          (fun (c : H.comp_info) ->
+            match c.H.comp_kind with `Rel m -> m.H.rm_role | `Node -> "")
+          components;
+      dense;
+      index;
+      off_index = Int_tbl.create 8;
+      far;
+      out_off;
+      out_items = Array.make out_off.(len + 1) no_item;
+      in_off;
+      in_items = Array.make in_off.(len + 1) no_item;
+      last_rel = { Conode.name = ""; no = -1 };
+    }
+  in
+  (* The node in slot [k] (id [id]), made in component [c] at its first
+     mention.  Made for a partner, it is a value-less stub until its row
+     arrives; its row may never ship (component not in TAKE), and the
+     stub keeps the topology navigable: connections carry ids, not
+     values. *)
+  let node_at c id k =
+    let n = if k < dense then index.(k) else far_nodes.(k - dense) in
     if n != absent then n
     else begin
       let store = comps.(c) in
@@ -222,14 +235,12 @@ let of_stream (stream : H.t) : t =
           Conode.id;
           comp = store.info.H.comp_name;
           values = [||];
-          out_conns = sized out_deg.(k);
-          in_conns = sized in_deg.(k);
           dirty = Conode.Clean;
+          adj;
+          edges = Conode.Shared;
         }
       in
-      out_deg.(k) <- 0;
-      in_deg.(k) <- 0;
-      index.(k) <- n;
+      if k < dense then index.(k) <- n else far_nodes.(k - dense) <- n;
       push store n;
       n
     end
@@ -239,43 +250,30 @@ let of_stream (stream : H.t) : t =
       match item with
       | H.Row { comp; id; values } ->
         (* a partner named before its row is that row's node *)
-        (node_at comp id).Conode.values <- values
-      | H.Conn { rel; id; parent; children; attrs } ->
+        (node_at comp id (slot id)).Conode.values <- values
+      | H.Conn { rel; parent; children; _ } ->
         let r = rel_of rel in
-        let p = node_at r.r_parent parent in
-        let k = Array.length children in
-        let cs = Array.make k p in
-        for i = 0 to k - 1 do
-          cs.(i) <- node_at r.r_children.(i) children.(i)
-        done;
-        let conn =
-          {
-            Conode.conn_id = id;
-            rel = r.r_name;
-            role = r.r_role;
-            parent = p;
-            children = cs;
-            attrs;
-          }
-        in
-        let s = slot parent in
-        p.Conode.out_conns.(out_deg.(s)) <- conn;
-        out_deg.(s) <- out_deg.(s) + 1;
-        for i = 0 to k - 1 do
-          let s = slot children.(i) in
-          cs.(i).Conode.in_conns.(in_deg.(s)) <- conn;
-          in_deg.(s) <- in_deg.(s) + 1
+        let k = slot parent in
+        ignore (node_at r.r_parent parent k);
+        let p = out_off.(k + 1) in
+        adj.Conode.out_items.(p) <- item;
+        out_off.(k + 1) <- p + 1;
+        for i = 0 to Array.length children - 1 do
+          let id = children.(i) in
+          let k = slot id in
+          ignore (node_at r.r_children.(i) id k);
+          let p = in_off.(k + 1) in
+          adj.Conode.in_items.(p) <- item;
+          in_off.(k + 1) <- p + 1
         done)
     stream.H.items;
-  let off_index = Int_tbl.create 8 in
   Int_tbl.iter
-    (fun id k -> Int_tbl.replace off_index id index.(dense + k))
+    (fun id k -> Int_tbl.replace adj.Conode.off_index id far_nodes.(k))
     far;
   {
     header = stream.H.header;
     stores;
-    index = (if len = dense then index else Array.sub index 0 dense);
-    off_index;
+    adj;
     next_local_id = -1;
     pending = [];
     conn_count = !conns;
@@ -300,10 +298,7 @@ let nodes ws comp =
 let node_count ws comp = live_count (find_store ws comp)
 let connection_count ws = ws.conn_count
 
-let find_by_id ws id =
-  if id < 0 || id >= Array.length ws.index then Int_tbl.find_opt ws.off_index id
-  else if ws.index.(id) != absent then Some ws.index.(id)
-  else None
+let find_by_id ws id = Conode.find ws.adj id
 
 (** Is this a value-less stub (partner of a shipped connection whose
     component was not in TAKE)? *)
@@ -349,10 +344,18 @@ let fresh_local_id ws =
 let insert ws comp (values : Value.t list) : Conode.t =
   let store = find_store ws comp in
   let row = Schema.validate_row store.info.H.comp_schema (Array.of_list values) in
-  let node = Conode.make ~id:(fresh_local_id ws) ~comp ~values:row in
-  node.Conode.dirty <- Conode.Inserted;
+  let node =
+    {
+      Conode.id = fresh_local_id ws;
+      comp;
+      values = row;
+      dirty = Conode.Inserted;
+      adj = ws.adj;
+      edges = Conode.Own { outs = [||]; ins = [||] };
+    }
+  in
   push store node;
-  Int_tbl.replace ws.off_index node.Conode.id node;
+  Int_tbl.replace ws.adj.Conode.off_index node.Conode.id node;
   ws.pending <- P_insert { comp; values = row } :: ws.pending;
   node
 
@@ -371,12 +374,14 @@ let update ws (node : Conode.t) (sets : (string * Value.t) list) : unit =
   ws.pending <-
     P_update { comp = node.Conode.comp; old_values; new_values } :: ws.pending
 
-(* [a] without [c]; [a] itself when it does not hold [c]. *)
-let without (c : Conode.conn) (a : Conode.conn array) =
+(* [a] without the item [c]; [a] itself when it does not hold [c].  The
+   edits below only ever replace a node's own arrays: the shared index
+   and the stream's items are never written. *)
+let without (c : H.item) (a : H.item array) =
   let n = Array.fold_left (fun n x -> if x == c then n else n + 1) 0 a in
   if n = Array.length a then a
   else begin
-    let b = Array.make n absent_conn and j = ref 0 in
+    let b = Array.make n no_item and j = ref 0 in
     Array.iter
       (fun x ->
         if x != c then begin
@@ -387,14 +392,26 @@ let without (c : Conode.conn) (a : Conode.conn array) =
     b
   end
 
-(* Drop [c] from the arrays of each of its partners except [keep]. *)
-let unlink ?(keep = absent) (c : Conode.conn) =
-  let p = c.Conode.parent in
-  if p != keep then p.Conode.out_conns <- without c p.Conode.out_conns;
-  Array.iter
-    (fun (ch : Conode.t) ->
-      if ch != keep then ch.Conode.in_conns <- without c ch.Conode.in_conns)
-    c.Conode.children
+let partner ws id = Option.get (Conode.find ws.adj id)
+
+(* Drop [c] from the items of each of its partners except [keep]. *)
+let unlink ?(keep = absent) ws (c : H.item) =
+  match c with
+  | H.Conn { parent; children; _ } ->
+    let p = partner ws parent in
+    if p != keep then begin
+      let o = Conode.own p in
+      o.Conode.outs <- without c o.Conode.outs
+    end;
+    Array.iter
+      (fun id ->
+        let ch = partner ws id in
+        if ch != keep then begin
+          let o = Conode.own ch in
+          o.Conode.ins <- without c o.Conode.ins
+        end)
+      children
+  | H.Row _ -> ()
 
 let delete ws (node : Conode.t) : unit =
   if Conode.is_deleted node then ()
@@ -402,16 +419,19 @@ let delete ws (node : Conode.t) : unit =
     node.Conode.dirty <- Conode.Deleted;
     (* drop its connections from partners, counting each once: a
        self-loop is in both arrays, and a connection naming the node in
-       several partner slots fills that many adjacent [in_conns] slots *)
-    let outs = node.Conode.out_conns and ins = node.Conode.in_conns in
-    Array.iter (unlink ~keep:node) outs;
+       several partner slots fills that many adjacent in-slots *)
+    let o = Conode.own node in
+    let outs = o.Conode.outs and ins = o.Conode.ins in
+    Array.iter (unlink ~keep:node ws) outs;
     let gone = ref (Array.length outs) in
     Array.iteri
-      (fun i (c : Conode.conn) ->
-        if c.Conode.parent != node && (i = 0 || ins.(i - 1) != c) then begin
-          unlink ~keep:node c;
+      (fun i c ->
+        match c with
+        | H.Conn { parent; _ }
+          when parent <> node.Conode.id && (i = 0 || ins.(i - 1) != c) ->
+          unlink ~keep:node ws c;
           incr gone
-        end)
+        | _ -> ())
       ins;
     ws.conn_count <- ws.conn_count - !gone;
     ws.pending <-
@@ -419,7 +439,9 @@ let delete ws (node : Conode.t) : unit =
       :: ws.pending
   end
 
-(** Connect [parent] and [child] under binary relationship [rel]. *)
+(** Connect [parent] and [child] under binary relationship [rel]: a
+    fresh connection item with a negative id, in both nodes' own
+    arrays. *)
 let connect ws ~rel (parent : Conode.t) (child : Conode.t) : Conode.conn =
   let meta = rel_meta ws rel in
   if meta.H.rm_parent <> parent.Conode.comp then
@@ -431,18 +453,20 @@ let connect ws ~rel (parent : Conode.t) (child : Conode.t) : Conode.conn =
     Errors.semantic_error "%S expects child component %S, got %S" rel
       (List.hd meta.H.rm_children) child.Conode.comp
   | _ -> Errors.unsupported "connect on n-ary relationships");
-  let conn =
-    {
-      Conode.conn_id = fresh_local_id ws;
-      rel;
-      role = meta.H.rm_role;
-      parent;
-      children = [| child |];
-      attrs = [||];
-    }
+  let item =
+    H.Conn
+      {
+        rel = comp_no ws.header.H.components rel;
+        id = fresh_local_id ws;
+        parent = parent.Conode.id;
+        children = [| child.Conode.id |];
+        attrs = [||];
+      }
   in
-  parent.Conode.out_conns <- Array.append parent.Conode.out_conns [| conn |];
-  child.Conode.in_conns <- Array.append child.Conode.in_conns [| conn |];
+  let po = Conode.own parent in
+  po.Conode.outs <- Array.append po.Conode.outs [| item |];
+  let co = Conode.own child in
+  co.Conode.ins <- Array.append co.Conode.ins [| item |];
   ws.conn_count <- ws.conn_count + 1;
   ws.pending <-
     P_connect
@@ -452,17 +476,20 @@ let connect ws ~rel (parent : Conode.t) (child : Conode.t) : Conode.conn =
         child = Array.copy child.Conode.values;
       }
     :: ws.pending;
-  conn
+  Conode.view ws.adj item
 
 let disconnect ws ~rel (parent : Conode.t) (child : Conode.t) : unit =
+  let r = if Hashtbl.mem ws.stores rel then comp_no ws.header.H.components rel else -1 in
   let existing =
     List.filter
-      (fun (c : Conode.conn) -> Array.memq child c.Conode.children)
-      (Conode.conns_out parent ~rel)
+      (function
+        | H.Conn c -> c.rel = r && Array.mem child.Conode.id c.children
+        | H.Row _ -> false)
+      (Array.to_list (Conode.out_items parent))
   in
   if existing = [] then
     Errors.execution_error "no %S connection between these nodes" rel;
-  List.iter (fun c -> unlink c) existing;
+  List.iter (unlink ws) existing;
   ws.conn_count <- ws.conn_count - List.length existing;
   ws.pending <-
     P_disconnect

@@ -2,8 +2,9 @@
     extracted CO (paper Sect. 5, Fig. 7).
 
     Built in three flat passes over the heterogeneous stream; connection
-    tuples become pointers.  Update operators record pending operations
-    for write-back (see {!Update}). *)
+    tuples become a CSR index over the stream's own items (see
+    {!Conode}).  Update operators record pending operations for
+    write-back (see {!Update}). *)
 
 open Relcore
 module H = Xnf.Hetstream
@@ -23,17 +24,15 @@ type component_store = {
   mutable count : int;
 }
 
-module Int_tbl : Hashtbl.S with type key = int
+module Int_tbl = Conode.Int_tbl
 
 type t = {
   header : H.header;
   stores : (string, component_store) Hashtbl.t;
-  index : Conode.t array;
-      (** Stream id -> node, by position: a server numbers rows and
-          connections from 1, so this is dense.  Use {!find_by_id}. *)
-  off_index : Conode.t Int_tbl.t;
-      (** By id, the nodes [index] does not cover: client-side inserts
-          (negative ids) and stream ids past the dense range. *)
+  adj : Conode.adj;
+      (** The connections, and the nodes by id: a server numbers rows
+          and connections from 1, so [adj.index] is dense.  Use
+          {!find_by_id}. *)
   mutable next_local_id : int;
   mutable pending : pending_op list; (* reverse order *)
   mutable conn_count : int;
@@ -45,15 +44,16 @@ val rel_meta : t -> string -> H.rel_meta
 
 val of_stream : H.t -> t
 (** Three passes over the stream's items (check the ids, count degrees,
-    build), with no closure or table entry per item: each node's
-    [out_conns]/[in_conns] array is made at its exact size and filled in
-    arrival order, and partners are found in {!t.index}.  One node per
+    build), with no closure or table entry per item and no record per
+    connection: the connections become a CSR index over the stream's own
+    [Conn] items, each node's rows in arrival order, and partners are
+    found through [adj.index].  The stream is never written.  One node per
     stream id (object sharing): a partner named before its row arrives
     is that row's node, a value-less stub until the row fills its values
     in place, and stays a stub if the row never ships (its component is
     not in TAKE).  Every node list is in order of each node's first
     mention.  Ids past [4 * items + 1024] (rows outside TAKE take ids
-    too) are found through {!t.off_index}; no array is sized from an
+    too) are found through [adj.off_index]; no array is sized from an
     id.  Raises {!Relcore.Errors.Db_error} on a negative id, two rows
     under one id, a row whose id was named as a partner in another
     component, or an item naming a component number of the wrong
@@ -88,10 +88,13 @@ val update : t -> Conode.t -> (string * Value.t) list -> unit
 
 val delete : t -> Conode.t -> unit
 (** Marks the node deleted and drops its connections from its partners'
-    arrays; {!connection_count} loses each of them once. *)
+    item arrays (each partner gets its own on its first edit; the shared
+    index and the stream are never written); {!connection_count} loses
+    each of them once. *)
 
 val connect : t -> rel:string -> Conode.t -> Conode.t -> Conode.conn
-(** Binary relationships only. *)
+(** Binary relationships only: a fresh connection item with a negative
+    id. *)
 
 val disconnect : t -> rel:string -> Conode.t -> Conode.t -> unit
 

@@ -668,19 +668,19 @@ let test_load_order_and_stubs () =
   let hub = node 1 in
   let conn_ids a = conn_ids (Array.to_list a) in
   Alcotest.(check (list int)) "hub out_conns" [ 100; 101; 104 ]
-    (conn_ids hub.C.out_conns);
+    (conn_ids (C.out_conns hub));
   Alcotest.(check (list int)) "hub in_conns" [ 200; 102; 103 ]
-    (conn_ids hub.C.in_conns);
+    (conn_ids (C.in_conns hub));
   Alcotest.(check (list int)) "hub children" [ 2; 3; 2 ]
     (ids (C.children hub ~rel:"uses"));
   Alcotest.(check bool) "conns 100 and 104 both reach row 2" true
     (match C.children hub ~rel:"uses" with
     | [ a; _; b ] -> a == row2 && b == row2
     | _ -> false);
-  Alcotest.(check (list int)) "row 2 in_conns" [ 100; 104 ] (conn_ids row2.C.in_conns);
-  Alcotest.(check (list int)) "row 2 out_conns" [ 103 ] (conn_ids row2.C.out_conns);
+  Alcotest.(check (list int)) "row 2 in_conns" [ 100; 104 ] (conn_ids (C.in_conns row2));
+  Alcotest.(check (list int)) "row 2 out_conns" [ 103 ] (conn_ids (C.out_conns row2));
   Alcotest.(check (list int)) "supplier out_conns" [ 200 ]
-    (conn_ids (node 50).C.out_conns);
+    (conn_ids (C.out_conns (node 50)));
   Alcotest.(check int) "connections" 6 (Ws.connection_count ws);
   let fresh = Ws.insert ws "part" [ Value.Int 9 ] in
   Alcotest.(check int) "insert takes a negative id" (-1) fresh.C.id;
@@ -744,7 +744,7 @@ let test_delete_connection_count () =
       (fun n -> Relcore.Value.to_string (Ws.get ws n "ename") = "anna")
       (Ws.nodes ws "xemp")
   in
-  let outs = Array.length anna.C.out_conns and ins = Array.length anna.C.in_conns in
+  let outs = Array.length (C.out_conns anna) and ins = Array.length (C.in_conns anna) in
   Alcotest.(check bool) "anna is connected both ways" true (outs > 0 && ins > 0);
   let before = Ws.connection_count ws in
   Ws.delete ws anna;
@@ -777,13 +777,13 @@ let test_delete_connection_count () =
   in
   let ws = Ws.of_stream { H.header = graph_header; items } in
   let one = Option.get (Ws.find_by_id ws 1) and two = Option.get (Ws.find_by_id ws 2) in
-  Alcotest.(check int) "node 1 fills in_conns per slot" 4 (Array.length one.C.in_conns);
+  Alcotest.(check int) "node 1 fills in_conns per slot" 4 (Array.length (C.in_conns one));
   Ws.delete ws one;
   Alcotest.(check int) "four connections gone" 1 (Ws.connection_count ws);
   Alcotest.(check (list int)) "node 2 keeps only its own pair" [ 104 ]
-    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list two.C.out_conns));
+    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list (C.out_conns two)));
   Alcotest.(check (list int)) "node 2 in_conns" [ 104; 104 ]
-    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list two.C.in_conns));
+    (List.map (fun (c : C.conn) -> c.C.conn_id) (Array.to_list (C.in_conns two)));
   Alcotest.(check int) "save/load agrees" 1 (Ws.connection_count (save_and_load ws))
 
 (* Ids that break the one-node-per-id contract are refused with a typed
@@ -856,4 +856,80 @@ let suite =
         test_load_malformed_ids;
       Alcotest.test_case "load: ids past the dense range" `Quick
         test_load_sparse_ids;
+    ]
+
+(* Everything a workspace shows, node by node: values, connection ids
+   both ways, and children and parents per relationship. *)
+let navigation ws =
+  let module C = Cocache.Conode in
+  let ids = List.map (fun (n : C.t) -> n.C.id) in
+  let conn_ids a = Array.to_list (Array.map (fun (c : C.conn) -> c.C.conn_id) a) in
+  List.concat_map
+    (fun comp ->
+      List.map
+        (fun (n : C.t) ->
+          ( n.C.id,
+            n.C.values,
+            conn_ids (C.out_conns n),
+            conn_ids (C.in_conns n),
+            List.map
+              (fun rel -> (ids (C.children n ~rel), ids (C.parents n ~rel)))
+              (Ws.rel_component_names ws) ))
+        (Ws.nodes ws comp))
+    (Ws.node_component_names ws)
+
+(* Edits stay in the workspace that makes them: the stream it was loaded
+   from and a second workspace loaded from that stream do not change. *)
+let test_edits_stay_local () =
+  let module C = Cocache.Conode in
+  let items =
+    [
+      conn 2 100 1 [| 2 |] (* partners named before their rows *);
+      part 1;
+      part 2;
+      part 3;
+      conn 2 101 2 [| 3 |];
+      conn 3 102 1 [| 2; 3 |];
+      conn 2 103 3 [| 3 |] (* a self-loop *);
+      conn 4 104 50 [| 1 |];
+    ]
+  in
+  let s = { H.header = graph_header; items } in
+  let copy = H.deserialize (H.serialize s) in
+  let ws1 = Ws.of_stream s and ws2 = Ws.of_stream s in
+  let before = navigation ws2 in
+  let node id = Option.get (Ws.find_by_id ws1 id) in
+  Ws.update ws1 (node 1) [ ("k", Relcore.Value.Int 11) ];
+  ignore (Ws.connect ws1 ~rel:"uses" (node 3) (node 1));
+  Ws.disconnect ws1 ~rel:"uses" (node 1) (node 2);
+  Ws.delete ws1 (node 3);
+  Alcotest.(check bool) "the edits show in their workspace" true
+    (navigation ws1 <> before);
+  Alcotest.(check bool) "the stream is unchanged" true (H.equal s copy);
+  Alcotest.(check bool) "the other workspace navigates as before" true
+    (navigation ws2 = before);
+  Alcotest.(check int) "and counts as before" 5 (Ws.connection_count ws2)
+
+(* The load allocates the nodes and little else: no record per
+   connection. *)
+let test_load_allocation () =
+  let db = Workloads.Oo1.generate { Workloads.Oo1.default with n_parts = 2000 } in
+  let s = Xnf.Xnf_compile.run ~cache:false db Workloads.Oo1.parts_graph_query in
+  ignore (Ws.of_stream s);
+  (* this domain's words: [Gc.quick_stat] also counts other domains' *)
+  let w0 = Gc.minor_words () in
+  let ws = Ws.of_stream s in
+  let words = Gc.minor_words () -. w0 in
+  let per_item = words /. float_of_int (H.total_items s) in
+  Alcotest.(check int) "all parts loaded" 2000 (Ws.node_count ws "xpart");
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per stream item, at most 3" per_item)
+    true (per_item <= 3.)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "edits never write through to the stream" `Quick
+        test_edits_stay_local;
+      Alcotest.test_case "load: minor words per item" `Quick test_load_allocation;
     ]

@@ -1008,6 +1008,35 @@ let test_delta_after_update () =
             (delta_frames ~chunk reference [])
             "unchanged repeat"))
 
+(* A workspace loaded from a check-out edits its own copy: the client's
+   stream, which is the base of its next delta check-out, stays as it
+   was, so the repeat ships as one same run and decodes right. *)
+let test_delta_after_local_edits () =
+  with_patched_streams @@ fun () ->
+  with_server ~setup:oo1_setup (fun addr db _t ->
+      let cl = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          let chunk = 100 in
+          let first = Client.extract ~chunk cl "parts_co" in
+          let copy = H.deserialize (H.serialize first) in
+          let module Ws = Cocache.Workspace in
+          let ws = Ws.of_stream first in
+          let part i = List.nth (Ws.nodes ws "xpart") i in
+          Ws.update ws (part 0) [ ("x", Relcore.Value.Int (-5)) ];
+          ignore (Ws.connect ws ~rel:"link" (part 1) (part 2));
+          (match Cocache.Conode.children (part 3) ~rel:"link" with
+          | c :: _ -> Ws.disconnect ws ~rel:"link" (part 3) c
+          | [] -> Alcotest.fail "part 3 has no link");
+          Ws.delete ws (part 4);
+          Alcotest.(check bool) "the checked-out stream is unchanged" true
+            (H.equal copy first);
+          let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
+          extract_expecting cl ~chunk ~reference
+            (delta_frames ~chunk reference [])
+            "repeat after local edits"))
+
 (* A frame relay in front of the daemon at [upstream] for one client.
    While [tamper] holds a function, each reply frame's payload passes
    through it: [Some p] sends [p] in that frame's place and swallows the
@@ -1093,6 +1122,10 @@ let test_delta_error_mid_stream () =
               | _ -> Alcotest.fail "the cut extraction returned"
               | exception Client.Server_error { kind = "relay"; _ } -> ());
               Atomic.set tamper None;
+              (* one round trip: the relay forwards it only after it has
+                 swallowed the cut reply to its end, so the daemon has
+                 counted that reply before [hits] is read *)
+              ignore (Client.stats cl);
               let reference = Xnf.Xnf_compile.run_view ~cache:false db "parts_co" in
               let hits = memo_hits t in
               let s = Client.extract ~chunk cl "parts_co" in
@@ -1241,6 +1274,8 @@ let suite =
       test_same_frame_codec;
     Alcotest.test_case "daemon: delta check-out after a one-row UPDATE" `Quick
       test_delta_after_update;
+    Alcotest.test_case "daemon: delta check-out after local workspace edits"
+      `Quick test_delta_after_local_edits;
     Alcotest.test_case "daemon: delta check-out after an error mid-stream"
       `Quick test_delta_error_mid_stream;
     Alcotest.test_case "daemon: same run past the base is Malformed" `Quick

@@ -916,9 +916,9 @@ let canonical_graph ws =
               (Array.map
                  (fun (c : C.conn) ->
                    (c.C.rel, c.C.attrs, Array.to_list (Array.map at c.C.children)))
-                 n.C.out_conns),
+                 (C.out_conns n)),
             List.sort compare
-              (Array.to_list (Array.map (fun (c : C.conn) -> (c.C.rel, at c.C.parent)) n.C.in_conns)) ))
+              (Array.to_list (Array.map (fun (c : C.conn) -> (c.C.rel, at c.C.parent)) (C.in_conns n))) ))
         (Ws.nodes ws comp))
     names
 
@@ -944,8 +944,8 @@ let prop_load_matches_reference =
         | Some n ->
           n.C.id = id
           && n.C.comp = r.r_comp
-          && conn_ids n.C.out_conns = List.rev r.r_out
-          && conn_ids n.C.in_conns = List.rev r.r_in
+          && conn_ids (C.out_conns n) = List.rev r.r_out
+          && conn_ids (C.in_conns n) = List.rev r.r_in
           && Ws.is_stub ws n = (r.r_values = None)
           && (match r.r_values with Some v -> n.C.values == v | None -> true)
           && List.for_all
@@ -962,3 +962,311 @@ let prop_load_matches_reference =
       && canonical_graph reloaded = canonical_graph ws)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_load_matches_reference ]
+
+(* -- workspace edit histories against a list-based model ------------ *)
+
+(* The model keeps, per node, its values ([None] for a stub), its
+   deletion mark and its connection ids in arrival order (in-slots once
+   per partner slot); connections by id, with the ids still live.
+   Client-made ids count down from -1, inserts and connections alike. *)
+type m_node = {
+  m_comp : string;
+  mutable m_values : Tuple.t option;
+  mutable m_deleted : bool;
+  mutable m_out : int list;
+  mutable m_in : int list;
+}
+
+type m_conn = {
+  c_rel : string;
+  c_parent : int;
+  c_children : int array;
+  c_attrs : Tuple.t;
+}
+
+type model = {
+  m_nodes : (int, m_node) Hashtbl.t;
+  m_order : (string, int list) Hashtbl.t; (* first mention first *)
+  m_conns : (int, m_conn) Hashtbl.t; (* every connection ever made *)
+  m_live : (int, unit) Hashtbl.t;
+  mutable m_next : int;
+}
+
+let rel_of_comp (c : Hs.comp_info) =
+  match c.Hs.comp_kind with `Rel m -> Some m | `Node -> None
+
+let model_of_stream (s : Hs.t) =
+  let comps = s.Hs.header.Hs.components in
+  let m =
+    {
+      m_nodes = Hashtbl.create 16;
+      m_order = Hashtbl.create 8;
+      m_conns = Hashtbl.create 16;
+      m_live = Hashtbl.create 16;
+      m_next = -1;
+    }
+  in
+  let add comp id values =
+    Hashtbl.replace m.m_nodes id
+      { m_comp = comp; m_values = values; m_deleted = false; m_out = []; m_in = [] };
+    Hashtbl.replace m.m_order comp
+      (Option.value (Hashtbl.find_opt m.m_order comp) ~default:[] @ [ id ])
+  in
+  let mention comp id =
+    if not (Hashtbl.mem m.m_nodes id) then add comp id None;
+    Hashtbl.find m.m_nodes id
+  in
+  List.iter
+    (function
+      | Hs.Row { comp; id; values } ->
+        (mention comps.(comp).Hs.comp_name id).m_values <- Some values
+      | Hs.Conn { rel; id; parent; children; attrs } ->
+        let meta = Option.get (rel_of_comp comps.(rel)) in
+        let p = mention meta.Hs.rm_parent parent in
+        p.m_out <- p.m_out @ [ id ];
+        Array.iteri
+          (fun i c ->
+            let n = mention (List.nth meta.Hs.rm_children i) c in
+            n.m_in <- n.m_in @ [ id ])
+          children;
+        Hashtbl.replace m.m_conns id
+          { c_rel = comps.(rel).Hs.comp_name; c_parent = parent; c_children = children; c_attrs = attrs };
+        Hashtbl.replace m.m_live id ())
+    s.Hs.items;
+  (m, add)
+
+(* Drop connection [cid] from each partner but [keep]. *)
+let model_unlink m ?(keep = min_int) cid =
+  let c = Hashtbl.find m.m_conns cid in
+  let drop l = List.filter (( <> ) cid) l in
+  if c.c_parent <> keep then begin
+    let p = Hashtbl.find m.m_nodes c.c_parent in
+    p.m_out <- drop p.m_out
+  end;
+  Array.iter
+    (fun ch ->
+      if ch <> keep then begin
+        let n = Hashtbl.find m.m_nodes ch in
+        n.m_in <- drop n.m_in
+      end)
+    c.c_children;
+  Hashtbl.remove m.m_live cid
+
+type edit =
+  | E_insert of int * int (* component, value *)
+  | E_update of int * int (* node, value *)
+  | E_connect of int * int * int * bool (* relationship, parent, child, self-loop *)
+  | E_disconnect of int * int * int (* relationship, connection, child slot *)
+  | E_delete of int
+
+let print_edit = function
+  | E_insert (c, v) -> Printf.sprintf "insert %d %d" c v
+  | E_update (n, v) -> Printf.sprintf "update %d %d" n v
+  | E_connect (r, p, c, self) -> Printf.sprintf "connect %d %d %d %b" r p c self
+  | E_disconnect (r, c, k) -> Printf.sprintf "disconnect %d %d %d" r c k
+  | E_delete n -> Printf.sprintf "delete %d" n
+
+let edit_gen : edit QCheck.Gen.t =
+ fun st ->
+  let n () = Random.State.int st 1000 in
+  match Random.State.int st 5 with
+  | 0 -> E_insert (n (), n ())
+  | 1 -> E_update (n (), n ())
+  | 2 -> E_connect (n (), n (), n (), Random.State.int st 3 = 0)
+  | 3 -> E_disconnect (n (), n (), n ())
+  | _ -> E_delete (n ())
+
+(* Apply one edit to the workspace and the model alike; an edit with no
+   candidate is skipped. *)
+let apply_edit ws (s : Hs.t) (m, add) e =
+  let comps = s.Hs.header.Hs.components in
+  let pick l k = if l = [] then None else Some (List.nth l (k mod List.length l)) in
+  let node id = Option.get (Ws.find_by_id ws id) in
+  let mnode id = Hashtbl.find m.m_nodes id in
+  let live comp =
+    List.filter
+      (fun id -> not (mnode id).m_deleted)
+      (Option.value (Hashtbl.find_opt m.m_order comp) ~default:[])
+  in
+  let node_comps = Ws.node_component_names ws in
+  let fresh () =
+    let id = m.m_next in
+    m.m_next <- id - 1;
+    id
+  in
+  match e with
+  | E_insert (c, v) ->
+    let comp = List.nth node_comps (c mod List.length node_comps) in
+    let n = Ws.insert ws comp [ Value.Int v ] in
+    let id = fresh () in
+    add comp id (Some [| Value.Int v |]);
+    n.C.id = id
+  | E_update (k, v) -> (
+    let cands =
+      List.filter (fun id -> (mnode id).m_values <> None) (List.concat_map live node_comps)
+    in
+    match pick cands k with
+    | None -> true
+    | Some id ->
+      Ws.update ws (node id) [ ("k", Value.Int v) ];
+      (mnode id).m_values <- Some [| Value.Int v |];
+      true)
+  | E_connect (r, p, c, self) -> (
+    let binary =
+      List.filter_map
+        (fun (ci : Hs.comp_info) ->
+          match rel_of_comp ci with
+          | Some ({ Hs.rm_children = [ _ ]; _ } as meta) -> Some (ci.Hs.comp_name, meta)
+          | _ -> None)
+        (Array.to_list comps)
+    in
+    match pick binary r with
+    | None -> true
+    | Some (rel, meta) -> (
+      let child_comp = List.hd meta.Hs.rm_children in
+      match pick (live meta.Hs.rm_parent) p with
+      | None -> true
+      | Some pid -> (
+        let child =
+          if self && child_comp = meta.Hs.rm_parent then Some pid
+          else pick (live child_comp) c
+        in
+        match child with
+        | None -> true
+        | Some cid ->
+          let view = Ws.connect ws ~rel (node pid) (node cid) in
+          let id = fresh () in
+          Hashtbl.replace m.m_conns id
+            { c_rel = rel; c_parent = pid; c_children = [| cid |]; c_attrs = [||] };
+          Hashtbl.replace m.m_live id ();
+          (mnode pid).m_out <- (mnode pid).m_out @ [ id ];
+          (mnode cid).m_in <- (mnode cid).m_in @ [ id ];
+          view.C.conn_id = id && view.C.parent == node pid
+          && Array.length view.C.children = 1
+          && view.C.children.(0) == node cid)))
+  | E_disconnect (r, k, slot) -> (
+    let rels = Ws.rel_component_names ws in
+    let rel = List.nth rels (r mod List.length rels) in
+    let cands =
+      List.sort compare
+        (Hashtbl.fold
+           (fun cid () acc ->
+             if (Hashtbl.find m.m_conns cid).c_rel = rel then cid :: acc else acc)
+           m.m_live [])
+    in
+    match pick cands k with
+    | None ->
+      (* nothing to disconnect: refused, and nothing changes *)
+      (match live (List.hd node_comps) with
+      | [] -> true
+      | a :: _ -> (
+        match Ws.disconnect ws ~rel (node a) (node a) with
+        | () -> false
+        | exception Errors.Db_error _ -> true))
+    | Some cid ->
+      let c = Hashtbl.find m.m_conns cid in
+      let child = c.c_children.(slot mod Array.length c.c_children) in
+      let p = mnode c.c_parent in
+      let existing =
+        List.filter
+          (fun id ->
+            let c = Hashtbl.find m.m_conns id in
+            c.c_rel = rel && Array.mem child c.c_children)
+          p.m_out
+      in
+      Ws.disconnect ws ~rel (node c.c_parent) (node child);
+      List.iter (model_unlink m) existing;
+      true)
+  | E_delete k -> (
+    match pick (List.concat_map live node_comps) k with
+    | None -> true
+    | Some id ->
+      let n = mnode id in
+      Ws.delete ws (node id);
+      n.m_deleted <- true;
+      List.iter (model_unlink m ~keep:id) (List.sort_uniq compare (n.m_out @ n.m_in));
+      true)
+
+(* The workspace, node by node and relationship by relationship, against
+   the model. *)
+let agrees_with_model ws (s : Hs.t) (m, _) =
+  let rels = "no-such-rel" :: Ws.rel_component_names ws in
+  let ids = List.map (fun (n : C.t) -> n.C.id) in
+  let conn_ids = List.map (fun (c : C.conn) -> c.C.conn_id) in
+  let by_rel rel l = List.filter (fun id -> (Hashtbl.find m.m_conns id).c_rel = rel) l in
+  let view_ok (v : C.conn) =
+    let c = Hashtbl.find m.m_conns v.C.conn_id in
+    v.C.rel = c.c_rel && v.C.parent.C.id = c.c_parent
+    && Array.map (fun (n : C.t) -> n.C.id) v.C.children = c.c_children
+    && v.C.attrs = c.c_attrs
+  in
+  let node_ok id (r : m_node) =
+    match Ws.find_by_id ws id with
+    | None -> false
+    | Some n ->
+      n.C.id = id && n.C.comp = r.m_comp
+      && C.is_deleted n = r.m_deleted
+      && Ws.is_stub ws n = (r.m_values = None)
+      && (match r.m_values with Some v -> n.C.values = v | None -> true)
+      && conn_ids (Array.to_list (C.out_conns n)) = r.m_out
+      && conn_ids (Array.to_list (C.in_conns n)) = r.m_in
+      && Array.for_all view_ok (C.out_conns n)
+      && Array.for_all view_ok (C.in_conns n)
+      && List.for_all
+           (fun rel ->
+             let outs = by_rel rel r.m_out and ins = by_rel rel r.m_in in
+             conn_ids (C.conns_out n ~rel) = outs
+             && conn_ids (C.conns_in n ~rel) = ins
+             && ids (C.children n ~rel)
+                = List.concat_map
+                    (fun id -> Array.to_list (Hashtbl.find m.m_conns id).c_children)
+                    outs
+             && ids (C.parents n ~rel)
+                = List.map (fun id -> (Hashtbl.find m.m_conns id).c_parent) ins)
+           rels
+  in
+  Hashtbl.fold (fun id r ok -> ok && node_ok id r) m.m_nodes true
+  && List.for_all
+       (fun comp ->
+         ids (Ws.nodes ws comp)
+         = List.filter
+             (fun id -> not (Hashtbl.find m.m_nodes id).m_deleted)
+             (Option.value (Hashtbl.find_opt m.m_order comp) ~default:[]))
+       (Ws.node_component_names ws)
+  && Ws.connection_count ws = Hashtbl.length m.m_live
+  && Ws.find_by_id ws m.m_next = None
+  && Ws.find_by_id ws (Hs.total_items s + 1000) = None
+
+let save_and_load ws =
+  let path = Filename.temp_file "prop_edits" ".xnf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Cocache.Persist.save ws path;
+      Cocache.Persist.load path)
+
+let prop_edits_match_model =
+  QCheck.Test.make ~name:"workspace edit history = list-based model" ~count:200
+    (QCheck.make
+       ~print:(fun (s, es) ->
+         print_load_stream s ^ "\nedits: " ^ String.concat "; " (List.map print_edit es))
+       QCheck.Gen.(pair load_stream_gen (list_size (int_bound 16) edit_gen)))
+    (fun (s, edits) ->
+      let ws = Ws.of_stream s in
+      let m = model_of_stream s in
+      let step ok e =
+        if not ok then false
+        else if not (apply_edit ws s m e) then
+          QCheck.Test.fail_reportf "edit %s: unexpected result" (print_edit e)
+        else if not (agrees_with_model ws s m) then
+          QCheck.Test.fail_reportf "edit %s: workspace and model disagree" (print_edit e)
+        else true
+      in
+      agrees_with_model ws s m
+      && List.fold_left step true edits
+      && (let ws' = save_and_load ws in
+          canonical_graph ws' = canonical_graph ws
+          && Ws.connection_count ws' = Ws.connection_count ws
+          && Ws.pending_ops ws' = Ws.pending_ops ws))
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_edits_match_model ]
